@@ -144,37 +144,3 @@ def reception_outcome(
         return RX_OK
     return RX_COLLIDED
 
-
-def resolve_reception(
-    arrivals: list[tuple[object, float]],
-    sensitivity_dbm: float = DEFAULT_SENSITIVITY_DBM,
-    capture_threshold_db: float = DEFAULT_CAPTURE_DB,
-) -> dict[object, int]:
-    """Arbitrate a set of fully overlapping arrivals at one receiver.
-
-    ``arrivals`` holds (key, received power) pairs. Sub-sensitivity
-    arrivals are flagged and excluded from interference; among the rest,
-    at most the strongest survives, and only with the capture margin in
-    hand. Everything else is lost to the collision.
-    """
-    out: dict[object, int] = {}
-    audible: list[tuple[object, float]] = []
-    for key, prx in arrivals:
-        if prx < sensitivity_dbm:
-            out[key] = RX_BELOW_SENSITIVITY
-        else:
-            audible.append((key, prx))
-    if not audible:
-        return out
-    if len(audible) == 1:
-        key, _ = audible[0]
-        out[key] = RX_OK
-        return out
-    ranked = sorted(audible, key=lambda item: item[1], reverse=True)
-    strongest_key, strongest = ranked[0]
-    runner_up = ranked[1][1]
-    for key, _ in ranked:
-        out[key] = RX_COLLIDED
-    if strongest - runner_up >= capture_threshold_db:
-        out[strongest_key] = RX_OK
-    return out

@@ -25,14 +25,15 @@ from .simulation import Simulation
 from .trace import TraceWriter
 
 
-def _default_seed() -> int:
+def _default_seed() -> int | None:
+    """Seed from LORAMESH_SEED, or None to keep the scenario's own seed."""
     env = os.environ.get("LORAMESH_SEED")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ScenarioError(f"LORAMESH_SEED is not an integer: {env!r}")
-    return 1
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ScenarioError(f"LORAMESH_SEED is not an integer: {env!r}")
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -215,14 +216,7 @@ def _mean_std(values: list[float]) -> dict:
 
 
 def cmd_compare(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if getattr(args, "packets", None) is not None:
-        # same rule as the other overrides: an explicit budget implies
-        # periodic traffic, so any scripted schedule is discarded
-        scenario = replace(
-            scenario,
-            traffic=replace(scenario.traffic, total_packets=args.packets, schedule={}),
-        )
+    scenario = _apply_overrides(load_scenario(args.scenario), args)
     seeds = _parse_ints(args.seeds)
     if not seeds:
         raise ScenarioError("at least one seed required")
@@ -324,7 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-            args.seed = _default_seed() if os.environ.get("LORAMESH_SEED") else None
+            args.seed = _default_seed()
         return args.fn(args)
     except (ScenarioError, PlannerError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

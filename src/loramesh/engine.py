@@ -66,6 +66,3 @@ class RngStreams:
 
     def uniform(self, uid: int, purpose: str, low: float, high: float) -> float:
         return self.stream(uid, purpose).uniform(low, high)
-
-    def exponential(self, uid: int, purpose: str, mean: float) -> float:
-        return self.stream(uid, purpose).expovariate(1.0 / mean)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .channel import PathLossModel
-from .model import MAX_PAYLOAD_BYTES, REPORT_ENTRY, REPORT_HEADER, report_payload_bytes
+from .model import MAX_PAYLOAD_BYTES, REPORT_ENTRY, REPORT_HEADER
 
 # Fixed-point grid for distances on the wire: 2 bytes at 0.25 m per step
 # covers 0..16383.75 m, far beyond any underground link budget.
@@ -96,10 +96,6 @@ def build_report_chunks(
     if not entries:
         return [[]]
     return [entries[i : i + per_chunk] for i in range(0, len(entries), per_chunk)]
-
-
-def report_sizes(chunks: list[list[tuple[int, float]]]) -> list[int]:
-    return [report_payload_bytes(len(chunk)) for chunk in chunks]
 
 
 @dataclass

@@ -3,10 +3,12 @@
 The builder consumes the same event tuples the simulation emits, in
 emission order, and reconstructs everything reported about a run:
 delivery and loss accounting, latency statistics, per-node duty cycle,
-and a replica energy ledger per node driven by the charge windows the
-events encode. Because nothing here peeks at simulator internals, the
-identical metrics can be recomputed later from an exported trace file,
-which is also how the trace format is validated.
+and the energy ledger per node, billed from the charge windows the
+events encode. A live simulation hands these ledgers to its nodes, so
+the battery levels the protocol acts on are the ones reported. Because
+nothing here peeks at simulator internals, the identical metrics can be
+recomputed later from an exported trace file, which is also how the
+trace format is validated.
 """
 
 from __future__ import annotations

@@ -139,11 +139,6 @@ def report_payload_bytes(entry_count: int) -> int:
     return REPORT_HEADER + REPORT_ENTRY * entry_count
 
 
-def chunk_payload_bytes(row_sizes: list[int]) -> int:
-    """Wire size of a routing-table chunk given per-row byte sizes."""
-    return CHUNK_HEADER + sum(row_sizes)
-
-
 def table_row_bytes(downstream_count: int) -> int:
     # uid(2) + distance value(2) + upstream uid(2) + set length(1) + 2/member
     return 7 + 2 * downstream_count

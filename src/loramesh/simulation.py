@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from . import routing as rt
 from . import trace as tr
+from .channel import RX_OK, reception_outcome
 from .energy import EnergyLedger
 from .engine import EventQueue, RngStreams
 from .learning import LearnedTable, NeighborTable, build_report_chunks
@@ -41,7 +42,7 @@ from .model import (
     airtime,
     report_payload_bytes,
 )
-from .planner import PlannerError, chunk_bytes, emit_chunks, plan, plan_from_topology
+from .planner import PlannerError, chunk_bytes, emit_chunks, plan, plan_from_topology, plan_to_dict
 from .scenario import Scenario
 
 
@@ -118,39 +119,39 @@ class Simulation:
         self._bootstrapped = False
 
         # Directed received power per linked pair; shadowing (if any) is
-        # drawn once per undirected link so both directions agree.
+        # drawn once per undirected link so both directions agree. Each
+        # receiver keeps only the transmitters it can hear: every other
+        # frame is below sensitivity, for carrier sense and interference
+        # alike.
         sigma = links.path_loss_model.shadowing_sigma_db
-        self.prx: dict[tuple[int, int], float] = {}
         self.linked: dict[int, list[int]] = {uid: [] for uid in topo.nodes}
+        self.audible: dict[int, dict[int, float]] = {uid: {} for uid in topo.nodes}
         for a, b, _d in links.link_items():
             shadow = 0.0
             if sigma > 0:
                 shadow = self.rng.stream(a, f"shadow-{b}").gauss(0.0, sigma)
-            p = links.rx_power(a, b, self.radio.tx_power_dbm, shadow)
-            self.prx[(a, b)] = p
-            self.prx[(b, a)] = p
+            prx = links.rx_power(a, b, self.radio.tx_power_dbm, shadow)
+            if prx >= self.sensitivity:
+                self.audible[a][b] = prx
+                self.audible[b][a] = prx
             self.linked[a].append(b)
             self.linked[b].append(a)
         for uid in self.linked:
             self.linked[uid].sort()
 
-        energy = scenario.energy
+        # The metrics builder owns the one energy ledger per node; the
+        # protocol reads the same ledger that the metrics report.
+        self.builder = MetricsBuilder(scenario, self.seed)
         self.nodes: dict[int, Node] = {}
         for uid in sorted(topo.nodes):
-            spec = topo.nodes[uid]
-            capacity = None
-            if spec.role == "gateway":
-                capacity = scenario.gateway_capacity_mah
-            elif spec.role == "end_device":
-                capacity = scenario.ed_capacity_mah
-            ledger = EnergyLedger(energy, capacity)
-            flags = (spec.role == "gateway", spec.role == "repeater", spec.role == "end_device")
+            role = topo.nodes[uid].role
+            flags = (role == "gateway", role == "repeater", role == "end_device")
             self.nodes[uid] = Node(
                 uid,
                 flags,
                 TxQueue(scenario.mac.queue_capacity),
                 DedupCache(scenario.mac.dedup_ttl_s, scenario.mac.dedup_capacity),
-                ledger,
+                self.builder.ledgers[uid],
                 NeighborTable(uid, links.path_loss_model),
             )
 
@@ -164,7 +165,6 @@ class Simulation:
         self.report_rows: dict[int, dict[int, float]] = {}
         self.graph = None
 
-        self.builder = MetricsBuilder(scenario, self.seed)
         self._sinks = []
         self.digest = tr.TraceDigest() if want_digest else None
         if self.digest is not None:
@@ -220,8 +220,6 @@ class Simulation:
                 tables = scenario.routing_tables.get("tables", scenario.routing_tables)
                 self._install_from_tables(tables)
             else:
-                from .planner import plan_to_dict
-
                 self.graph = plan_from_topology(self.topology)
                 self._install_from_tables(plan_to_dict(self.graph)["tables"])
         if scenario.learning_phase:
@@ -300,13 +298,10 @@ class Simulation:
 
     def _mesh_busy(self, uid: int) -> bool:
         now = self.queue.now
-        prx = self.prx
-        sens = self.sensitivity
+        audible = self.audible[uid]
         for t in self.active[MESH_CHANNEL]:
-            if t.t0 <= now < t.t1:
-                p = prx.get((t.tx_uid, uid))
-                if p is not None and p >= sens:
-                    return True
+            if t.t0 <= now < t.t1 and t.tx_uid in audible:
+                return True
         return False
 
     def _ev_sense(self, uid: int) -> None:
@@ -341,9 +336,8 @@ class Simulation:
 
     def _ev_tx_end(self, uid: int, trans: Transmission) -> None:
         node = self.nodes[uid]
-        was_dead = node.ledger.dead
-        node.ledger.charge_tx(trans.t0, trans.t1)
-        if not was_dead:
+        if not node.ledger.dead:
+            # the builder bills the transmission when it sees TX_END
             self._emit(
                 tr.TX_END, uid, pkt=trans.packet.packet_id, dur=trans.t1 - trans.t0, ch=trans.channel
             )
@@ -372,9 +366,10 @@ class Simulation:
         node = self.nodes[rx_uid]
         if node.ledger.dead:
             return
-        p = self.prx[(trans.tx_uid, rx_uid)]
+        audible = self.audible[rx_uid]
+        p = audible.get(trans.tx_uid)
         pid = trans.packet.packet_id
-        if p < self.sensitivity:
+        if p is None:
             self._emit(tr.RX_BELOW_SENS, rx_uid, pkt=pid, peer=trans.tx_uid, ch=trans.channel)
             return
         t0 = trans.t0
@@ -384,17 +379,15 @@ class Simulation:
                 self._emit(tr.DROPPED_BUSY_TX, rx_uid, pkt=pid, peer=trans.tx_uid, ch=trans.channel)
                 return
         strongest = None
-        prx = self.prx
-        sens = self.sensitivity
         for t in self.active[trans.channel]:
             if t is trans:
                 continue
             if t.t0 < t1 and t.t1 > t0:
-                ip = prx.get((t.tx_uid, rx_uid))
-                if ip is not None and ip >= sens and (strongest is None or ip > strongest):
+                ip = audible.get(t.tx_uid)
+                if ip is not None and (strongest is None or ip > strongest):
                     strongest = ip
-        ok = strongest is None or p - strongest >= self.capture
-        node.ledger.charge_rx(t0, t1)
+        ok = reception_outcome(p, strongest, self.sensitivity, self.capture) == RX_OK
+        # the builder bills the decoded window when it sees the outcome
         self._emit(
             tr.RX_OK if ok else tr.RX_COLLIDED,
             rx_uid,
@@ -712,18 +705,9 @@ class Simulation:
                     learned.neighbor_values,
                 )
         if self.graph is not None:
-            from .planner import plan_to_dict
-
             tables = plan_to_dict(self.graph)["tables"]
-            for gw in sorted(self.topology.gateways):
-                row = tables.get(str(gw))
-                if row is not None:
-                    self.nodes[gw].route.install(
-                        0.0,
-                        None,
-                        tuple(row["downstream"]),
-                        {int(n): float(v) for n, v in row["neighbor_values"].items()},
-                    )
+            gateways = {str(gw) for gw in self.topology.gateways}
+            self._install_from_tables({k: row for k, row in tables.items() if k in gateways})
 
     # ------------------------------------------------------------------
     # downlink injection (used by tests and the downlink smoke path)
@@ -758,8 +742,6 @@ class Simulation:
             fn, args = queue.pop()
             fn(*args)
         end = horizon if hit_horizon else queue.now
-        for uid in sorted(self.nodes):
-            self.nodes[uid].ledger.finalize(end)
         digest = self.digest.hexdigest() if self.digest is not None else None
         metrics = self.builder.finalize(end, digest)
         return RunResult(metrics=metrics, trace_digest=digest, events=self.events)

@@ -10,7 +10,6 @@ from loramesh.channel import (
     path_loss,
     received_power,
     reception_outcome,
-    resolve_reception,
 )
 
 
@@ -88,23 +87,28 @@ def test_reception_outcome_capture_boundary():
     assert reception_outcome(-70.0, None, -116.0, 6.0) == RX_OK
 
 
-def test_resolve_reception_single_arrival():
-    out = resolve_reception([("a", -80.0)])
-    assert out == {"a": RX_OK}
+def test_reception_outcome_single_arrival():
+    assert reception_outcome(-80.0, None, -116.0, 6.0) == RX_OK
 
 
-def test_resolve_reception_capture_and_losers():
-    out = resolve_reception([("a", -70.0), ("b", -76.0), ("c", -90.0)])
-    assert out["a"] == RX_OK
-    assert out["b"] == RX_COLLIDED
-    assert out["c"] == RX_COLLIDED
+def test_reception_outcome_capture_and_losers():
+    # three overlapping frames at -70, -76 and -90 dBm: each is judged
+    # against the strongest of the others, so only the -70 frame survives
+    assert reception_outcome(-70.0, -76.0, -116.0, 6.0) == RX_OK
+    assert reception_outcome(-76.0, -70.0, -116.0, 6.0) == RX_COLLIDED
+    assert reception_outcome(-90.0, -70.0, -116.0, 6.0) == RX_COLLIDED
 
 
-def test_resolve_reception_mutual_destruction():
-    out = resolve_reception([("a", -70.0), ("b", -71.0)])
-    assert out == {"a": RX_COLLIDED, "b": RX_COLLIDED}
+def test_reception_outcome_mutual_destruction():
+    # 1 dB apart: neither frame clears the margin over the other
+    assert reception_outcome(-70.0, -71.0, -116.0, 6.0) == RX_COLLIDED
+    assert reception_outcome(-71.0, -70.0, -116.0, 6.0) == RX_COLLIDED
 
 
-def test_resolve_reception_subsensitivity_not_interference():
-    out = resolve_reception([("a", -80.0), ("b", -120.0)])
-    assert out == {"a": RX_OK, "b": RX_BELOW_SENSITIVITY}
+def test_reception_outcome_subsensitivity_rival_is_not_interference():
+    # The caller passes only audible rivals. A -117 dBm rival is below
+    # the -116 dBm floor, so the -112 dBm frame sees no rival and is
+    # decoded; counting the rival would have collided it (5 dB < 6 dB).
+    assert reception_outcome(-112.0, None, -116.0, 6.0) == RX_OK
+    assert reception_outcome(-112.0, -117.0, -116.0, 6.0) == RX_COLLIDED
+    assert reception_outcome(-117.0, -112.0, -116.0, 6.0) == RX_BELOW_SENSITIVITY

@@ -85,11 +85,3 @@ def test_rng_uniform_respects_bounds(seed, uid):
     x = r.uniform(uid, "mac", 10.0, 100.0)
     assert 10.0 <= x <= 100.0
 
-
-def test_rng_exponential_positive_and_reproducible():
-    a = RngStreams(5)
-    b = RngStreams(5)
-    xs = [a.exponential(1, "traffic", 2.0) for _ in range(20)]
-    ys = [b.exponential(1, "traffic", 2.0) for _ in range(20)]
-    assert xs == ys
-    assert all(x > 0 for x in xs)

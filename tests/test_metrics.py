@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import statistics
+from dataclasses import replace
 
 import pytest
 
@@ -122,6 +124,24 @@ def test_recompute_from_trace_matches_live_run(tmp_path):
     again = recompute_from_trace(scn, scn.seed, trace_path, live["end_time_s"])
     assert json.dumps(again, sort_keys=True) == json.dumps(live, sort_keys=True)
     assert again["trace_sha256"] == res.trace_digest
+
+
+def test_single_ledger_matches_trace_through_battery_deaths(tmp_path):
+    base = load_scenario("two_ed_battery")
+    scn = replace(base, traffic=replace(base.traffic, total_packets=10000, schedule={}))
+    trace_path = tmp_path / "trace.ndjson"
+    with open(trace_path, "w", encoding="ascii") as fh:
+        sim = Simulation(scn, trace_writer=tr.TraceWriter(fh))
+        live = sim.run().metrics
+    # repeaters die and the energy-aware switches fire on the way
+    assert live["network_lifetime_s"] is not None
+    assert live["counts"]["route_switched"] > 0
+    # the protocol reads the very ledgers the metrics report
+    for uid, node in sim.nodes.items():
+        assert node.ledger is sim.builder.ledgers[uid]
+    again = recompute_from_trace(scn, scn.seed, trace_path, live["end_time_s"])
+    assert json.dumps(again, sort_keys=True) == json.dumps(live, sort_keys=True)
+    assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == live["trace_sha256"]
 
 
 def test_battery_csv_layout(tmp_path):

@@ -8,11 +8,11 @@ from loramesh.model import (
     Packet,
     RadioConfig,
     airtime,
-    chunk_payload_bytes,
     quantize_battery,
     report_payload_bytes,
     table_row_bytes,
 )
+from loramesh.planner import chunk_bytes
 
 
 def reference_airtime(sf, bw, cr_denom, preamble, payload, crc=True, explicit=True):
@@ -94,7 +94,8 @@ def test_payload_size_helpers():
     assert report_payload_bytes(10) == 44
     assert table_row_bytes(0) == 7
     assert table_row_bytes(3) == 13
-    assert chunk_payload_bytes([table_row_bytes(0), table_row_bytes(2)]) == 4 + 7 + 11
+    # a chunk row is (uid, distance value, upstream, downstream set)
+    assert chunk_bytes([(1, 0.0, None, ()), (2, 1.0, 1, (3, 4))]) == 4 + 7 + 11
 
 
 def test_packet_rehop_keeps_identity():
