@@ -47,25 +47,20 @@ class DedupCache:
     def __contains__(self, packet_id: int) -> bool:
         return packet_id in self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 class TxQueue:
     """FIFO transmit queue that drops the oldest entry when full."""
 
-    __slots__ = ("capacity", "_items", "dropped")
+    __slots__ = ("capacity", "_items")
 
     def __init__(self, capacity: int = 512) -> None:
         self.capacity = capacity
         self._items: deque = deque()
-        self.dropped = 0
 
     def push(self, item) -> object | None:
         """Append; returns the evicted entry when capacity was exceeded."""
         self._items.append(item)
         if len(self._items) > self.capacity:
-            self.dropped += 1
             return self._items.popleft()
         return None
 

@@ -1,12 +1,13 @@
 """Event-driven execution of one scenario.
 
 One Simulation instance owns the event queue, every node's radio and
-protocol state, and the trace sinks. The flow per transmission: the
-sender's MAC chain draws a wait, senses, and begins the transmission;
-every linked peer gets a frame-end event at which reception is
-arbitrated (sensitivity, own-transmit exclusion, capture margin over
-all overlapping interferers); decoded frames are handed to the protocol
-dispatch, which is where flooding, routing, standby recovery, and the
+protocol state, and the trace writer. The flow per transmission: the
+sender's MAC chain draws a wait, senses, and begins the transmission,
+which schedules one end-of-air event; at that event reception is
+arbitrated for every linked peer in uid order (sensitivity, own-transmit
+exclusion, capture margin over all overlapping interferers), then the
+sender is billed; decoded frames are handed to the protocol dispatch,
+which is where flooding, routing, standby recovery, and the
 battery-triggered switches live.
 
 Determinism: all randomness comes from named per-node streams, every
@@ -89,18 +90,11 @@ class Node:
 @dataclass
 class RunResult:
     metrics: dict
-    trace_digest: str | None = None
-    events: list[tuple] | None = None
 
 
 class Simulation:
     def __init__(
-        self,
-        scenario: Scenario,
-        seed: int | None = None,
-        collect_events: bool = False,
-        trace_writer=None,
-        want_digest: bool = True,
+        self, scenario: Scenario, seed: int | None = None, trace_writer: tr.TraceWriter | None = None
     ) -> None:
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
@@ -164,14 +158,7 @@ class Simulation:
         self.delivered_pids: set[int] = set()
         self.report_rows: dict[int, dict[int, float]] = {}
         self.graph = None
-
-        self._sinks = []
-        self.digest = tr.TraceDigest() if want_digest else None
-        if self.digest is not None:
-            self._sinks.append(self.digest)
-        if trace_writer is not None:
-            self._sinks.append(trace_writer)
-        self.events: list[tuple] | None = [] if collect_events else None
+        self.trace = trace_writer or tr.TraceWriter()
 
     # ------------------------------------------------------------------
     # plumbing
@@ -179,10 +166,7 @@ class Simulation:
     def _emit(self, kind: int, node: int, pkt=None, peer=None, dur=None, ch=None) -> None:
         ev = (self.queue.now, kind, node, pkt, peer, dur, ch)
         self.builder.feed(ev)
-        for sink in self._sinks:
-            sink.add(ev)
-        if self.events is not None:
-            self.events.append(ev)
+        self.trace.add(ev)
 
     def _new_pid(self) -> int:
         pid = self._next_pid
@@ -329,12 +313,14 @@ class Simulation:
         while intervals and intervals[0][1] <= horizon:
             intervals.popleft()
         self._emit(tr.TX_START, node.uid, pkt=packet.packet_id, dur=dur, ch=channel)
-        push = self.queue.push
-        for peer in self.linked[node.uid]:
-            push(t1, self._ev_frame_end, (peer, trans))
-        push(t1, self._ev_tx_end, (node.uid, trans))
+        self.queue.push(t1, self._ev_tx_end, (trans,))
 
-    def _ev_tx_end(self, uid: int, trans: Transmission) -> None:
+    def _ev_tx_end(self, trans: Transmission) -> None:
+        uid = trans.tx_uid
+        # peers decode before the sender is billed: a sender that dies
+        # during its last frame is still heard
+        for peer in self.linked[uid]:
+            self._frame_end(peer, trans)
         node = self.nodes[uid]
         if not node.ledger.dead:
             # the builder bills the transmission when it sees TX_END
@@ -362,7 +348,7 @@ class Simulation:
     # ------------------------------------------------------------------
     # reception
 
-    def _ev_frame_end(self, rx_uid: int, trans: Transmission) -> None:
+    def _frame_end(self, rx_uid: int, trans: Transmission) -> None:
         node = self.nodes[rx_uid]
         if node.ledger.dead:
             return
@@ -742,9 +728,7 @@ class Simulation:
             fn, args = queue.pop()
             fn(*args)
         end = horizon if hit_horizon else queue.now
-        digest = self.digest.hexdigest() if self.digest is not None else None
-        metrics = self.builder.finalize(end, digest)
-        return RunResult(metrics=metrics, trace_digest=digest, events=self.events)
+        return RunResult(self.builder.finalize(end, self.trace.hexdigest()))
 
 
 def run(scenario: Scenario, seed: int | None = None, **kwargs) -> RunResult:

@@ -75,31 +75,26 @@ def decode_event(line: str) -> tuple:
     )
 
 
-class TraceDigest:
-    """Streaming SHA-256 over the encoded trace lines."""
+class TraceWriter:
+    """The run's one trace sink: a streaming SHA-256 over the encoded lines.
 
-    def __init__(self) -> None:
+    Each event is encoded once; the line feeds the hash and, when an open
+    text file is given, is written there too, so the file's sha256 is the
+    digest.
+    """
+
+    def __init__(self, fh=None) -> None:
+        self._fh = fh
         self._hash = hashlib.sha256()
-        self.events = 0
 
     def add(self, ev: tuple) -> None:
-        self._hash.update(encode_event(ev).encode("ascii"))
-        self._hash.update(b"\n")
-        self.events += 1
+        line = encode_event(ev) + "\n"
+        self._hash.update(line.encode("ascii"))
+        if self._fh is not None:
+            self._fh.write(line)
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
-
-
-class TraceWriter:
-    """Writes the newline-delimited JSON trace to an open text file."""
-
-    def __init__(self, fh) -> None:
-        self._fh = fh
-
-    def add(self, ev: tuple) -> None:
-        self._fh.write(encode_event(ev))
-        self._fh.write("\n")
 
 
 def read_trace(path: str):

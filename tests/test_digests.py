@@ -1,0 +1,63 @@
+"""Golden digests: the same behaviour, checked the same way every time.
+
+Rebuilds the 18-case matrix (3 bundled scenarios x 3 protocols x
+learning phase on/off) and compares each run's trace digest and event
+total to ``tests/data/digests.json``. Periodic traffic budgets are
+capped at ``CAP`` packets so the whole matrix stays fast; scripted
+schedules run as written. A deliberate trace-format or behaviour change
+regenerates the file with
+
+    PYTHONPATH=src python tests/test_digests.py
+"""
+
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from loramesh.scenario import load_scenario
+from loramesh.simulation import Simulation
+
+DATA = Path(__file__).parent / "data" / "digests.json"
+SCENARIOS = ("representative", "standby_recovery", "two_ed_battery")
+PROTOCOLS = ("flooding", "routing", "routing_no_energy")
+CAP = 200
+
+CASES = [
+    f"{name}/{protocol}/learning-{'on' if learning else 'off'}"
+    for name in SCENARIOS
+    for protocol in PROTOCOLS
+    for learning in (False, True)
+]
+
+
+def run_case(case: str) -> dict:
+    name, protocol, learning = case.split("/")
+    scn = load_scenario(name)
+    traffic = scn.traffic
+    if not traffic.schedule:
+        traffic = replace(traffic, total_packets=min(traffic.total_packets, CAP))
+    scn = replace(scn, protocol=protocol, learning_phase=learning == "learning-on", traffic=traffic)
+    metrics = Simulation(scn).run().metrics
+    return {"trace_sha256": metrics["trace_sha256"], "events": sum(metrics["counts"].values())}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(DATA.read_text())
+
+
+def test_golden_file_covers_the_matrix(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_digest_matches_golden(golden, case):
+    assert run_case(case) == golden[case]
+
+
+if __name__ == "__main__":
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text(json.dumps({case: run_case(case) for case in CASES}, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {DATA}")

@@ -43,6 +43,5 @@ def test_txqueue_drops_oldest_when_full():
     assert q.push("b") is None
     evicted = q.push("c")
     assert evicted == "a"
-    assert q.dropped == 1
     assert q.pop() == "b"
     assert q.pop() == "c"

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import statistics
 from dataclasses import replace
@@ -118,12 +119,10 @@ def test_recompute_from_trace_matches_live_run(tmp_path):
     scn = load_scenario("standby_recovery")
     trace_path = tmp_path / "trace.ndjson"
     with open(trace_path, "w") as fh:
-        sim = Simulation(scn, trace_writer=tr.TraceWriter(fh))
-        res = sim.run()
-    live = res.metrics
+        live = Simulation(scn, trace_writer=tr.TraceWriter(fh)).run().metrics
     again = recompute_from_trace(scn, scn.seed, trace_path, live["end_time_s"])
     assert json.dumps(again, sort_keys=True) == json.dumps(live, sort_keys=True)
-    assert again["trace_sha256"] == res.trace_digest
+    assert again["trace_sha256"] == live["trace_sha256"]
 
 
 def test_single_ledger_matches_trace_through_battery_deaths(tmp_path):
@@ -142,6 +141,43 @@ def test_single_ledger_matches_trace_through_battery_deaths(tmp_path):
     again = recompute_from_trace(scn, scn.seed, trace_path, live["end_time_s"])
     assert json.dumps(again, sort_keys=True) == json.dumps(live, sort_keys=True)
     assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == live["trace_sha256"]
+    # a repeater dies during its own frame; its peers still decode that
+    # frame, and they do so before the sender's TxEnd bills it
+    events = list(tr.read_trace(trace_path))
+    deaths = {uid: sim.builder.ledgers[uid].death_time for uid in sim.topology.repeaters}
+    dying = [
+        (i, ev)
+        for i, ev in enumerate(events)
+        if ev[tr.KIND] == tr.TX_END
+        and deaths.get(ev[tr.NODE]) is not None
+        and ev[tr.T] - ev[tr.DUR] <= deaths[ev[tr.NODE]] <= ev[tr.T]
+    ]
+    assert dying
+    for end, (t, _kind, sender, pkt, _peer, _dur, _ch) in dying:
+        heard = [
+            i
+            for i, ev in enumerate(events)
+            if ev[tr.KIND] in (tr.RX_OK, tr.RX_COLLIDED)
+            and (ev[tr.PEER], ev[tr.PKT], ev[tr.T]) == (sender, pkt, t)
+        ]
+        assert any(events[i][tr.KIND] == tr.RX_OK for i in heard)
+        assert all(i < end for i in heard)
+
+
+def test_each_trace_event_is_encoded_once(monkeypatch):
+    calls = []
+    encode = tr.encode_event
+
+    def counting(ev):
+        calls.append(ev)
+        return encode(ev)
+
+    monkeypatch.setattr(tr, "encode_event", counting)
+    buf = io.StringIO()
+    scn = load_scenario("standby_recovery")
+    live = Simulation(scn, trace_writer=tr.TraceWriter(buf)).run().metrics
+    assert len(calls) == sum(live["counts"].values())
+    assert hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest() == live["trace_sha256"]
 
 
 def test_battery_csv_layout(tmp_path):

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -29,12 +30,20 @@ def build(nodes, links, schedule, protocol="routing", seed=1, **extra):
     return scenario_from_dict(data)
 
 
-def events_of(result, kind, pkt=None):
-    return [
-        ev
-        for ev in result.events
-        if ev[1] == kind and (pkt is None or ev[3] == pkt)
-    ]
+def decoded(buf):
+    """The events a trace writer wrote to an in-memory buffer."""
+    return [tr.decode_event(line) for line in buf.getvalue().splitlines()]
+
+
+def run_traced(scn):
+    """Run with the trace written to memory; returns the metrics and its events."""
+    buf = io.StringIO()
+    metrics = Simulation(scn, trace_writer=tr.TraceWriter(buf)).run().metrics
+    return metrics, decoded(buf)
+
+
+def events_of(events, kind, pkt=None):
+    return [ev for ev in events if ev[1] == kind and (pkt is None or ev[3] == pkt)]
 
 
 def test_two_hop_latency_hand_computed():
@@ -51,8 +60,7 @@ def test_two_hop_latency_hand_computed():
         {101: [1.0]},
         mac={"wait_min_s": 0.010, "wait_max_s": 0.100},
     )
-    res = Simulation(scn, collect_events=True).run()
-    m = res.metrics
+    m, events = run_traced(scn)
     assert m["generated"] == 1
     assert m["delivered"] == 1
     assert m["pdr"] == 1.0
@@ -62,7 +70,7 @@ def test_two_hop_latency_hand_computed():
     expected_ms = (2 * AIR_20B + wait) * 1000.0
     assert m["latency_ms"]["mean"] == pytest.approx(expected_ms, rel=1e-9)
     assert m["latency_ms"]["median"] == m["latency_ms"]["mean"]
-    deliver = events_of(res, tr.DELIVERED)
+    deliver = events_of(events, tr.DELIVERED)
     assert len(deliver) == 1 and deliver[0][2] == 0
 
 
@@ -111,8 +119,7 @@ def hidden_pair(d1, d2, t2=1.005):
 def test_hidden_forwarders_collide_at_gateway():
     # repeaters 1 and 2 share no link: their staggered forwards overlap
     # at the gateway and neither has the capture margin
-    res = Simulation(hidden_pair(100.0, 100.0), collect_events=True).run()
-    m = res.metrics
+    m = run(hidden_pair(100.0, 100.0)).metrics
     assert m["delivered"] == 0
     assert m["counts"]["rx_collided"] == 2
     assert m["losses"]["intermediate"] == 2
@@ -121,11 +128,10 @@ def test_hidden_forwarders_collide_at_gateway():
 
 def test_capture_rescues_the_stronger_frame():
     # 50 m vs 100 m is a 7.5 dB edge, past the 6 dB capture threshold
-    res = Simulation(hidden_pair(50.0, 100.0), collect_events=True).run()
-    m = res.metrics
+    m, events = run_traced(hidden_pair(50.0, 100.0))
     assert m["delivered"] == 1
     assert m["counts"]["rx_collided"] == 1
-    ok = events_of(res, tr.RX_OK)
+    ok = events_of(events, tr.RX_OK)
     assert any(ev[2] == 0 and ev[4] == 1 for ev in ok)  # node 1's frame won
 
 
@@ -184,11 +190,10 @@ def test_queue_overflow_drops_oldest():
         {101: [1.0, 1.02]},
         mac={"wait_min_s": 0.05, "wait_max_s": 0.05, "queue_capacity": 1},
     )
-    res = Simulation(scn, collect_events=True).run()
-    m = res.metrics
+    m, events = run_traced(scn)
     assert m["counts"]["queue_dropped"] == 1
-    dropped = events_of(res, tr.QUEUE_DROPPED)
-    generated = events_of(res, tr.GENERATED)
+    dropped = events_of(events, tr.QUEUE_DROPPED)
+    generated = events_of(events, tr.GENERATED)
     assert dropped[0][3] == generated[0][3]  # the older packet went
     assert m["delivered"] == 1
 
@@ -208,11 +213,10 @@ def test_flooding_rebroadcasts_once_per_node():
         if a < b
     ] + [{"a": 101, "b": 1, "distance_m": 10.0}]
     scn = build(nodes, links, {101: [1.0]}, protocol="flooding")
-    res = Simulation(scn, collect_events=True).run()
-    m = res.metrics
+    m, events = run_traced(scn)
     assert m["delivered"] == 1
     mesh_tx = {}
-    for ev in events_of(res, tr.TX_START):
+    for ev in events_of(events, tr.TX_START):
         if ev[6] == 0:
             mesh_tx[ev[2]] = mesh_tx.get(ev[2], 0) + 1
     assert mesh_tx == {1: 1, 2: 1, 3: 1}  # gateway never rebroadcasts up
@@ -221,12 +225,11 @@ def test_flooding_rebroadcasts_once_per_node():
 
 def test_standby_recovery_scripted_scenario():
     scn = load_scenario("standby_recovery")
-    res = Simulation(scn, collect_events=True).run()
-    m = res.metrics
+    m, events = run_traced(scn)
     assert m["generated"] == 2
     assert m["delivered"] == 2
     assert m["counts"]["standby_fired"] == 1
-    fired = events_of(res, tr.STANDBY_FIRED)
+    fired = events_of(events, tr.STANDBY_FIRED)
     assert fired[0][2] == 3  # the bystander repeater picked the hop up
 
     from dataclasses import replace
@@ -256,13 +259,13 @@ def test_standby_cancelled_on_normal_forward():
         {"a": 101, "b": 2, "distance_m": 10.0},
     ]
     scn = build(nodes, links, {101: [1.0]})
-    res = Simulation(scn, collect_events=True).run()
-    armed = events_of(res, tr.STANDBY_ARMED)
-    cancelled = events_of(res, tr.STANDBY_CANCELLED)
+    m, events = run_traced(scn)
+    armed = events_of(events, tr.STANDBY_ARMED)
+    cancelled = events_of(events, tr.STANDBY_CANCELLED)
     assert [ev[2] for ev in armed] == [3]
     assert [ev[2] for ev in cancelled] == [3]
-    assert events_of(res, tr.STANDBY_FIRED) == []
-    assert res.metrics["delivered"] == 1
+    assert events_of(events, tr.STANDBY_FIRED) == []
+    assert m["delivered"] == 1
 
 
 def test_learning_phase_converges_to_ideal_plan():
@@ -315,14 +318,16 @@ def test_downlink_coverage_reaches_leaf_repeaters():
             "protocol": "routing",
         }
     )
-    sim = Simulation(scn, collect_events=True)
+    buf = io.StringIO()
+    sim = Simulation(scn, trace_writer=tr.TraceWriter(buf))
     pid = sim.inject_downlink(0)
-    res = sim.run()
-    heard = {ev[2] for ev in events_of(res, tr.RX_OK, pkt=pid)}
+    sim.run()
+    events = decoded(buf)
+    heard = {ev[2] for ev in events_of(events, tr.RX_OK, pkt=pid)}
     # node 1 is the only selected forwarder and has nothing below it in
     # its own set, yet must still rebroadcast so the leaf hears the payload
     assert {1, 2} <= heard
-    tx_nodes = [ev[2] for ev in events_of(res, tr.TX_START, pkt=pid)]
+    tx_nodes = [ev[2] for ev in events_of(events, tr.TX_START, pkt=pid)]
     assert tx_nodes.count(1) == 1
     assert tx_nodes.count(2) == 0  # the leaf holds no forwarding duty
 
@@ -346,14 +351,13 @@ def test_node_death_silences_it_and_sets_lifetime():
         },
         horizon_s=10.0,
     )
-    res = Simulation(scn, collect_events=True).run()
-    m = res.metrics
+    m, events = run_traced(scn)
     assert m["network_lifetime_s"] is not None
     assert m["battery_level"]["1"] == 0
     death = m["network_lifetime_s"]
     late = [
         ev
-        for ev in res.events
+        for ev in events
         if ev[2] == 1 and ev[0] > death + 1e-9 and ev[1] == tr.TX_START
     ]
     assert late == []
@@ -381,7 +385,7 @@ def test_identical_runs_are_identical():
     scn = load_scenario("standby_recovery")
     a = run(scn)
     b = run(scn)
-    assert a.trace_digest == b.trace_digest
+    assert a.metrics["trace_sha256"] == b.metrics["trace_sha256"]
     assert json.dumps(a.metrics, sort_keys=True) == json.dumps(b.metrics, sort_keys=True)
     c = run(scn, seed=99)
-    assert c.trace_digest != a.trace_digest
+    assert c.metrics["trace_sha256"] != a.metrics["trace_sha256"]
