@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .channel import PathLossModel
-from .model import MAX_PAYLOAD_BYTES, REPORT_ENTRY, REPORT_HEADER
+from .model import FRAME_HEADER, MAX_PAYLOAD_BYTES, REPORT_ENTRY, pack_frames
 
 # Fixed-point grid for distances on the wire: 2 bytes at 0.25 m per step
 # covers 0..16383.75 m, far beyond any underground link budget.
@@ -83,19 +83,14 @@ class NeighborTable:
 def build_report_chunks(
     entries: list[tuple[int, float]],
     max_payload: int = MAX_PAYLOAD_BYTES,
-) -> list[list[tuple[int, float]]]:
-    """Split neighbor entries into report payloads that fit on the air.
+) -> list[tuple[int, list[tuple[int, float]]]]:
+    """Pack neighbor entries into reports: (payload bytes, entries) each.
 
-    Each report spends REPORT_HEADER bytes plus REPORT_ENTRY per pair; a
-    node with no audible neighbors still emits one empty report so the
-    planner can tell silence from loss.
+    Each entry spends REPORT_ENTRY bytes; a node with no audible
+    neighbors still emits one empty report so the planner can tell
+    silence from loss.
     """
-    per_chunk = (max_payload - REPORT_HEADER) // REPORT_ENTRY
-    if per_chunk < 1:
-        raise ValueError("max payload too small for a single report entry")
-    if not entries:
-        return [[]]
-    return [entries[i : i + per_chunk] for i in range(0, len(entries), per_chunk)]
+    return pack_frames(entries, lambda _entry: REPORT_ENTRY, max_payload) or [(FRAME_HEADER, [])]
 
 
 @dataclass

@@ -35,13 +35,12 @@ KIND_NAMES = (
 MAX_PAYLOAD_BYTES = 255
 
 # Fixed control-plane payload sizes in bytes. Beacons and switch
-# instructions carry a small fixed frame; reports and table chunks grow
-# with their entry count (see payload helpers below).
+# instructions carry a small fixed frame; reports and table chunks are
+# a frame header plus their entries (see pack_frames below).
 BEACON_PAYLOAD = 8
 ROUTE_SWITCH_PAYLOAD = 8
-REPORT_HEADER = 4
+FRAME_HEADER = 4
 REPORT_ENTRY = 4
-CHUNK_HEADER = 4
 
 
 @dataclass(frozen=True)
@@ -134,14 +133,34 @@ def quantize_battery(remaining_mah: float, capacity_mah: float) -> int:
     return int(math.floor(100.0 * remaining_mah / capacity_mah))
 
 
-def report_payload_bytes(entry_count: int) -> int:
-    """Wire size of a neighbor report carrying ``entry_count`` entries."""
-    return REPORT_HEADER + REPORT_ENTRY * entry_count
-
-
 def table_row_bytes(downstream_count: int) -> int:
     # uid(2) + distance value(2) + upstream uid(2) + set length(1) + 2/member
     return 7 + 2 * downstream_count
+
+
+def pack_frames(items, item_bytes, max_payload: int = MAX_PAYLOAD_BYTES) -> list[tuple[int, list]]:
+    """Pack ``items`` greedily, in order, into frames of at most ``max_payload``.
+
+    Each frame spends FRAME_HEADER bytes plus ``item_bytes(item)`` per
+    item; returns (payload bytes, items) per frame. An item that fits no
+    frame raises ValueError.
+    """
+    frames: list[tuple[int, list]] = []
+    current: list = []
+    used = FRAME_HEADER
+    for item in items:
+        size = item_bytes(item)
+        if FRAME_HEADER + size > max_payload:
+            raise ValueError(f"{item!r} cannot fit any {max_payload}-byte frame")
+        if used + size > max_payload and current:
+            frames.append((used, current))
+            current = []
+            used = FRAME_HEADER
+        current.append(item)
+        used += size
+    if current:
+        frames.append((used, current))
+    return frames
 
 
 class Packet:

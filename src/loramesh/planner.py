@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 from .learning import quantize_distance
-from .model import CHUNK_HEADER, MAX_PAYLOAD_BYTES, table_row_bytes
+from .model import MAX_PAYLOAD_BYTES, pack_frames, table_row_bytes
 
 INFINITE = float("inf")
 
@@ -263,44 +263,43 @@ def plan(reports: dict[int, list[tuple[int, float]]], gateways: list[int]) -> Gl
     return graph
 
 
+def route_rows(
+    graph: GlobalGraph,
+) -> dict[int, tuple[float, int | None, tuple[int, ...], dict[int, float]]]:
+    """Per reachable node, in uid order: (distance value, upstream,
+    downstream, neighbor values), every value quantized as on the wire."""
+    wire = {
+        uid: quantize_distance(value)
+        for uid, value in graph.distance_value.items()
+        if value != INFINITE
+    }
+    return {
+        uid: (
+            wire[uid],
+            graph.upstream.get(uid),
+            graph.downstream.get(uid, ()),
+            {nbr: wire[nbr] for nbr, _w in graph.neighbors_of(uid) if nbr in wire},
+        )
+        for uid in graph.vertices
+        if uid in wire
+    }
+
+
 def table_rows(graph: GlobalGraph) -> list[tuple[int, float, int | None, tuple[int, ...]]]:
     """Disseminated rows: (uid, distance value, upstream, downstream)."""
-    rows = []
-    for uid in graph.vertices:
-        value = graph.distance_value.get(uid, INFINITE)
-        if value == INFINITE:
-            continue
-        rows.append(
-            (uid, quantize_distance(value), graph.upstream.get(uid), graph.downstream.get(uid, ()))
-        )
-    return rows
+    return [(uid, row[0], row[1], row[2]) for uid, row in route_rows(graph).items()]
 
 
 def emit_chunks(
     graph: GlobalGraph,
     max_payload: int = MAX_PAYLOAD_BYTES,
-) -> list[list[tuple[int, float, int | None, tuple[int, ...]]]]:
-    """Pack table rows into payload-sized chunks, preserving row order."""
-    chunks: list[list] = []
-    current: list = []
-    used = CHUNK_HEADER
-    for row in table_rows(graph):
-        size = table_row_bytes(len(row[3]))
-        if size + CHUNK_HEADER > max_payload:
-            raise PlannerError(f"row for node {row[0]} cannot fit any chunk")
-        if used + size > max_payload and current:
-            chunks.append(current)
-            current = []
-            used = CHUNK_HEADER
-        current.append(row)
-        used += size
-    if current:
-        chunks.append(current)
-    return chunks
-
-
-def chunk_bytes(chunk: list[tuple[int, float, int | None, tuple[int, ...]]]) -> int:
-    return CHUNK_HEADER + sum(table_row_bytes(len(row[3])) for row in chunk)
+) -> list[tuple[int, list[tuple[int, float, int | None, tuple[int, ...]]]]]:
+    """Pack table rows into chunks, preserving row order: (payload bytes, rows) each."""
+    rows = table_rows(graph)
+    try:
+        return pack_frames(rows, lambda row: table_row_bytes(len(row[3])), max_payload)
+    except ValueError as exc:
+        raise PlannerError(f"table row {exc}") from exc
 
 
 def plan_from_topology(topology) -> GlobalGraph:
@@ -325,23 +324,16 @@ def plan_from_topology(topology) -> GlobalGraph:
 
 
 def plan_to_dict(graph: GlobalGraph) -> dict:
-    tables = {}
-    for uid in graph.vertices:
-        value = graph.distance_value.get(uid, INFINITE)
-        if value == INFINITE:
-            continue
-        neighbor_values = {}
-        for nbr, _w in graph.neighbors_of(uid):
-            nv = graph.distance_value.get(nbr, INFINITE)
-            if nv != INFINITE:
-                neighbor_values[str(nbr)] = quantize_distance(nv)
-        tables[str(uid)] = {
-            "distance_value": quantize_distance(value),
+    tables = {
+        str(uid): {
+            "distance_value": value,
             "nearest_gateway": graph.nearest_gateway.get(uid),
-            "upstream": graph.upstream.get(uid),
-            "downstream": list(graph.downstream.get(uid, ())),
-            "neighbor_values": neighbor_values,
+            "upstream": upstream,
+            "downstream": list(downstream),
+            "neighbor_values": {str(nbr): v for nbr, v in neighbor_values.items()},
         }
+        for uid, (value, upstream, downstream, neighbor_values) in route_rows(graph).items()
+    }
     return {
         "gateways": list(graph.gateways),
         "tables": tables,

@@ -40,7 +40,6 @@ class RouteState:
     distance_value: float = float("inf")
     upstream_original: int | None = None
     upstream_current: int | None = None
-    downstream_original: tuple[int, ...] = ()
     downstream_current: tuple[int, ...] = ()
     neighbor_values: dict[int, float] = field(default_factory=dict)
     neighbor_levels: dict[int, int] = field(default_factory=dict)
@@ -66,7 +65,6 @@ class RouteState:
         self.distance_value = distance_value
         self.upstream_original = upstream
         self.upstream_current = upstream
-        self.downstream_original = tuple(downstream)
         self.downstream_current = tuple(downstream)
         self.neighbor_values = dict(neighbor_values)
         self.installed = True

@@ -153,7 +153,6 @@ class Scenario:
     horizon_s: float | None = None
     standby_enabled: bool = True
     learning_phase: bool = False
-    routing_tables: dict | None = None
     gateway_capacity_mah: float | None = None
     ed_capacity_mah: float | None = None
 
@@ -165,6 +164,9 @@ class Scenario:
         if self.traffic.total_packets > 0 or self.traffic.schedule:
             if not self.topology.end_devices:
                 raise ScenarioError("traffic requested but the topology has no end devices")
+        for uid in sorted(self.traffic.schedule):
+            if uid not in self.topology.end_devices:
+                raise ScenarioError(f"traffic schedule names node {uid}, which is not an end device")
 
 
 def _require(data: dict, key: str, context: str):
@@ -213,6 +215,16 @@ def topology_from_dict(data: dict) -> Topology:
 
 
 def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
+    """Build and validate a scenario; any malformed value raises ScenarioError."""
+    try:
+        return _scenario_from_dict(data, base_dir)
+    except ScenarioError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ScenarioError(f"malformed scenario: {type(exc).__name__}: {exc}") from exc
+
+
+def _scenario_from_dict(data: dict, base_dir: Path | None) -> Scenario:
     name = str(data.get("name", "unnamed"))
     if "topology" in data:
         topo_data = data["topology"]
@@ -301,7 +313,6 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
         horizon_s=float(horizon) if horizon is not None else None,
         standby_enabled=bool(data.get("standby_enabled", True)),
         learning_phase=bool(data.get("learning_phase", False)),
-        routing_tables=data.get("routing_tables"),
         gateway_capacity_mah=(
             float(energy_data["gateway_capacity_mah"])
             if "gateway_capacity_mah" in energy_data

@@ -41,9 +41,8 @@ from .model import (
     ROUTE_TABLE_CHUNK,
     Packet,
     airtime,
-    report_payload_bytes,
 )
-from .planner import PlannerError, chunk_bytes, emit_chunks, plan, plan_from_topology, plan_to_dict
+from .planner import PlannerError, emit_chunks, plan, plan_from_topology, route_rows
 from .scenario import Scenario
 
 
@@ -158,6 +157,7 @@ class Simulation:
         self.delivered_pids: set[int] = set()
         self.report_rows: dict[int, dict[int, float]] = {}
         self.graph = None
+        self.chunks: list = []
         self.trace = trace_writer or tr.TraceWriter()
 
     # ------------------------------------------------------------------
@@ -177,22 +177,33 @@ class Simulation:
         mac = self.scenario.mac
         return self.rng.uniform(uid, "mac", mac.wait_min_s, mac.wait_max_s)
 
+    def _originate(self, node: Node, kind: int, payload_bytes: int, next_hop=None, body=None) -> int:
+        """Queue a new packet at ``node``; returns its pid."""
+        pid = self._new_pid()
+        if next_hop is None:
+            # a flood: its origin must not relay its own packet back
+            node.dedup.seen(pid, self.queue.now)
+        self._enqueue_mesh(
+            node, Packet(pid, kind, node.uid, node.uid, next_hop, payload_bytes, None, 0, body)
+        )
+        return pid
+
+    def _relay(self, node: Node, packet: Packet) -> bool:
+        """Rebroadcast a flood the first time ``node`` decodes it."""
+        if node.dedup.seen(packet.packet_id, self.queue.now):
+            return False
+        self._enqueue_mesh(node, packet.rehop(node.uid))
+        return True
+
     # ------------------------------------------------------------------
     # bootstrap
 
-    def _install_from_tables(self, tables: dict) -> None:
-        for key in sorted(tables, key=int):
-            uid = int(key)
-            node = self.nodes.get(uid)
-            if node is None or node.is_ed:
-                continue
-            row = tables[key]
-            node.route.install(
-                float(row["distance_value"]),
-                row["upstream"] if row["upstream"] is None else int(row["upstream"]),
-                tuple(int(u) for u in row["downstream"]),
-                {int(n): float(v) for n, v in row["neighbor_values"].items()},
-            )
+    def _install_plan(self, uids) -> None:
+        """Install the planned row of every node in ``uids`` the plan reaches."""
+        rows = route_rows(self.graph)
+        for uid in uids:
+            if uid in rows:
+                self.nodes[uid].route.install(*rows[uid])
 
     def _bootstrap(self) -> None:
         if self._bootstrapped:
@@ -200,12 +211,8 @@ class Simulation:
         self._bootstrapped = True
         scenario = self.scenario
         if self.protocol != "flooding" and not scenario.learning_phase:
-            if scenario.routing_tables is not None:
-                tables = scenario.routing_tables.get("tables", scenario.routing_tables)
-                self._install_from_tables(tables)
-            else:
-                self.graph = plan_from_topology(self.topology)
-                self._install_from_tables(plan_to_dict(self.graph)["tables"])
+            self.graph = plan_from_topology(self.topology)
+            self._install_plan(self.graph.vertices)
         if scenario.learning_phase:
             self._schedule_learning()
         self._schedule_traffic()
@@ -392,142 +399,108 @@ class Simulation:
     # protocol dispatch
 
     def _deliver(self, node: Node, packet: Packet, tx_uid: int, prx_dbm: float) -> None:
-        now = self.queue.now
         kind = packet.kind
-        pid = packet.packet_id
         if packet.battery_level is not None:
             node.route.note_level(tx_uid, packet.battery_level)
 
         if kind == BEACON:
             if not node.is_ed:
                 node.ntable.record_beacon(tx_uid, prx_dbm, self.radio.tx_power_dbm)
-                if node.is_repeater and not node.dedup.seen(pid, now):
-                    self._enqueue_mesh(node, packet.rehop(node.uid))
+                if node.is_repeater:
+                    self._relay(node, packet)
             return
 
         if kind == NEIGHBOR_REPORT:
             if node.is_gateway:
-                if not node.dedup.seen(pid, now):
+                if not node.dedup.seen(packet.packet_id, self.queue.now):
                     rows = self.report_rows.setdefault(packet.origin, {})
                     for heard, dist in packet.body:
                         rows[heard] = dist
-            elif node.is_repeater and not node.dedup.seen(pid, now):
-                self._enqueue_mesh(node, packet.rehop(node.uid))
+            elif node.is_repeater:
+                self._relay(node, packet)
             return
 
         if kind == ROUTE_TABLE_CHUNK:
             if node.is_repeater:
                 node.learned.install_rows(packet.body, set(node.ntable.records))
-                if not node.dedup.seen(pid, now):
-                    self._enqueue_mesh(node, packet.rehop(node.uid))
+                self._relay(node, packet)
             return
 
         if kind == ROUTE_SWITCH:
             if packet.next_hop == node.uid and not node.is_ed:
                 direction, replace = packet.body
                 if rt.apply_route_switch(node.route, tx_uid, replace, direction):
-                    self._emit(tr.ROUTE_SWITCHED, node.uid, pkt=pid, peer=tx_uid)
+                    self._emit(tr.ROUTE_SWITCHED, node.uid, pkt=packet.packet_id, peer=tx_uid)
             return
 
-        if kind == DATA_UP:
-            self._deliver_uplink(node, packet, tx_uid)
-            return
+        self._deliver_data(node, packet, tx_uid)
 
-        if kind == DATA_DOWN:
-            self._deliver_downlink(node, packet, tx_uid)
-
-    def _deliver_uplink(self, node: Node, packet: Packet, tx_uid: int) -> None:
-        now = self.queue.now
+    def _deliver_data(self, node: Node, packet: Packet, tx_uid: int) -> None:
+        """Uplink and downlink alike: a gateway delivers an uplink once; a
+        node without a route relays the flood; an addressed node forwards;
+        an overheard hop feeds standby and, on uplink, route switching."""
         pid = packet.packet_id
+        up = packet.kind == DATA_UP
+        direction = rt.UP if up else rt.DOWN
         if node.is_gateway:
-            if pid not in self.delivered_pids:
+            if up and pid not in self.delivered_pids:
                 self.delivered_pids.add(pid)
                 self._emit(tr.DELIVERED, node.uid, pkt=pid)
             return
-        if not node.is_repeater:
-            return
-        if self.protocol == "flooding" or not node.route.installed:
-            if node.dedup.seen(pid, now):
-                self._emit(tr.DUP_SUPPRESSED, node.uid, pkt=pid, peer=tx_uid)
-            else:
-                self._enqueue_mesh(node, packet.rehop(node.uid))
-            return
-        r = node.route
-        next_hop = packet.next_hop
-        if next_hop is None or next_hop == node.uid:
-            if pid in r.forwarded_ids:
-                self._emit(tr.DUP_SUPPRESSED, node.uid, pkt=pid, peer=tx_uid)
-            else:
-                self._forward(node, packet, rt.UP)
-            return
-        # Overheard someone else's hop.
-        mon = r.monitors.get(pid)
-        if mon is not None:
-            if (
-                self.energy_aware
-                and packet.battery_level is not None
-                and tx_uid == mon.intended_next
-            ):
-                announced = packet.battery_level
-                key = (tx_uid, announced)
-                if key not in r.switch_acted and rt.case1_should_switch(
-                    node.ledger.level, r.level_of(r.upstream_original), announced
-                ):
-                    r.switch_acted.add(key)
-                    self._send_switch(node, mon.overheard_from, mon.direction, mon.intended_next)
-                    if mon.direction == rt.UP:
-                        rt.revert_upstream(r)
-                    else:
-                        r.downstream_current = r.downstream_original
-            if not mon.fired:
-                self._emit(tr.STANDBY_CANCELLED, node.uid, pkt=pid, peer=tx_uid)
-            del r.monitors[pid]
-        hop = r.recent_hops.get(pid)
-        if hop is not None and tx_uid == hop[1]:
-            del r.recent_hops[pid]
-            if self.energy_aware and packet.battery_level is not None:
-                announced = packet.battery_level
-                key = (tx_uid, announced)
-                if key not in r.switch_acted and rt.case2_should_switch(
-                    node.ledger.level, announced
-                ):
-                    r.switch_acted.add(key)
-                    self._send_switch(node, hop[0], rt.UP, None)
-        rt.note_recent_hop(r, pid, tx_uid, packet.next_hop)
-        self._maybe_arm(node, packet, tx_uid, rt.UP)
-
-    def _deliver_downlink(self, node: Node, packet: Packet, tx_uid: int) -> None:
-        now = self.queue.now
-        pid = packet.packet_id
         if node.is_ed:
             return
-        if self.protocol == "flooding" or (node.is_repeater and not node.route.installed):
-            if node.is_gateway:
-                return
-            if node.dedup.seen(pid, now):
-                self._emit(tr.DUP_SUPPRESSED, node.uid, pkt=pid, peer=tx_uid)
-            else:
-                self._enqueue_mesh(node, packet.rehop(node.uid))
-            return
-        if node.is_gateway:
-            return
         r = node.route
-        targets = packet.next_hop if isinstance(packet.next_hop, tuple) else ()
-        if node.uid in targets:
+        if self.protocol == "flooding" or not r.installed:
+            if not self._relay(node, packet):
+                self._emit(tr.DUP_SUPPRESSED, node.uid, pkt=pid, peer=tx_uid)
+            return
+        next_hop = packet.next_hop
+        if up:
+            addressed = next_hop is None or next_hop == node.uid
+        else:
             # Membership in the set is the instruction to retransmit;
             # an empty set of one's own still means a coverage
             # rebroadcast so that leaf neighbors hear the payload.
+            addressed = isinstance(next_hop, tuple) and node.uid in next_hop
+        if addressed:
             if pid in r.forwarded_ids:
                 self._emit(tr.DUP_SUPPRESSED, node.uid, pkt=pid, peer=tx_uid)
             else:
-                self._forward(node, packet, rt.DOWN)
+                self._forward(node, packet, direction)
             return
+        # Overheard someone else's hop.
+        announced = packet.battery_level if up and self.energy_aware else None
+        key = (tx_uid, announced)
         mon = r.monitors.get(pid)
         if mon is not None:
+            if (
+                announced is not None
+                and tx_uid == mon.intended_next
+                and key not in r.switch_acted
+                and rt.case1_should_switch(
+                    node.ledger.level, r.level_of(r.upstream_original), announced
+                )
+            ):
+                r.switch_acted.add(key)
+                body = (rt.UP, mon.intended_next)
+                self._originate(node, ROUTE_SWITCH, ROUTE_SWITCH_PAYLOAD, mon.overheard_from, body)
+                rt.revert_upstream(r)
             if not mon.fired:
                 self._emit(tr.STANDBY_CANCELLED, node.uid, pkt=pid, peer=tx_uid)
             del r.monitors[pid]
-        self._maybe_arm(node, packet, tx_uid, rt.DOWN)
+        if up:
+            hop = r.recent_hops.get(pid)
+            if hop is not None and tx_uid == hop[1]:
+                del r.recent_hops[pid]
+                if (
+                    announced is not None
+                    and key not in r.switch_acted
+                    and rt.case2_should_switch(node.ledger.level, announced)
+                ):
+                    r.switch_acted.add(key)
+                    self._originate(node, ROUTE_SWITCH, ROUTE_SWITCH_PAYLOAD, hop[0], (rt.UP, None))
+            rt.note_recent_hop(r, pid, tx_uid, next_hop)
+        self._maybe_arm(node, packet, tx_uid, direction)
 
     def _maybe_arm(self, node: Node, packet: Packet, tx_uid: int, direction: str) -> None:
         if not self.standby_enabled:
@@ -591,52 +564,20 @@ class Simulation:
             fwd = packet.rehop(node.uid, r.downstream_current, piggy)
         self._enqueue_mesh(node, fwd)
 
-    def _send_switch(self, node: Node, target: int, direction: str, replace: int | None) -> None:
-        pid = self._new_pid()
-        packet = Packet(
-            pid,
-            ROUTE_SWITCH,
-            node.uid,
-            node.uid,
-            target,
-            ROUTE_SWITCH_PAYLOAD,
-            None,
-            0,
-            (direction, replace),
-        )
-        self._enqueue_mesh(node, packet)
-
     # ------------------------------------------------------------------
     # learning phase
 
     def _ev_send_beacon(self, gw_uid: int) -> None:
         node = self.nodes[gw_uid]
-        if node.ledger.dead:
-            return
-        pid = self._new_pid()
-        packet = Packet(pid, BEACON, gw_uid, gw_uid, None, BEACON_PAYLOAD)
-        node.dedup.seen(pid, self.queue.now)
-        self._enqueue_mesh(node, packet)
+        if not node.ledger.dead:
+            self._originate(node, BEACON, BEACON_PAYLOAD)
 
     def _ev_send_report(self, rp_uid: int) -> None:
         node = self.nodes[rp_uid]
         if node.ledger.dead:
             return
-        for chunk in build_report_chunks(node.ntable.entries()):
-            pid = self._new_pid()
-            packet = Packet(
-                pid,
-                NEIGHBOR_REPORT,
-                rp_uid,
-                rp_uid,
-                None,
-                report_payload_bytes(len(chunk)),
-                None,
-                0,
-                tuple(chunk),
-            )
-            node.dedup.seen(pid, self.queue.now)
-            self._enqueue_mesh(node, packet)
+        for payload_bytes, entries in build_report_chunks(node.ntable.entries()):
+            self._originate(node, NEIGHBOR_REPORT, payload_bytes, body=tuple(entries))
 
     def _ev_server_plan(self) -> None:
         reports: dict[int, list[tuple[int, float]]] = {}
@@ -646,10 +587,10 @@ class Simulation:
             reports[gw] = self.nodes[gw].ntable.entries()
         try:
             self.graph = plan(reports, sorted(self.topology.gateways))
+            self.chunks = emit_chunks(self.graph)
         except PlannerError:
             self.graph = None
             return
-        chunks = emit_chunks(self.graph)
         ph = self.scenario.phases
         spacing = (ph.dissemination_end_s - ph.report_end_s) / ph.chunk_rounds
         for gw in sorted(self.topology.gateways):
@@ -661,23 +602,10 @@ class Simulation:
 
     def _ev_send_chunks(self, gw_uid: int) -> None:
         node = self.nodes[gw_uid]
-        if node.ledger.dead or self.graph is None:
+        if node.ledger.dead:
             return
-        for chunk in emit_chunks(self.graph):
-            pid = self._new_pid()
-            packet = Packet(
-                pid,
-                ROUTE_TABLE_CHUNK,
-                gw_uid,
-                gw_uid,
-                None,
-                chunk_bytes(chunk),
-                None,
-                0,
-                tuple(chunk),
-            )
-            node.dedup.seen(pid, self.queue.now)
-            self._enqueue_mesh(node, packet)
+        for payload_bytes, rows in self.chunks:
+            self._originate(node, ROUTE_TABLE_CHUNK, payload_bytes, body=tuple(rows))
 
     def _ev_switchover(self) -> None:
         for uid in sorted(self.topology.repeaters):
@@ -691,27 +619,22 @@ class Simulation:
                     learned.neighbor_values,
                 )
         if self.graph is not None:
-            tables = plan_to_dict(self.graph)["tables"]
-            gateways = {str(gw) for gw in self.topology.gateways}
-            self._install_from_tables({k: row for k, row in tables.items() if k in gateways})
+            self._install_plan(sorted(self.topology.gateways))
 
     # ------------------------------------------------------------------
-    # downlink injection (used by tests and the downlink smoke path)
+    # downlink injection
 
     def inject_downlink(self, gw_uid: int, payload_bytes: int = 20) -> int:
+        """Queue one downlink packet at gateway ``gw_uid``; returns its pid.
+
+        Flooding sends it to everyone; the routing protocols address it
+        to the gateway's forwarding set.
+        """
         # route tables must exist before the forwarding set is stamped
         self._bootstrap()
         node = self.nodes[gw_uid]
-        pid = self._new_pid()
-        if self.protocol == "flooding":
-            packet = Packet(pid, DATA_DOWN, gw_uid, gw_uid, None, payload_bytes)
-            node.dedup.seen(pid, self.queue.now)
-        else:
-            packet = Packet(
-                pid, DATA_DOWN, gw_uid, gw_uid, node.route.downstream_current, payload_bytes
-            )
-        self._enqueue_mesh(node, packet)
-        return pid
+        next_hop = None if self.protocol == "flooding" else node.route.downstream_current
+        return self._originate(node, DATA_DOWN, payload_bytes, next_hop)
 
     # ------------------------------------------------------------------
     # run loop
@@ -732,5 +655,6 @@ class Simulation:
 
 
 def run(scenario: Scenario, seed: int | None = None, **kwargs) -> RunResult:
-    """Build and execute one simulation; see Simulation for the knobs."""
+    """Build and execute one simulation of ``scenario``; ``trace_writer=``
+    (a ``trace.TraceWriter``) keeps the trace."""
     return Simulation(scenario, seed, **kwargs).run()

@@ -132,6 +132,53 @@ class TestSimulate:
         assert exc.value.code == 2
 
 
+VALID_SCENARIO = {
+    "name": "fuzz",
+    "topology": {
+        "nodes": [
+            {"uid": 0, "role": "gateway"},
+            {"uid": 1, "role": "repeater"},
+            {"uid": 101, "role": "end_device", "attach": 1},
+        ],
+        "links": [
+            {"a": 0, "b": 1, "distance_m": 100.0},
+            {"a": 101, "b": 1, "distance_m": 10.0},
+        ],
+    },
+    "traffic": {"total_packets": 2},
+}
+
+MALFORMED_SCENARIOS = {
+    "mac-value": {**VALID_SCENARIO, "mac": {"wait_min_s": "abc"}},
+    "phase-value": {**VALID_SCENARIO, "phases": {"beacon_rounds": "x"}},
+    "budget-value": {**VALID_SCENARIO, "traffic": {"total_packets": "lots"}},
+    "schedule-key": {**VALID_SCENARIO, "traffic": {"schedule": {"abc": [1.0]}}},
+    "schedule-unknown-node": {**VALID_SCENARIO, "traffic": {"schedule": {"5": [1.0]}}},
+    "traffic-list": {**VALID_SCENARIO, "traffic": [1, 2]},
+    "seed-value": {**VALID_SCENARIO, "seed": "x"},
+    "horizon-value": {**VALID_SCENARIO, "horizon_s": "x"},
+    "nodes-not-a-list": {**VALID_SCENARIO, "topology": {"nodes": 5, "links": []}},
+    "top-level-list": [],
+}
+
+
+class TestMalformedScenario:
+    def simulate(self, tmp_path, document):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(document))
+        return main(["simulate", "--scenario", str(path), "--out-dir", str(tmp_path / "run")])
+
+    def test_valid_base_document_runs(self, tmp_path):
+        assert self.simulate(tmp_path, VALID_SCENARIO) == 0
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+    def test_malformed_value_exits_2(self, tmp_path, capsys, case):
+        assert self.simulate(tmp_path, MALFORMED_SCENARIOS[case]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "runtime error" not in err
+
+
 class TestSeedHandling:
     def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LORAMESH_SEED", "7")

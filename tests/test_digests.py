@@ -4,8 +4,10 @@ Rebuilds the 18-case matrix (3 bundled scenarios x 3 protocols x
 learning phase on/off) and compares each run's trace digest and event
 total to ``tests/data/digests.json``. Periodic traffic budgets are
 capped at ``CAP`` packets so the whole matrix stays fast; scripted
-schedules run as written. A deliberate trace-format or behaviour change
-regenerates the file with
+schedules run as written. Six downlink cases (3 bundled scenarios x
+flooding/routing) run ``DOWNLINK_PACKETS`` periodic uplinks after one
+``inject_downlink`` per gateway, so the downlink path is pinned too. A
+deliberate trace-format or behaviour change regenerates the file with
 
     PYTHONPATH=src python tests/test_digests.py
 """
@@ -23,23 +25,30 @@ DATA = Path(__file__).parent / "data" / "digests.json"
 SCENARIOS = ("representative", "standby_recovery", "two_ed_battery")
 PROTOCOLS = ("flooding", "routing", "routing_no_energy")
 CAP = 200
+DOWNLINK_PACKETS = 50
 
 CASES = [
     f"{name}/{protocol}/learning-{'on' if learning else 'off'}"
     for name in SCENARIOS
     for protocol in PROTOCOLS
     for learning in (False, True)
-]
+] + [f"{name}/{protocol}/downlink" for name in SCENARIOS for protocol in ("flooding", "routing")]
 
 
 def run_case(case: str) -> dict:
-    name, protocol, learning = case.split("/")
+    name, protocol, mode = case.split("/")
     scn = load_scenario(name)
     traffic = scn.traffic
-    if not traffic.schedule:
+    if mode == "downlink":
+        traffic = replace(traffic, total_packets=DOWNLINK_PACKETS, schedule={})
+    elif not traffic.schedule:
         traffic = replace(traffic, total_packets=min(traffic.total_packets, CAP))
-    scn = replace(scn, protocol=protocol, learning_phase=learning == "learning-on", traffic=traffic)
-    metrics = Simulation(scn).run().metrics
+    scn = replace(scn, protocol=protocol, learning_phase=mode == "learning-on", traffic=traffic)
+    sim = Simulation(scn)
+    if mode == "downlink":
+        for gw in sorted(scn.topology.gateways):
+            sim.inject_downlink(gw)
+    metrics = sim.run().metrics
     return {"trace_sha256": metrics["trace_sha256"], "events": sum(metrics["counts"].values())}
 
 

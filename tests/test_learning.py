@@ -69,12 +69,13 @@ def test_report_chunks_fit_max_payload():
     entries.append((99, 100.0))
     chunks = build_report_chunks(entries)
     assert len(chunks) == 2
-    assert len(chunks[0]) == 62
-    assert len(chunks[1]) == 1
+    assert len(chunks[0][1]) == 62
+    assert len(chunks[1][1]) == 1
+    assert [size for size, _entries in chunks] == [4 + 62 * 4, 4 + 4]
 
 
 def test_report_chunks_empty_still_reports():
-    assert build_report_chunks([]) == [[]]
+    assert build_report_chunks([]) == [(4, [])]
 
 
 def test_learned_table_keeps_own_and_neighbor_rows():

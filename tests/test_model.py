@@ -3,16 +3,16 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from loramesh.learning import build_report_chunks
 from loramesh.model import (
     MAX_PAYLOAD_BYTES,
     Packet,
     RadioConfig,
     airtime,
+    pack_frames,
     quantize_battery,
-    report_payload_bytes,
     table_row_bytes,
 )
-from loramesh.planner import chunk_bytes
 
 
 def reference_airtime(sf, bw, cr_denom, preamble, payload, crc=True, explicit=True):
@@ -90,12 +90,13 @@ def test_quantize_battery():
 
 
 def test_payload_size_helpers():
-    assert report_payload_bytes(0) == 4
-    assert report_payload_bytes(10) == 44
+    assert build_report_chunks([])[0][0] == 4
+    assert build_report_chunks([(uid, 1.0) for uid in range(10)])[0][0] == 44
     assert table_row_bytes(0) == 7
     assert table_row_bytes(3) == 13
     # a chunk row is (uid, distance value, upstream, downstream set)
-    assert chunk_bytes([(1, 0.0, None, ()), (2, 1.0, 1, (3, 4))]) == 4 + 7 + 11
+    rows = [(1, 0.0, None, ()), (2, 1.0, 1, (3, 4))]
+    assert pack_frames(rows, lambda row: table_row_bytes(len(row[3]))) == [(4 + 7 + 11, rows)]
 
 
 def test_packet_rehop_keeps_identity():

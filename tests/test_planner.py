@@ -7,7 +7,6 @@ from loramesh.planner import (
     GlobalGraph,
     PlannerError,
     aggregate_reports,
-    chunk_bytes,
     emit_chunks,
     plan,
     plan_to_dict,
@@ -214,9 +213,10 @@ def test_emit_chunks_respects_payload_budget():
     graph = plan(reports_for(edges, list(range(91))), [0])
     chunks = emit_chunks(graph)
     assert len(chunks) > 1
-    for chunk in chunks:
-        assert chunk_bytes(chunk) <= 255
-    flattened = [row for chunk in chunks for row in chunk]
+    for size, chunk in chunks:
+        assert size <= 255
+        assert size == 4 + sum(7 + 2 * len(row[3]) for row in chunk)
+    flattened = [row for _size, chunk in chunks for row in chunk]
     assert flattened == table_rows(graph)
 
 

@@ -1,5 +1,7 @@
 import io
 import json
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -298,6 +300,24 @@ def test_learning_phase_converges_to_ideal_plan():
     assert sim.nodes[0].route.downstream_current == ideal.downstream[0]
     # data sent after switchover rides the learned routes to the gateway
     assert res.metrics["delivered"] == 1
+
+
+@pytest.mark.parametrize("name", ["representative", "standby_recovery", "two_ed_battery"])
+def test_learning_control_floods_sent_at_most_once_per_node(name):
+    scn = load_scenario(name)
+    scn = replace(
+        scn,
+        learning_phase=True,
+        traffic=replace(scn.traffic, total_packets=0, schedule={}),
+        horizon_s=scn.phases.dissemination_end_s,
+    )
+    buf = io.StringIO()
+    sim = Simulation(scn, trace_writer=tr.TraceWriter(buf))
+    sim.run()
+    sends = Counter((ev[2], ev[3]) for ev in events_of(decoded(buf), tr.TX_START))
+    # beacons, reports and table chunks: each node sends each flood once
+    assert sends and max(sends.values()) == 1
+    assert sim.graph is not None
 
 
 def test_downlink_coverage_reaches_leaf_repeaters():
