@@ -12,6 +12,12 @@ it entirely.
 Charges are applied in event order, so replaying the same intervals in
 the same order (for instance from an exported trace) reproduces the
 ledger bit for bit, including the interpolated depletion instant.
+
+The level is floor(100 * remaining / capacity), which never rises as
+charge is spent, so it is recomputed only once the charge reaches a
+bound just above the current level's floor; above that bound the level
+cannot have changed, and the levels, history and death instant are the
+same as when every charge recomputes it.
 """
 
 from __future__ import annotations
@@ -24,15 +30,14 @@ _TX, _RX, _IDLE = 0, 1, 2
 class EnergyLedger:
     __slots__ = (
         "capacity",
-        "i_tx",
-        "i_rx",
-        "i_idle",
+        "rates",
         "remaining",
         "tx_s",
         "rx_s",
         "idle_s",
         "charged_until",
         "level",
+        "level_floor",
         "history",
         "dead",
         "death_time",
@@ -42,15 +47,15 @@ class EnergyLedger:
         self.capacity = model.battery_capacity_mah if capacity_mah is None else capacity_mah
         if self.capacity <= 0:
             raise ValueError("battery capacity must be positive")
-        self.i_tx = model.i_tx_ma
-        self.i_rx = model.i_rx_ma
-        self.i_idle = model.i_idle_ma
+        # mAh per second, indexed by state
+        self.rates = (model.i_tx_ma / 3600.0, model.i_rx_ma / 3600.0, model.i_idle_ma / 3600.0)
         self.remaining = self.capacity
         self.tx_s = 0.0
         self.rx_s = 0.0
         self.idle_s = 0.0
         self.charged_until = start
         self.level = 100
+        self.level_floor = self._floor_bound(100)
         self.history: list[tuple[float, int]] = [(start, 100)]
         self.dead = False
         self.death_time: float | None = None
@@ -58,12 +63,11 @@ class EnergyLedger:
     def _consume(self, state: int, duration: float, t_end: float) -> None:
         if self.dead or duration <= 0.0:
             return
-        current = self.i_tx if state == _TX else self.i_rx if state == _RX else self.i_idle
-        rate = current / 3600.0
+        rate = self.rates[state]
         used = rate * duration
         start_remaining = self.remaining
         t_start = t_end - duration
-        if used >= start_remaining and current > 0.0:
+        if used >= start_remaining and rate > 0.0:
             # Interpolate the instant the charge crosses zero.
             alive = start_remaining / used * duration
             if state == _TX:
@@ -79,17 +83,27 @@ class EnergyLedger:
             self.level = 0
             self.history.append((self.death_time, 0))
             return
-        self.remaining = start_remaining - used
+        self.remaining = remaining = start_remaining - used
         if state == _TX:
             self.tx_s += duration
         elif state == _RX:
             self.rx_s += duration
         else:
             self.idle_s += duration
-        new_level = quantize_battery(self.remaining, self.capacity)
-        if new_level < self.level:
-            self._record_crossings(start_remaining, self.remaining, t_start, rate)
-            self.level = new_level
+        if remaining <= self.level_floor:
+            new_level = quantize_battery(remaining, self.capacity)
+            if new_level < self.level:
+                self._record_crossings(start_remaining, remaining, t_start, rate)
+                self.level = new_level
+                self.level_floor = self._floor_bound(new_level)
+
+    def _floor_bound(self, level: int) -> float:
+        """Remaining charge above which ``quantize_battery`` still reads ``level``.
+
+        The relative margin dwarfs the rounding of the level formula, so
+        the bound errs high and a crossing is never skipped.
+        """
+        return level * self.capacity / 100 * (1 + 1e-9)
 
     def _record_crossings(self, r_start: float, r_end: float, t_start: float, rate: float) -> None:
         """History points at the exact instants levels were entered.

@@ -2,13 +2,15 @@
 
 A scenario file is one JSON document embedding (or referencing) the
 deployment topology plus every knob a run needs. Validation happens
-eagerly at load; anything structurally wrong raises ``ScenarioError``
-and the command line maps that onto the configuration exit code.
+eagerly at load; anything structurally wrong, and any number that is not
+finite, raises ``ScenarioError`` and the command line maps that onto the
+configuration exit code.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -95,10 +97,14 @@ class TrafficSpec:
             raise ScenarioError(f"payload of {self.payload_bytes} bytes is outside 1..{MAX_PAYLOAD_BYTES}")
         if self.total_packets < 0:
             raise ScenarioError("total packet budget cannot be negative")
-        if not self.schedule and self.total_packets > 0 and self.mean_interval_s <= 0:
-            raise ScenarioError("mean interval must be positive")
-        if self.start_s < 0:
+        if not self.schedule and self.total_packets > 0 and not 0 < self.mean_interval_s < math.inf:
+            raise ScenarioError("mean interval must be positive and finite")
+        if not self.start_s >= 0:
             raise ScenarioError("traffic start cannot be negative")
+        for uid, times in sorted(self.schedule.items()):
+            for t in times:
+                if not t >= 0:
+                    raise ScenarioError(f"node {uid}: scripted time {t!r} is negative")
 
 
 @dataclass(frozen=True)
@@ -169,6 +175,14 @@ class Scenario:
                 raise ScenarioError(f"traffic schedule names node {uid}, which is not an end device")
 
 
+def _number(value, key: str) -> float:
+    """``float(value)``, rejecting NaN and the infinities JSON readers accept."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ScenarioError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
 def _require(data: dict, key: str, context: str):
     if key not in data:
         raise ScenarioError(f"{context}: missing required key {key!r}")
@@ -179,17 +193,21 @@ def topology_from_dict(data: dict) -> Topology:
     pl = data.get("path_loss", {})
     try:
         model = PathLossModel(
-            ref_distance_m=float(pl.get("ref_distance_m", 1.0)),
-            ref_loss_db=float(pl.get("ref_loss_db", 40.0)),
-            exponent=float(pl.get("exponent", 2.5)),
-            shadowing_sigma_db=float(pl.get("shadowing_sigma_db", 0.0)),
+            ref_distance_m=_number(pl.get("ref_distance_m", 1.0), "ref_distance_m"),
+            ref_loss_db=_number(pl.get("ref_loss_db", 40.0), "ref_loss_db"),
+            exponent=_number(pl.get("exponent", 2.5), "exponent"),
+            shadowing_sigma_db=_number(pl.get("shadowing_sigma_db", 0.0), "shadowing_sigma_db"),
         )
     except ValueError as exc:
         raise ScenarioError(f"path loss model: {exc}") from exc
     links = LinkModel(
         path_loss_model=model,
-        sensitivity_dbm=float(data.get("sensitivity_dbm", DEFAULT_SENSITIVITY_DBM)),
-        capture_threshold_db=float(data.get("capture_threshold_db", DEFAULT_CAPTURE_DB)),
+        sensitivity_dbm=_number(
+            data.get("sensitivity_dbm", DEFAULT_SENSITIVITY_DBM), "sensitivity_dbm"
+        ),
+        capture_threshold_db=_number(
+            data.get("capture_threshold_db", DEFAULT_CAPTURE_DB), "capture_threshold_db"
+        ),
     )
     nodes = []
     for item in _require(data, "nodes", "topology"):
@@ -206,7 +224,8 @@ def topology_from_dict(data: dict) -> Topology:
             raise ScenarioError(f"malformed node entry {item!r}: {exc}") from exc
     for item in _require(data, "links", "topology"):
         try:
-            links.add_link(int(item["a"]), int(item["b"]), float(item["distance_m"]))
+            distance = _number(item["distance_m"], "distance_m")
+            links.add_link(int(item["a"]), int(item["b"]), distance)
         except (KeyError, TypeError) as exc:
             raise ScenarioError(f"malformed link entry {item!r}: {exc}") from exc
         except ValueError as exc:
@@ -251,7 +270,7 @@ def _scenario_from_dict(data: dict, base_dir: Path | None) -> Scenario:
             preamble_symbols=int(radio_data.get("preamble_symbols", 8)),
             explicit_header=bool(radio_data.get("explicit_header", True)),
             crc_on=bool(radio_data.get("crc_on", True)),
-            tx_power_dbm=float(radio_data.get("tx_power_dbm", 14.0)),
+            tx_power_dbm=_number(radio_data.get("tx_power_dbm", 14.0), "tx_power_dbm"),
         )
     except ValueError as exc:
         raise ScenarioError(f"radio config: {exc}") from exc
@@ -259,10 +278,12 @@ def _scenario_from_dict(data: dict, base_dir: Path | None) -> Scenario:
     energy_data = data.get("energy", {})
     try:
         energy = EnergyModel(
-            battery_capacity_mah=float(energy_data.get("battery_capacity_mah", 100.0)),
-            i_tx_ma=float(energy_data.get("i_tx_ma", 500.0)),
-            i_rx_ma=float(energy_data.get("i_rx_ma", 50.0)),
-            i_idle_ma=float(energy_data.get("i_idle_ma", 1.0)),
+            battery_capacity_mah=_number(
+                energy_data.get("battery_capacity_mah", 100.0), "battery_capacity_mah"
+            ),
+            i_tx_ma=_number(energy_data.get("i_tx_ma", 500.0), "i_tx_ma"),
+            i_rx_ma=_number(energy_data.get("i_rx_ma", 50.0), "i_rx_ma"),
+            i_idle_ma=_number(energy_data.get("i_idle_ma", 1.0), "i_idle_ma"),
         )
     except ValueError as exc:
         raise ScenarioError(f"energy model: {exc}") from exc
@@ -270,31 +291,33 @@ def _scenario_from_dict(data: dict, base_dir: Path | None) -> Scenario:
     traffic_data = data.get("traffic", {})
     schedule: dict[int, tuple[float, ...]] = {}
     for uid, times in traffic_data.get("schedule", {}).items():
-        schedule[int(uid)] = tuple(float(t) for t in times)
+        schedule[int(uid)] = tuple(_number(t, "scripted time") for t in times)
     traffic = TrafficSpec(
-        mean_interval_s=float(traffic_data.get("mean_interval_s", 2.0)),
+        mean_interval_s=_number(traffic_data.get("mean_interval_s", 2.0), "mean_interval_s"),
         payload_bytes=int(traffic_data.get("payload_bytes", 20)),
         total_packets=int(traffic_data.get("total_packets", 0)),
-        start_s=float(traffic_data.get("start_s", 0.0)),
+        start_s=_number(traffic_data.get("start_s", 0.0), "start_s"),
         schedule=schedule,
     )
 
     mac_data = data.get("mac", {})
     mac = MacParams(
-        wait_min_s=float(mac_data.get("wait_min_s", 0.010)),
-        wait_max_s=float(mac_data.get("wait_max_s", 0.100)),
-        standby_min_s=float(mac_data.get("standby_min_s", 0.150)),
-        standby_max_s=float(mac_data.get("standby_max_s", 0.400)),
+        wait_min_s=_number(mac_data.get("wait_min_s", 0.010), "wait_min_s"),
+        wait_max_s=_number(mac_data.get("wait_max_s", 0.100), "wait_max_s"),
+        standby_min_s=_number(mac_data.get("standby_min_s", 0.150), "standby_min_s"),
+        standby_max_s=_number(mac_data.get("standby_max_s", 0.400), "standby_max_s"),
         queue_capacity=int(mac_data.get("queue_capacity", 512)),
-        dedup_ttl_s=float(mac_data.get("dedup_ttl_s", 60.0)),
+        dedup_ttl_s=_number(mac_data.get("dedup_ttl_s", 60.0), "dedup_ttl_s"),
         dedup_capacity=int(mac_data.get("dedup_capacity", 4096)),
     )
 
     phase_data = data.get("phases", {})
     phases = PhaseWindows(
-        beacon_end_s=float(phase_data.get("beacon_end_s", 30.0)),
-        report_end_s=float(phase_data.get("report_end_s", 120.0)),
-        dissemination_end_s=float(phase_data.get("dissemination_end_s", 180.0)),
+        beacon_end_s=_number(phase_data.get("beacon_end_s", 30.0), "beacon_end_s"),
+        report_end_s=_number(phase_data.get("report_end_s", 120.0), "report_end_s"),
+        dissemination_end_s=_number(
+            phase_data.get("dissemination_end_s", 180.0), "dissemination_end_s"
+        ),
         beacon_rounds=int(phase_data.get("beacon_rounds", 3)),
         chunk_rounds=int(phase_data.get("chunk_rounds", 3)),
     )
@@ -310,16 +333,18 @@ def _scenario_from_dict(data: dict, base_dir: Path | None) -> Scenario:
         phases=phases,
         protocol=str(data.get("protocol", "routing")),
         seed=int(data.get("seed", 1)),
-        horizon_s=float(horizon) if horizon is not None else None,
+        horizon_s=_number(horizon, "horizon_s") if horizon is not None else None,
         standby_enabled=bool(data.get("standby_enabled", True)),
         learning_phase=bool(data.get("learning_phase", False)),
         gateway_capacity_mah=(
-            float(energy_data["gateway_capacity_mah"])
+            _number(energy_data["gateway_capacity_mah"], "gateway_capacity_mah")
             if "gateway_capacity_mah" in energy_data
             else None
         ),
         ed_capacity_mah=(
-            float(energy_data["ed_capacity_mah"]) if "ed_capacity_mah" in energy_data else None
+            _number(energy_data["ed_capacity_mah"], "ed_capacity_mah")
+            if "ed_capacity_mah" in energy_data
+            else None
         ),
     )
     return scenario

@@ -3,10 +3,11 @@
 One Simulation instance owns the event queue, every node's radio and
 protocol state, and the trace writer. The flow per transmission: the
 sender's MAC chain draws a wait, senses, and begins the transmission,
-which schedules one end-of-air event; at that event reception is
-arbitrated for every linked peer in uid order (sensitivity, own-transmit
-exclusion, capture margin over all overlapping interferers), then the
-sender is billed; decoded frames are handed to the protocol dispatch,
+which schedules one end-of-air event; at that event the frames that
+overlap it are listed once, reception is arbitrated for every linked
+peer in uid order (sensitivity, own-transmit exclusion, capture margin
+over the overlapping frames the peer can hear), then the sender is
+billed; decoded frames are handed to the protocol dispatch,
 which is where flooding, routing, standby recovery, and the
 battery-triggered switches live.
 
@@ -324,10 +325,18 @@ class Simulation:
 
     def _ev_tx_end(self, trans: Transmission) -> None:
         uid = trans.tx_uid
+        t0 = trans.t0
+        t1 = trans.t1
+        # reception only queues work, so no frame begins inside the loop
+        rivals = [
+            t.tx_uid
+            for t in self.active[trans.channel]
+            if t.t0 < t1 and t.t1 > t0 and t is not trans
+        ]
         # peers decode before the sender is billed: a sender that dies
         # during its last frame is still heard
         for peer in self.linked[uid]:
-            self._frame_end(peer, trans)
+            self._frame_end(peer, trans, rivals)
         node = self.nodes[uid]
         if not node.ledger.dead:
             # the builder bills the transmission when it sees TX_END
@@ -355,7 +364,9 @@ class Simulation:
     # ------------------------------------------------------------------
     # reception
 
-    def _frame_end(self, rx_uid: int, trans: Transmission) -> None:
+    def _frame_end(self, rx_uid: int, trans: Transmission, rivals: list[int]) -> None:
+        """Reception of ``trans`` at ``rx_uid``; ``rivals`` are the senders
+        of the other frames on the channel that overlap it."""
         node = self.nodes[rx_uid]
         if node.ledger.dead:
             return
@@ -372,13 +383,10 @@ class Simulation:
                 self._emit(tr.DROPPED_BUSY_TX, rx_uid, pkt=pid, peer=trans.tx_uid, ch=trans.channel)
                 return
         strongest = None
-        for t in self.active[trans.channel]:
-            if t is trans:
-                continue
-            if t.t0 < t1 and t.t1 > t0:
-                ip = audible.get(t.tx_uid)
-                if ip is not None and (strongest is None or ip > strongest):
-                    strongest = ip
+        for tx in rivals:
+            ip = audible.get(tx)
+            if ip is not None and (strongest is None or ip > strongest):
+                strongest = ip
         ok = reception_outcome(p, strongest, self.sensitivity, self.capture) == RX_OK
         # the builder bills the decoded window when it sees the outcome
         self._emit(
@@ -644,12 +652,16 @@ class Simulation:
         horizon = self.scenario.horizon_s
         queue = self.queue
         hit_horizon = False
-        while queue:
-            if horizon is not None and queue.peek_time() > horizon:
-                hit_horizon = True
-                break
-            fn, args = queue.pop()
-            fn(*args)
+        try:
+            while queue:
+                if horizon is not None and queue.peek_time() > horizon:
+                    hit_horizon = True
+                    break
+                fn, args = queue.pop()
+                fn(*args)
+        finally:
+            # the writer holds a partial batch; a failed run keeps it too
+            self.trace.flush()
         end = horizon if hit_horizon else queue.now
         return RunResult(self.builder.finalize(end, self.trace.hexdigest()))
 

@@ -3,6 +3,8 @@
 Events are fixed-arity tuples (time, kind, node, packet, peer, duration,
 channel) with None in unused slots. The newline-delimited JSON encoding
 is built by hand so that identical runs serialize to identical bytes.
+The writer encodes events in batches: one encoder call, one hash update
+and one file write per batch, with the same bytes as line by line.
 """
 
 from __future__ import annotations
@@ -48,18 +50,47 @@ _NAME_TO_KIND = {name: kind for kind, name in enumerate(EVENT_NAMES)}
 T, KIND, NODE, PKT, PEER, DUR, CH = range(7)
 
 
-def encode_event(ev: tuple) -> str:
-    """One-line JSON for a trace tuple; stable field order, no spaces."""
-    parts = [f'"t":{ev[T]!r},"ev":"{EVENT_NAMES[ev[KIND]]}","node":{ev[NODE]}']
-    if ev[PKT] is not None:
-        parts.append(f'"pkt":{ev[PKT]}')
-    if ev[PEER] is not None:
-        parts.append(f'"peer":{ev[PEER]}')
-    if ev[DUR] is not None:
-        parts.append(f'"dur":{ev[DUR]!r}')
-    if ev[CH] is not None:
-        parts.append(f'"ch":{ev[CH]}')
-    return "{" + ",".join(parts) + "}"
+# Events held by a writer before it encodes, hashes and writes them.
+BATCH_EVENTS = 256
+
+_HEADS = tuple(f',"ev":"{name}","node":' for name in EVENT_NAMES)
+_NO_TIME = object()
+
+
+def encode_events(events) -> str:
+    """One JSON line per trace tuple, each ending in a newline.
+
+    Stable field order, no spaces: ``t``, ``ev``, ``node``, then ``pkt``,
+    ``peer``, ``dur`` and ``ch`` when set, numbers in ``repr`` form. Runs
+    of events share pieces: all outcomes of one frame end carry the same
+    time object, and a frame's end and its outcomes the same duration.
+    """
+    out = []
+    append = out.append
+    heads = _HEADS
+    last_t = _NO_TIME
+    head = ""
+    last_dur = None
+    dur_part = ""
+    for t, kind, node, pkt, peer, dur, ch in events:
+        if t is not last_t:
+            last_t = t
+            head = f'{{"t":{t!r}'
+        line = f"{head}{heads[kind]}{node}"
+        if pkt is not None:
+            line += f',"pkt":{pkt}'
+        if peer is not None:
+            line += f',"peer":{peer}'
+        if dur is not None:
+            # equal nonzero floats share a repr; 0.0 == -0.0 and 1 == 1.0 do not
+            if dur.__class__ is not float or dur != last_dur or not dur:
+                last_dur = dur if dur.__class__ is float else None
+                dur_part = f',"dur":{dur!r}'
+            line += dur_part
+        if ch is not None:
+            line += f',"ch":{ch}'
+        append(line + "}\n")
+    return "".join(out)
 
 
 def decode_event(line: str) -> tuple:
@@ -78,22 +109,36 @@ def decode_event(line: str) -> tuple:
 class TraceWriter:
     """The run's one trace sink: a streaming SHA-256 over the encoded lines.
 
-    Each event is encoded once; the line feeds the hash and, when an open
-    text file is given, is written there too, so the file's sha256 is the
-    digest.
+    Events are held until ``BATCH_EVENTS`` of them are waiting; ``flush``
+    then encodes the batch once, feeds it to the hash and, when an open
+    text file is given, writes it there too, so the file's sha256 is the
+    digest. ``hexdigest`` flushes first, and ``Simulation.run`` flushes
+    when a run raises, so the file holds every event emitted.
     """
 
     def __init__(self, fh=None) -> None:
         self._fh = fh
         self._hash = hashlib.sha256()
+        self._batch: list[tuple] = []
 
     def add(self, ev: tuple) -> None:
-        line = encode_event(ev) + "\n"
-        self._hash.update(line.encode("ascii"))
+        batch = self._batch
+        batch.append(ev)
+        if len(batch) >= BATCH_EVENTS:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self._batch:
+            # the file may be closed once the run is over
+            return
+        text = encode_events(self._batch)
+        self._batch.clear()
+        self._hash.update(text.encode("ascii"))
         if self._fh is not None:
-            self._fh.write(line)
+            self._fh.write(text)
 
     def hexdigest(self) -> str:
+        self.flush()
         return self._hash.hexdigest()
 
 

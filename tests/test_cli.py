@@ -6,6 +6,7 @@ scenario data.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -132,6 +133,9 @@ class TestSimulate:
         assert exc.value.code == 2
 
 
+# json writes these as NaN and Infinity, which its reader accepts back
+NAN = float("nan")
+
 VALID_SCENARIO = {
     "name": "fuzz",
     "topology": {
@@ -159,6 +163,25 @@ MALFORMED_SCENARIOS = {
     "horizon-value": {**VALID_SCENARIO, "horizon_s": "x"},
     "nodes-not-a-list": {**VALID_SCENARIO, "topology": {"nodes": 5, "links": []}},
     "top-level-list": [],
+    "schedule-negative-time": {**VALID_SCENARIO, "traffic": {"schedule": {"101": [-5.0]}}},
+    "schedule-nan-time": {**VALID_SCENARIO, "traffic": {"schedule": {"101": [NAN]}}},
+    "interval-nan": {**VALID_SCENARIO, "traffic": {"total_packets": 2, "mean_interval_s": NAN}},
+    "interval-infinite": {
+        **VALID_SCENARIO,
+        "traffic": {"total_packets": 2, "mean_interval_s": math.inf},
+    },
+    "start-nan": {**VALID_SCENARIO, "traffic": {"total_packets": 2, "start_s": NAN}},
+    "distance-nan": {
+        **VALID_SCENARIO,
+        "topology": {
+            **VALID_SCENARIO["topology"],
+            "links": [
+                {"a": 0, "b": 1, "distance_m": NAN},
+                {"a": 101, "b": 1, "distance_m": 10.0},
+            ],
+        },
+    },
+    "horizon-nan": {**VALID_SCENARIO, "horizon_s": NAN},
 }
 
 

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from loramesh.energy import EnergyLedger
-from loramesh.model import EnergyModel
+from loramesh.energy import _RX, _TX, EnergyLedger
+from loramesh.model import EnergyModel, quantize_battery
 
 
 def make_ledger(capacity=100.0, i_tx=500.0, i_rx=50.0, i_idle=1.0):
@@ -110,3 +111,89 @@ def test_replay_reproduces_ledger():
     assert a.remaining == b.remaining
     assert a.history == b.history
     assert (a.tx_s, a.rx_s, a.idle_s) == (b.tx_s, b.rx_s, b.idle_s)
+
+
+class EveryChargeLedger(EnergyLedger):
+    """Reference: recomputes the level after every charge."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.currents = (model.i_tx_ma, model.i_rx_ma, model.i_idle_ma)
+
+    def _consume(self, state, duration, t_end):
+        if self.dead or duration <= 0.0:
+            return
+        current = self.currents[state]
+        rate = current / 3600.0
+        used = rate * duration
+        start_remaining = self.remaining
+        t_start = t_end - duration
+        if used >= start_remaining and current > 0.0:
+            alive = start_remaining / used * duration
+            if state == _TX:
+                self.tx_s += alive
+            elif state == _RX:
+                self.rx_s += alive
+            else:
+                self.idle_s += alive
+            self._record_crossings(start_remaining, 0.0, t_start, rate)
+            self.remaining = 0.0
+            self.dead = True
+            self.death_time = t_start + alive
+            self.level = 0
+            self.history.append((self.death_time, 0))
+            return
+        self.remaining = start_remaining - used
+        if state == _TX:
+            self.tx_s += duration
+        elif state == _RX:
+            self.rx_s += duration
+        else:
+            self.idle_s += duration
+        new_level = quantize_battery(self.remaining, self.capacity)
+        if new_level < self.level:
+            self._record_crossings(start_remaining, self.remaining, t_start, rate)
+            self.level = new_level
+
+
+CHARGES = st.lists(
+    st.tuples(
+        st.sampled_from(("tx", "rx", "finalize")),
+        # start relative to the last end: negative overlaps it
+        st.floats(min_value=-0.5, max_value=3.0),
+        st.floats(min_value=0.0, max_value=2.0),
+    ),
+    max_size=60,
+)
+
+
+@given(
+    CHARGES,
+    st.floats(min_value=0.01, max_value=2.0),
+    st.sampled_from((0.0, 1.0, 7.3)),
+    st.floats(min_value=1.0, max_value=900.0),
+)
+def test_level_checked_near_a_boundary_matches_every_charge(charges, capacity, i_idle, i_tx):
+    model = EnergyModel(
+        battery_capacity_mah=capacity, i_tx_ma=i_tx, i_rx_ma=i_tx / 10.0, i_idle_ma=i_idle
+    )
+    led = EnergyLedger(model)
+    ref = EveryChargeLedger(model)
+    clock = 0.0
+    for kind, offset, length in charges:
+        t0 = max(0.0, clock + offset)
+        t1 = t0 + length
+        for ledger in (led, ref):
+            if kind == "tx":
+                ledger.charge_tx(t0, t1)
+            elif kind == "rx":
+                ledger.charge_rx(t0, t1)
+            else:
+                ledger.finalize(t1)
+        clock = max(clock, t1)
+        if not led.dead:
+            assert led.level == quantize_battery(led.remaining, led.capacity)
+        assert (led.remaining, led.level, led.dead) == (ref.remaining, ref.level, ref.dead)
+    assert led.history == ref.history
+    assert led.death_time == ref.death_time
+    assert (led.tx_s, led.rx_s, led.idle_s) == (ref.tx_s, ref.rx_s, ref.idle_s)

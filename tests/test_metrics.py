@@ -164,20 +164,57 @@ def test_single_ledger_matches_trace_through_battery_deaths(tmp_path):
         assert all(i < end for i in heard)
 
 
+def small_flood(packets=50):
+    scn = load_scenario("representative")
+    traffic = replace(scn.traffic, total_packets=packets, schedule={})
+    return replace(scn, protocol="flooding", traffic=traffic)
+
+
 def test_each_trace_event_is_encoded_once(monkeypatch):
-    calls = []
-    encode = tr.encode_event
+    encoded = []
+    encode = tr.encode_events
 
-    def counting(ev):
-        calls.append(ev)
-        return encode(ev)
+    def counting(events):
+        encoded.extend(events)
+        return encode(events)
 
-    monkeypatch.setattr(tr, "encode_event", counting)
-    buf = io.StringIO()
-    scn = load_scenario("standby_recovery")
-    live = Simulation(scn, trace_writer=tr.TraceWriter(buf)).run().metrics
-    assert len(calls) == sum(live["counts"].values())
-    assert hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest() == live["trace_sha256"]
+    monkeypatch.setattr(tr, "encode_events", counting)
+    for scn in (load_scenario("standby_recovery"), small_flood()):
+        encoded.clear()
+        buf = io.StringIO()
+        live = Simulation(scn, trace_writer=tr.TraceWriter(buf)).run().metrics
+        events = sum(live["counts"].values())
+        assert len(encoded) == events
+        assert hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest() == live["trace_sha256"]
+    # the flood fills several batches and ends on a partial one
+    assert events > 2 * tr.BATCH_EVENTS and events % tr.BATCH_EVENTS
+
+
+def test_failed_run_keeps_every_emitted_line(tmp_path, monkeypatch):
+    scn = small_flood()
+    full = io.StringIO()
+    Simulation(scn, trace_writer=tr.TraceWriter(full)).run()
+    stop_after = 3 * tr.BATCH_EVENTS + 17
+    sense = Simulation._ev_sense
+
+    def failing(self, uid):
+        if sum(self.builder.counts) >= stop_after:
+            raise RuntimeError("handler failed")
+        sense(self, uid)
+
+    monkeypatch.setattr(Simulation, "_ev_sense", failing)
+    path = tmp_path / "trace.ndjson"
+    with open(path, "w", encoding="ascii") as fh:
+        sim = Simulation(scn, trace_writer=tr.TraceWriter(fh))
+        with pytest.raises(RuntimeError, match="handler failed"):
+            sim.run()
+    text = path.read_text()
+    emitted = sum(sim.builder.counts)
+    assert emitted >= stop_after and emitted % tr.BATCH_EVENTS
+    assert len(text.splitlines()) == emitted
+    # the same lines, in order, that the run writes when nothing fails
+    assert full.getvalue().startswith(text)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == sim.trace.hexdigest()
 
 
 def test_battery_csv_layout(tmp_path):
