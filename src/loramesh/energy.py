@@ -18,6 +18,13 @@ charge is spent, so it is recomputed only once the charge reaches a
 bound just above the current level's floor; above that bound the level
 cannot have changed, and the levels, history and death instant are the
 same as when every charge recomputes it.
+
+Receptions are most charges, so ``charge_rx`` bills the common case
+inline: while the charge left after the idle gap and the decoded window
+stays above that bound, no level is crossed and nobody dies, and the
+two subtractions are made in place in ``_consume``'s order, so every
+float is bit-identical. Level crossings and death go through
+``_consume``.
 """
 
 from __future__ import annotations
@@ -135,12 +142,26 @@ class EnergyLedger:
             self.charged_until = t1
 
     def charge_rx(self, t0: float, t1: float) -> None:
-        """Bill one decoded frame window [t0, t1), merged with prior windows."""
-        if self.dead or t1 <= self.charged_until:
+        """Bill one decoded frame window [t0, t1), merged with prior windows.
+
+        The idle gap and the window are billed inline while the charge
+        left stays above ``level_floor``; otherwise through ``_consume``.
+        """
+        until = self.charged_until
+        if self.dead or t1 <= until:
             return
-        start = t0 if t0 > self.charged_until else self.charged_until
-        self._fill_idle(start)
-        self._consume(_RX, t1 - start, t1)
+        start = t0 if t0 > until else until
+        idle = start - until
+        window = t1 - start
+        rates = self.rates
+        remaining = self.remaining - rates[_IDLE] * idle - rates[_RX] * window
+        if remaining > self.level_floor and window > 0.0:
+            self.remaining = remaining
+            self.idle_s += idle
+            self.rx_s += window
+        else:
+            self._fill_idle(start)
+            self._consume(_RX, window, t1)
         self.charged_until = t1
 
     def finalize(self, t_end: float) -> None:

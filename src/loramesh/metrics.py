@@ -5,10 +5,13 @@ emission order, and reconstructs everything reported about a run:
 delivery and loss accounting, latency statistics, per-node duty cycle,
 and the energy ledger per node, billed from the charge windows the
 events encode. A live simulation hands these ledgers to its nodes, so
-the battery levels the protocol acts on are the ones reported. Because
-nothing here peeks at simulator internals, the identical metrics can be
-recomputed later from an exported trace file, which is also how the
-trace format is validated.
+the battery levels the protocol acts on are the ones reported. Reception
+outcomes (``RX_OK``/``RX_COLLIDED``), most of the events, are billed by
+the first branch of ``feed``, which the live run and
+``recompute_from_trace`` both reach. Because nothing here peeks at
+simulator internals, the identical metrics can be recomputed later from
+an exported trace file, which is also how the trace format is
+validated.
 """
 
 from __future__ import annotations
@@ -62,15 +65,16 @@ class MetricsBuilder:
     def feed(self, ev: tuple) -> None:
         t, kind, node, pkt, peer, dur, _ch = ev
         self.counts[kind] += 1
-        if kind == tr.TX_END:
-            self.tx_s[node] += dur
-            self.ledgers[node].charge_tx(t - dur, t)
-        elif kind == tr.RX_OK or kind == tr.RX_COLLIDED:
+        # reception outcomes first: they are most of the events
+        if kind == tr.RX_OK or kind == tr.RX_COLLIDED:
             self.ledgers[node].charge_rx(t - dur, t)
             if kind == tr.RX_OK and self.roles[node] != END_DEVICE:
                 gen = self.generated.get(pkt)
                 if gen is not None and gen[1] == peer:
                     self.ingress_heard.add(pkt)
+        elif kind == tr.TX_END:
+            self.tx_s[node] += dur
+            self.ledgers[node].charge_tx(t - dur, t)
         elif kind == tr.GENERATED:
             self.generated[pkt] = (t, node)
         elif kind == tr.DELIVERED:

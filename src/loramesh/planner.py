@@ -302,22 +302,30 @@ def emit_chunks(
         raise PlannerError(f"table row {exc}") from exc
 
 
-def plan_from_topology(topology) -> GlobalGraph:
+def plan_from_topology(topology, tx_power_dbm: float) -> GlobalGraph:
     """Plan as if the learning phase had run losslessly on ``topology``.
 
     Builds the reports each mesh node would produce, its true link
     distances passed through the same wire quantization, and feeds them
-    to the normal pipeline. With zero shadowing the in-simulator
-    learning phase converges to exactly this plan.
+    to the normal pipeline. A report lists only the neighbors the node
+    hears: those whose received power at ``tx_power_dbm`` (the
+    scenario's radio power), without shadowing, is at or above
+    sensitivity. That is the simulator's own audibility test when
+    ``shadowing_sigma_db`` is 0; with shadowing the simulator draws its
+    own per-link offsets and may hear a different set. A link nobody can
+    hear is never quantized, so its length may exceed the wire range.
+    With zero shadowing the in-simulator learning phase converges to
+    exactly this plan.
     """
+    links = topology.links
     reports: dict[int, list[tuple[int, float]]] = {}
     mesh = sorted(topology.gateways | topology.repeaters)
     mesh_set = set(mesh)
     for uid in mesh:
         entries = [
-            (nbr, quantize_distance(topology.links.distance(uid, nbr)))
-            for nbr in topology.links.neighbors(uid)
-            if nbr in mesh_set
+            (nbr, quantize_distance(links.distance(uid, nbr)))
+            for nbr in links.neighbors(uid)
+            if nbr in mesh_set and links.rx_power(nbr, uid, tx_power_dbm) >= links.sensitivity_dbm
         ]
         reports[uid] = entries
     return plan(reports, sorted(topology.gateways))

@@ -4,12 +4,18 @@ One Simulation instance owns the event queue, every node's radio and
 protocol state, and the trace writer. The flow per transmission: the
 sender's MAC chain draws a wait, senses, and begins the transmission,
 which schedules one end-of-air event; at that event the frames that
-overlap it are listed once, reception is arbitrated for every linked
-peer in uid order (sensitivity, own-transmit exclusion, capture margin
-over the overlapping frames the peer can hear), then the sender is
-billed; decoded frames are handed to the protocol dispatch,
-which is where flooding, routing, standby recovery, and the
-battery-triggered switches live.
+overlap it are listed once, reception is arbitrated for every live peer
+straight from the sender's hearer row (each linked peer in uid order
+with the power it receives, or None when it cannot hear the sender:
+sensitivity, then own-transmit exclusion, then capture margin over the
+overlapping frames the peer can hear), then the sender is billed;
+decoded frames are handed to the protocol dispatch, which is where
+flooding, routing, standby recovery, and the battery-triggered switches
+live.
+
+Every event goes through ``_emit``: it is fed to the metrics builder,
+which bills the energy ledgers, and appended to the trace writer's
+batch.
 
 Determinism: all randomness comes from named per-node streams, every
 iteration over node or link collections is sorted, and simultaneous
@@ -116,9 +122,11 @@ class Simulation:
         # drawn once per undirected link so both directions agree. Each
         # receiver keeps only the transmitters it can hear: every other
         # frame is below sensitivity, for carrier sense and interference
-        # alike.
+        # alike. Each sender keeps its hearer row: every linked peer in
+        # uid order with the power it receives, or None when it cannot
+        # hear the sender.
         sigma = links.path_loss_model.shadowing_sigma_db
-        self.linked: dict[int, list[int]] = {uid: [] for uid in topo.nodes}
+        self.linked: dict[int, list[tuple[int, float | None]]] = {uid: [] for uid in topo.nodes}
         self.audible: dict[int, dict[int, float]] = {uid: {} for uid in topo.nodes}
         for a, b, _d in links.link_items():
             shadow = 0.0
@@ -128,10 +136,13 @@ class Simulation:
             if prx >= self.sensitivity:
                 self.audible[a][b] = prx
                 self.audible[b][a] = prx
-            self.linked[a].append(b)
-            self.linked[b].append(a)
-        for uid in self.linked:
-            self.linked[uid].sort()
+            else:
+                prx = None
+            self.linked[a].append((b, prx))
+            self.linked[b].append((a, prx))
+        for row in self.linked.values():
+            # peers are unique, so no two entries tie on the uid
+            row.sort()
 
         # The metrics builder owns the one energy ledger per node; the
         # protocol reads the same ledger that the metrics report.
@@ -159,7 +170,9 @@ class Simulation:
         self.report_rows: dict[int, dict[int, float]] = {}
         self.graph = None
         self.chunks: list = []
+        self._airtimes: dict[int, float] = {}
         self.trace = trace_writer or tr.TraceWriter()
+        self._batch = self.trace.batch
 
     # ------------------------------------------------------------------
     # plumbing
@@ -167,7 +180,10 @@ class Simulation:
     def _emit(self, kind: int, node: int, pkt=None, peer=None, dur=None, ch=None) -> None:
         ev = (self.queue.now, kind, node, pkt, peer, dur, ch)
         self.builder.feed(ev)
-        self.trace.add(ev)
+        batch = self._batch
+        batch.append(ev)
+        if len(batch) >= tr.BATCH_EVENTS:
+            self.trace.flush()
 
     def _new_pid(self) -> int:
         pid = self._next_pid
@@ -212,7 +228,7 @@ class Simulation:
         self._bootstrapped = True
         scenario = self.scenario
         if self.protocol != "flooding" and not scenario.learning_phase:
-            self.graph = plan_from_topology(self.topology)
+            self.graph = plan_from_topology(self.topology, self.radio.tx_power_dbm)
             self._install_plan(self.graph.vertices)
         if scenario.learning_phase:
             self._schedule_learning()
@@ -308,7 +324,10 @@ class Simulation:
 
     def _begin_tx(self, node: Node, packet: Packet, channel: int) -> None:
         now = self.queue.now
-        dur = airtime(self.radio, packet.payload_bytes)
+        size = packet.payload_bytes
+        dur = self._airtimes.get(size)
+        if dur is None:
+            dur = self._airtimes[size] = airtime(self.radio, size)
         t1 = now + dur
         trans = Transmission(node.uid, channel, now, t1, packet)
         chan = self.active[channel]
@@ -327,22 +346,54 @@ class Simulation:
         uid = trans.tx_uid
         t0 = trans.t0
         t1 = trans.t1
+        now = self.queue.now
+        dur = t1 - t0
+        pid = trans.packet.packet_id
+        ch = trans.channel
         # reception only queues work, so no frame begins inside the loop
         rivals = [
             t.tx_uid
-            for t in self.active[trans.channel]
+            for t in self.active[ch]
             if t.t0 < t1 and t.t1 > t0 and t is not trans
         ]
-        # peers decode before the sender is billed: a sender that dies
-        # during its last frame is still heard
-        for peer in self.linked[uid]:
-            self._frame_end(peer, trans, rivals)
-        node = self.nodes[uid]
+        nodes = self.nodes
+        emit = self._emit
+        # Reception at each live peer, in the order RxBelowSens ->
+        # DroppedBusyTx -> capture over the rivals the peer can hear. Peers
+        # decode before the sender is billed: a sender that dies during
+        # its last frame is still heard.
+        for peer, p in self.linked[uid]:
+            node = nodes[peer]
+            if node.ledger.dead:
+                continue
+            if p is None:
+                emit(tr.RX_BELOW_SENS, peer, pid, uid, None, ch)
+                continue
+            busy = False
+            for a, b in node.tx_intervals:
+                if a < t1 and b > t0:
+                    busy = True
+                    break
+            if busy:
+                emit(tr.DROPPED_BUSY_TX, peer, pid, uid, None, ch)
+                continue
+            audible = self.audible[peer]
+            strongest = None
+            for tx in rivals:
+                ip = audible.get(tx)
+                if ip is not None and (strongest is None or ip > strongest):
+                    strongest = ip
+            ok = reception_outcome(p, strongest, self.sensitivity, self.capture) == RX_OK
+            # the builder bills the decoded window when it sees the outcome
+            emit(tr.RX_OK if ok else tr.RX_COLLIDED, peer, pid, uid, dur, ch)
+            if node.ledger.dead:
+                self._kill(node)
+            elif ok:
+                self._deliver(node, trans.packet, uid, p)
+        node = nodes[uid]
         if not node.ledger.dead:
             # the builder bills the transmission when it sees TX_END
-            self._emit(
-                tr.TX_END, uid, pkt=trans.packet.packet_id, dur=trans.t1 - trans.t0, ch=trans.channel
-            )
+            emit(tr.TX_END, uid, pid, None, dur, ch)
         if node.ledger.dead:
             self._kill(node)
             return
@@ -350,7 +401,7 @@ class Simulation:
             if node.is_ed:
                 self._begin_tx(node, node.queue.pop(), ED_CHANNEL)
             else:
-                self.queue.push(self.queue.now + self._wait(uid), self._ev_sense, (uid,))
+                self.queue.push(now + self._wait(uid), self._ev_sense, (uid,))
         else:
             node.chain_active = False
 
@@ -360,48 +411,6 @@ class Simulation:
             node.queue.pop()
         node.route.monitors.clear()
         node.route.recent_hops.clear()
-
-    # ------------------------------------------------------------------
-    # reception
-
-    def _frame_end(self, rx_uid: int, trans: Transmission, rivals: list[int]) -> None:
-        """Reception of ``trans`` at ``rx_uid``; ``rivals`` are the senders
-        of the other frames on the channel that overlap it."""
-        node = self.nodes[rx_uid]
-        if node.ledger.dead:
-            return
-        audible = self.audible[rx_uid]
-        p = audible.get(trans.tx_uid)
-        pid = trans.packet.packet_id
-        if p is None:
-            self._emit(tr.RX_BELOW_SENS, rx_uid, pkt=pid, peer=trans.tx_uid, ch=trans.channel)
-            return
-        t0 = trans.t0
-        t1 = trans.t1
-        for a, b in node.tx_intervals:
-            if a < t1 and b > t0:
-                self._emit(tr.DROPPED_BUSY_TX, rx_uid, pkt=pid, peer=trans.tx_uid, ch=trans.channel)
-                return
-        strongest = None
-        for tx in rivals:
-            ip = audible.get(tx)
-            if ip is not None and (strongest is None or ip > strongest):
-                strongest = ip
-        ok = reception_outcome(p, strongest, self.sensitivity, self.capture) == RX_OK
-        # the builder bills the decoded window when it sees the outcome
-        self._emit(
-            tr.RX_OK if ok else tr.RX_COLLIDED,
-            rx_uid,
-            pkt=pid,
-            peer=trans.tx_uid,
-            dur=t1 - t0,
-            ch=trans.channel,
-        )
-        if node.ledger.dead:
-            self._kill(node)
-            return
-        if ok:
-            self._deliver(node, trans.packet, trans.tx_uid, p)
 
     # ------------------------------------------------------------------
     # protocol dispatch
@@ -430,7 +439,7 @@ class Simulation:
 
         if kind == ROUTE_TABLE_CHUNK:
             if node.is_repeater:
-                node.learned.install_rows(packet.body, set(node.ntable.records))
+                node.learned.install_rows(packet.body, node.ntable.records)
                 self._relay(node, packet)
             return
 

@@ -4,7 +4,11 @@ Events are fixed-arity tuples (time, kind, node, packet, peer, duration,
 channel) with None in unused slots. The newline-delimited JSON encoding
 is built by hand so that identical runs serialize to identical bytes.
 The writer encodes events in batches: one encoder call, one hash update
-and one file write per batch, with the same bytes as line by line.
+and one file write per batch, with the same bytes as line by line. The
+simulation appends to the writer's batch directly. Every outcome of one
+frame end shares its time, pkt, peer, duration and ch, so the encoder
+builds the ``,"pkt":…,"peer":…,"dur":…,"ch":…}`` tail once per frame end
+and reuses it for each outcome.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ T, KIND, NODE, PKT, PEER, DUR, CH = range(7)
 BATCH_EVENTS = 256
 
 _HEADS = tuple(f',"ev":"{name}","node":' for name in EVENT_NAMES)
-_NO_TIME = object()
+_UNSET = object()
 
 
 def encode_events(events) -> str:
@@ -64,28 +68,48 @@ def encode_events(events) -> str:
     ``peer``, ``dur`` and ``ch`` when set, numbers in ``repr`` form. Runs
     of events share pieces: all outcomes of one frame end carry the same
     time object, and a frame's end and its outcomes the same duration.
+    An event with every field set (a reception outcome) takes a fast
+    path: it reuses the whole encoded ``,"pkt":…,"peer":…,"dur":…,"ch":…}``
+    tail while its pkt, peer and ch are the previous tail's objects and
+    the duration piece was not rebuilt since, which holds for every
+    outcome of one frame end, even with other events between them.
     """
     out = []
     append = out.append
     heads = _HEADS
-    last_t = _NO_TIME
+    last_t = _UNSET
     head = ""
     last_dur = None
     dur_part = ""
+    # the tail is valid for exactly these objects
+    tail_pkt = tail_peer = tail_ch = tail_dur = _UNSET
+    tail = ""
     for t, kind, node, pkt, peer, dur, ch in events:
         if t is not last_t:
             last_t = t
             head = f'{{"t":{t!r}'
+        if dur is not None:
+            # equal nonzero floats share a repr; 0.0 == -0.0 and 1 == 1.0 do not
+            if dur.__class__ is not float or dur != last_dur or not dur:
+                last_dur = dur if dur.__class__ is float else None
+                dur_part = f',"dur":{dur!r}'
+            if peer is not None and pkt is not None and ch is not None:
+                if (
+                    pkt is not tail_pkt
+                    or peer is not tail_peer
+                    or ch is not tail_ch
+                    or dur_part is not tail_dur
+                ):
+                    tail_pkt, tail_peer, tail_ch, tail_dur = pkt, peer, ch, dur_part
+                    tail = f',"pkt":{pkt},"peer":{peer}{dur_part},"ch":{ch}}}\n'
+                append(f"{head}{heads[kind]}{node}{tail}")
+                continue
         line = f"{head}{heads[kind]}{node}"
         if pkt is not None:
             line += f',"pkt":{pkt}'
         if peer is not None:
             line += f',"peer":{peer}'
         if dur is not None:
-            # equal nonzero floats share a repr; 0.0 == -0.0 and 1 == 1.0 do not
-            if dur.__class__ is not float or dur != last_dur or not dur:
-                last_dur = dur if dur.__class__ is float else None
-                dur_part = f',"dur":{dur!r}'
             line += dur_part
         if ch is not None:
             line += f',"ch":{ch}'
@@ -113,26 +137,29 @@ class TraceWriter:
     then encodes the batch once, feeds it to the hash and, when an open
     text file is given, writes it there too, so the file's sha256 is the
     digest. ``hexdigest`` flushes first, and ``Simulation.run`` flushes
-    when a run raises, so the file holds every event emitted.
+    when a run raises, so the file holds every event emitted. A caller
+    may append to ``batch`` itself and call ``flush`` once it holds
+    ``BATCH_EVENTS`` or more; the bytes do not depend on batch sizes.
     """
 
     def __init__(self, fh=None) -> None:
         self._fh = fh
         self._hash = hashlib.sha256()
-        self._batch: list[tuple] = []
+        # the events waiting to be encoded; emptied in place, never replaced
+        self.batch: list[tuple] = []
 
     def add(self, ev: tuple) -> None:
-        batch = self._batch
+        batch = self.batch
         batch.append(ev)
         if len(batch) >= BATCH_EVENTS:
             self.flush()
 
     def flush(self) -> None:
-        if not self._batch:
+        if not self.batch:
             # the file may be closed once the run is over
             return
-        text = encode_events(self._batch)
-        self._batch.clear()
+        text = encode_events(self.batch)
+        self.batch.clear()
         self._hash.update(text.encode("ascii"))
         if self._fh is not None:
             self._fh.write(text)

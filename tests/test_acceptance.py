@@ -248,7 +248,7 @@ def _downlink_coverage_ok(graph) -> bool:
 
 def test_ac03_reference_deployment_tables(capsys):
     scenario = load_scenario("representative")
-    graph = plan_from_topology(scenario.topology)
+    graph = plan_from_topology(scenario.topology, scenario.radio.tx_power_dbm)
     failures = []
     for uid, (value, upstream) in REFERENCE_TABLES.items():
         got_value = graph.distance_value[uid]

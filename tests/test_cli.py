@@ -202,6 +202,39 @@ class TestMalformedScenario:
         assert "runtime error" not in err
 
 
+# The 0-1 link is far beyond the 16 383.75 m wire range and far below
+# sensitivity; repeater 1 reaches the gateway through repeater 2.
+INAUDIBLE_LONG_LINK = {
+    "name": "inaudible-long-link",
+    "topology": {
+        "nodes": [
+            {"uid": 0, "role": "gateway"},
+            {"uid": 1, "role": "repeater"},
+            {"uid": 2, "role": "repeater"},
+            {"uid": 100, "role": "end_device", "attach": 2},
+        ],
+        "links": [
+            {"a": 0, "b": 1, "distance_m": 1e9},
+            {"a": 0, "b": 2, "distance_m": 100.0},
+            {"a": 1, "b": 2, "distance_m": 100.0},
+            {"a": 100, "b": 2, "distance_m": 10.0},
+        ],
+    },
+    "traffic": {"total_packets": 3},
+}
+
+
+class TestInaudibleLink:
+    @pytest.mark.parametrize("protocol", ["flooding", "routing", "routing_no_energy"])
+    def test_inaudible_link_is_left_out_of_the_plan(self, tmp_path, protocol):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(INAUDIBLE_LONG_LINK))
+        out = tmp_path / "run"
+        argv = ["simulate", "--scenario", str(path), "--protocol", protocol, "--out-dir", str(out)]
+        assert main(argv) == 0
+        assert read_json(out / "metrics.json")["delivered"] == 3
+
+
 class TestSeedHandling:
     def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LORAMESH_SEED", "7")
@@ -305,7 +338,7 @@ class TestLearn:
         assert rc == 0
         learned = (out / "routing_tables.json").read_text()
         scenario = load_scenario("representative")
-        assert learned == plan_to_json(plan_from_topology(scenario.topology))
+        assert learned == plan_to_json(plan_from_topology(scenario.topology, scenario.radio.tx_power_dbm))
         parsed = json.loads(learned)
         assert parsed["gateways"] == [0, 18]
         assert len(parsed["tables"]) == 19

@@ -6,7 +6,11 @@ total to ``tests/data/digests.json``. Periodic traffic budgets are
 capped at ``CAP`` packets so the whole matrix stays fast; scripted
 schedules run as written. Six downlink cases (3 bundled scenarios x
 flooding/routing) run ``DOWNLINK_PACKETS`` periodic uplinks after one
-``inject_downlink`` per gateway, so the downlink path is pinned too. A
+``inject_downlink`` per gateway, so the downlink path is pinned too.
+Two drain cases run ``two_ed_battery`` under routing and
+routing_no_energy at ``DRAIN_PACKETS``: repeater batteries die (under
+routing every one, after eight energy-aware route switches), so the
+ledger's level-crossing and death paths are pinned end to end. A
 deliberate trace-format or behaviour change regenerates the file with
 
     PYTHONPATH=src python tests/test_digests.py
@@ -26,13 +30,16 @@ SCENARIOS = ("representative", "standby_recovery", "two_ed_battery")
 PROTOCOLS = ("flooding", "routing", "routing_no_energy")
 CAP = 200
 DOWNLINK_PACKETS = 50
+DRAIN_PACKETS = 10000
 
 CASES = [
     f"{name}/{protocol}/learning-{'on' if learning else 'off'}"
     for name in SCENARIOS
     for protocol in PROTOCOLS
     for learning in (False, True)
-] + [f"{name}/{protocol}/downlink" for name in SCENARIOS for protocol in ("flooding", "routing")]
+] + [f"{name}/{protocol}/downlink" for name in SCENARIOS for protocol in ("flooding", "routing")] + [
+    f"two_ed_battery/{protocol}/drain" for protocol in ("routing", "routing_no_energy")
+]
 
 
 def run_case(case: str) -> dict:
@@ -41,6 +48,8 @@ def run_case(case: str) -> dict:
     traffic = scn.traffic
     if mode == "downlink":
         traffic = replace(traffic, total_packets=DOWNLINK_PACKETS, schedule={})
+    elif mode == "drain":
+        traffic = replace(traffic, total_packets=DRAIN_PACKETS)
     elif not traffic.schedule:
         traffic = replace(traffic, total_packets=min(traffic.total_packets, CAP))
     scn = replace(scn, protocol=protocol, learning_phase=mode == "learning-on", traffic=traffic)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from loramesh.energy import _RX, _TX, EnergyLedger
 from loramesh.model import EnergyModel, quantize_battery
@@ -114,7 +114,8 @@ def test_replay_reproduces_ledger():
 
 
 class EveryChargeLedger(EnergyLedger):
-    """Reference: recomputes the level after every charge."""
+    """Reference: recomputes the level after every charge, and bills every
+    reception as an idle gap then a window, each through ``_consume``."""
 
     def __init__(self, model):
         super().__init__(model)
@@ -155,6 +156,14 @@ class EveryChargeLedger(EnergyLedger):
             self._record_crossings(start_remaining, self.remaining, t_start, rate)
             self.level = new_level
 
+    def charge_rx(self, t0, t1):
+        if self.dead or t1 <= self.charged_until:
+            return
+        start = t0 if t0 > self.charged_until else self.charged_until
+        self._fill_idle(start)
+        self._consume(_RX, t1 - start, t1)
+        self.charged_until = t1
+
 
 CHARGES = st.lists(
     st.tuples(
@@ -173,6 +182,14 @@ CHARGES = st.lists(
     st.sampled_from((0.0, 1.0, 7.3)),
     st.floats(min_value=1.0, max_value=900.0),
 )
+# inline receptions, then an idle gap whose window crosses a level
+@example([("rx", 0.0, 0.1), ("rx", 1.0, 0.1), ("rx", 2.0, 1.5)], 1.0, 7.3, 360.0)
+# inline receptions, then an idle gap that crosses a level by itself
+@example([("rx", 0.0, 0.1), ("rx", 1.0, 0.1), ("rx", 3.0, 0.001)], 1.0, 7.3, 360.0)
+# a window that ends in death
+@example([("rx", 0.0, 0.1), ("rx", 0.5, 5.0), ("rx", 0.5, 1.0)], 0.01, 1.0, 900.0)
+# overlapping windows, one inside the last
+@example([("rx", 0.0, 1.0), ("rx", -0.5, 1.0), ("rx", -0.2, 0.1), ("rx", -0.1, 3.0)], 2.0, 1.0, 10.0)
 def test_level_checked_near_a_boundary_matches_every_charge(charges, capacity, i_idle, i_tx):
     model = EnergyModel(
         battery_capacity_mah=capacity, i_tx_ma=i_tx, i_rx_ma=i_tx / 10.0, i_idle_ma=i_idle

@@ -291,7 +291,7 @@ def test_learning_phase_converges_to_ideal_plan():
     )
     sim = Simulation(scn)
     res = sim.run()
-    ideal = plan_from_topology(scn.topology)
+    ideal = plan_from_topology(scn.topology, scn.radio.tx_power_dbm)
     for uid in (1, 2):
         route = sim.nodes[uid].route
         assert route.installed
@@ -409,3 +409,34 @@ def test_identical_runs_are_identical():
     assert json.dumps(a.metrics, sort_keys=True) == json.dumps(b.metrics, sort_keys=True)
     c = run(scn, seed=99)
     assert c.metrics["trace_sha256"] != a.metrics["trace_sha256"]
+
+
+def test_one_shot_instance_hooks_on_pop_and_run():
+    # A caller may time the first event dispatch by overriding the queue's
+    # ``pop`` on the instance with a hook that deletes itself, and wrap
+    # ``run`` the same way; the run loop must look ``pop`` up per event.
+    scn = load_scenario("representative")
+    scn = replace(scn, protocol="routing", traffic=replace(scn.traffic, total_packets=20))
+    plain = Simulation(scn).run().metrics["trace_sha256"]
+
+    sim = Simulation(scn)
+    queue = sim.queue
+    hooked = []
+
+    def first_pop():
+        hooked.append("pop")
+        del queue.pop
+        return queue.pop()
+
+    run_method = sim.run
+
+    def run_once():
+        hooked.append("run")
+        del sim.run
+        return run_method()
+
+    queue.pop = first_pop
+    sim.run = run_once
+    assert sim.run().metrics["trace_sha256"] == plain
+    assert hooked == ["run", "pop"]
+    assert "pop" not in vars(queue) and "run" not in vars(sim)

@@ -45,18 +45,34 @@ def _reuse(draw, previous, fresh):
 
 @st.composite
 def event_lists(draw):
+    """Events whose times, durations and (pkt, peer, ch) often repeat.
+
+    Every outcome of one frame end repeats the previous event's pkt, peer
+    and ch objects; sometimes only ch changes, or an equal but distinct
+    int stands in.
+    """
     events = []
     t = dur = None
+    pkt = peer = ch = None
     for _ in range(draw(st.integers(min_value=0, max_value=30))):
         t = _reuse(draw, t, FLOATS)
         dur = _reuse(draw, dur, st.none() | FLOATS | st.integers(min_value=0, max_value=3))
         kind = draw(st.integers(min_value=0, max_value=len(tr.EVENT_NAMES) - 1))
         node = draw(st.integers(min_value=0, max_value=2000))
-        events.append((t, kind, node, draw(SLOT), draw(SLOT), dur, draw(SLOT)))
+        how = draw(st.sampled_from(("frame", "frame", "channel", "equal", "new")))
+        if how == "new" or not events:
+            pkt, peer, ch = draw(SLOT), draw(SLOT), draw(SLOT)
+        elif how == "channel":
+            ch = draw(SLOT)
+        elif how == "equal":
+            pkt, peer, ch = (None if x is None else int(str(x)) for x in (pkt, peer, ch))
+        events.append((t, kind, node, pkt, peer, dur, ch))
     return events
 
 
 T0 = 1.5
+# one frame end: the same pkt and peer objects in every outcome
+PKT, PEER = 70000, 9
 EDGES = [
     (T0, tr.STANDBY_CANCELLED, 3, 7, None, None, None),
     (T0, tr.STANDBY_CANCELLED, 3, 8, 2, None, None),
@@ -69,6 +85,16 @@ EDGES = [
     (2.0, tr.RX_OK, 2, 9, 1, 1.0, 0),
     (0.0, tr.GENERATED, 101, 10, None, None, None),
     (-0.0, tr.GENERATED, 101, 11, None, None, None),
+    # outcomes of one frame with a DuplicateSuppressed between them
+    (3.25, tr.RX_OK, 4, PKT, PEER, 0.014144, 0),
+    (3.25, tr.DUP_SUPPRESSED, 4, PKT, PEER, None, None),
+    (3.25, tr.RX_COLLIDED, 5, PKT, PEER, 0.014144, 0),
+    # the same pkt, peer and ch under a changed duration
+    (4.0, tr.RX_OK, 4, PKT, PEER, 0.02, 0),
+    (4.0, tr.RX_OK, 5, PKT, PEER, 0.03, 0),
+    # a changed ch under an equal duration
+    (5.0, tr.RX_OK, 4, PKT, PEER, 0.03, 0),
+    (5.0, tr.RX_OK, 5, PKT, PEER, 0.03, 1),
 ]
 
 
