@@ -33,9 +33,6 @@ class EventQueue:
     def peek_time(self) -> float | None:
         return self._heap[0][0] if self._heap else None
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def __bool__(self) -> bool:
         return bool(self._heap)
 

@@ -1,10 +1,13 @@
 """Neighbor discovery bookkeeping: what each repeater learns on its own.
 
 During the beacon phase every repeater accumulates a running mean of the
-received power per transmitter and inverts the path-loss law to estimate
-link distances. The estimates travel to the planner inside neighbor
-reports whose wire entries quantize distances to a 0.25 m fixed-point
-grid, and the planner's answer comes back as table rows installed here.
+received power per transmitter. Reading the table inverts the path-loss
+law on each mean to estimate link distances, once per read rather than
+once per beacon: the estimate is a pure function of the mean, so it is
+the same float either way. The estimates travel to the planner inside
+neighbor reports whose wire entries quantize distances to a 0.25 m
+fixed-point grid, and the planner's answer comes back as table rows
+installed here.
 """
 
 from __future__ import annotations
@@ -44,24 +47,28 @@ def quantize_distance(distance_m: float) -> float:
     return steps * DISTANCE_STEP_M
 
 
-@dataclass
+@dataclass(slots=True)
 class NeighborRecord:
     """Running reception statistics for one overheard transmitter."""
 
     samples: int = 0
     avg_prx_dbm: float = 0.0
-    est_distance_m: float = 0.0
 
 
 class NeighborTable:
-    """Per-node view of who is audible and how far away they sit."""
+    """Per-node view of who is audible and how far away they sit.
 
-    def __init__(self, owner: int, model: PathLossModel) -> None:
+    Every neighbor transmits at ``tx_power_dbm``, the power distances are
+    estimated against.
+    """
+
+    def __init__(self, owner: int, model: PathLossModel, tx_power_dbm: float) -> None:
         self.owner = owner
         self.model = model
+        self.tx_power_dbm = tx_power_dbm
         self.records: dict[int, NeighborRecord] = {}
 
-    def record_beacon(self, tx_uid: int, prx_dbm: float, tx_power_dbm: float) -> NeighborRecord:
+    def record_beacon(self, tx_uid: int, prx_dbm: float) -> None:
         """Fold one beacon reception into the running per-neighbor mean."""
         rec = self.records.get(tx_uid)
         if rec is None:
@@ -69,15 +76,14 @@ class NeighborTable:
             self.records[tx_uid] = rec
         rec.samples += 1
         rec.avg_prx_dbm += (prx_dbm - rec.avg_prx_dbm) / rec.samples
-        rec.est_distance_m = estimate_distance(tx_power_dbm, rec.avg_prx_dbm, self.model)
-        return rec
+
+    def distance(self, uid: int) -> float:
+        """Estimated distance to neighbor ``uid`` from its mean received power."""
+        return estimate_distance(self.tx_power_dbm, self.records[uid].avg_prx_dbm, self.model)
 
     def entries(self) -> list[tuple[int, float]]:
         """Quantized (uid, distance) pairs in uid order, ready to send."""
-        return [
-            (uid, quantize_distance(self.records[uid].est_distance_m))
-            for uid in sorted(self.records)
-        ]
+        return [(uid, quantize_distance(self.distance(uid))) for uid in sorted(self.records)]
 
 
 def build_report_chunks(

@@ -8,44 +8,40 @@ after overhearing the same packet id).
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 
 
 class DedupCache:
     """Packet-id memory with a time-to-live and a hard capacity.
 
     Entries expire lazily: a lookup first drops anything older than the
-    ttl, then answers. When full, inserting evicts the oldest entry.
+    ttl, then answers. When full, inserting evicts the oldest entry. One
+    plain dict maps each cached id to its insertion time; a dict iterates
+    in insertion order, so its first key is the oldest entry.
     """
+
+    __slots__ = ("ttl_s", "capacity", "_stamps")
 
     def __init__(self, ttl_s: float = 60.0, capacity: int = 4096) -> None:
         self.ttl_s = ttl_s
         self.capacity = capacity
-        # packet id -> insertion time, oldest first
-        self._entries: OrderedDict[int, float] = OrderedDict()
-
-    def _expire(self, now: float) -> None:
-        cutoff = now - self.ttl_s
-        entries = self._entries
-        while entries:
-            pid, stamp = next(iter(entries.items()))
-            if stamp > cutoff:
-                break
-            del entries[pid]
+        self._stamps: dict[int, float] = {}
 
     def seen(self, packet_id: int, now: float) -> bool:
         """True if the id is already cached; caches it otherwise."""
-        self._expire(now)
-        entries = self._entries
-        if packet_id in entries:
+        stamps = self._stamps
+        cutoff = now - self.ttl_s
+        while stamps:
+            oldest = next(iter(stamps))
+            if stamps[oldest] > cutoff:
+                break
+            del stamps[oldest]
+        if packet_id in stamps:
             return True
-        entries[packet_id] = now
-        if len(entries) > self.capacity:
-            entries.popitem(last=False)
+        stamps[packet_id] = now
+        if len(stamps) > self.capacity:
+            del stamps[next(iter(stamps))]
         return False
-
-    def __contains__(self, packet_id: int) -> bool:
-        return packet_id in self._entries
 
 
 class TxQueue:
@@ -66,9 +62,6 @@ class TxQueue:
 
     def pop(self):
         return self._items.popleft()
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def __bool__(self) -> bool:
         return bool(self._items)

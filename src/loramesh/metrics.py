@@ -1,17 +1,20 @@
 """Run metrics derived purely from the event stream.
 
-The builder consumes the same event tuples the simulation emits, in
-emission order, and reconstructs everything reported about a run:
-delivery and loss accounting, latency statistics, per-node duty cycle,
-and the energy ledger per node, billed from the charge windows the
-events encode. A live simulation hands these ledgers to its nodes, so
-the battery levels the protocol acts on are the ones reported. Reception
-outcomes (``RX_OK``/``RX_COLLIDED``), most of the events, are billed by
-the first branch of ``feed``, which the live run and
-``recompute_from_trace`` both reach. Because nothing here peeks at
+The builder reconstructs everything reported about a run from the event
+tuples the simulation emits, in emission order: delivery and loss
+accounting, latency statistics, per-node duty cycle, and the energy
+ledger per node. A live simulation hands these ledgers to its nodes and
+bills them itself, where energy is spent (each decoded or collided frame
+at its end, each own transmission just before ``TX_END``), so the
+battery levels the protocol acts on are the ones reported. Everything
+else is derived by ``account``, once per batch of events, just before
+the trace writer encodes that batch; nothing in it depends on where the
+batches split. ``feed`` replays one event: it bills the ledger the way
+the live run does, from the charge window the event encodes (``t - dur``
+to ``t``), then accounts the event. Because nothing here peeks at
 simulator internals, the identical metrics can be recomputed later from
-an exported trace file, which is also how the trace format is
-validated.
+an exported trace file with ``feed``, which is also how the trace format
+is validated.
 """
 
 from __future__ import annotations
@@ -62,24 +65,33 @@ class MetricsBuilder:
         self.tx_s = {uid: 0.0 for uid in self.ledgers}
         self.counts = [0] * len(_COUNT_KEYS)
 
+    def account(self, events) -> None:
+        """Count a batch of events, in emission order; bills nothing."""
+        counts = self.counts
+        generated = self.generated
+        roles = self.roles
+        for t, kind, node, pkt, peer, dur, _ch in events:
+            counts[kind] += 1
+            if kind == tr.RX_OK:
+                gen = generated.get(pkt)
+                if gen is not None and gen[1] == peer and roles[node] != END_DEVICE:
+                    self.ingress_heard.add(pkt)
+            elif kind == tr.TX_END:
+                self.tx_s[node] += dur
+            elif kind == tr.GENERATED:
+                generated[pkt] = (t, node)
+            elif kind == tr.DELIVERED:
+                if pkt not in self.delivered:
+                    self.delivered[pkt] = t
+
     def feed(self, ev: tuple) -> None:
-        t, kind, node, pkt, peer, dur, _ch = ev
-        self.counts[kind] += 1
-        # reception outcomes first: they are most of the events
+        """Replay one event: bill its charge window as the live run did, then account it."""
+        t, kind, node, _pkt, _peer, dur, _ch = ev
         if kind == tr.RX_OK or kind == tr.RX_COLLIDED:
             self.ledgers[node].charge_rx(t - dur, t)
-            if kind == tr.RX_OK and self.roles[node] != END_DEVICE:
-                gen = self.generated.get(pkt)
-                if gen is not None and gen[1] == peer:
-                    self.ingress_heard.add(pkt)
         elif kind == tr.TX_END:
-            self.tx_s[node] += dur
             self.ledgers[node].charge_tx(t - dur, t)
-        elif kind == tr.GENERATED:
-            self.generated[pkt] = (t, node)
-        elif kind == tr.DELIVERED:
-            if pkt not in self.delivered:
-                self.delivered[pkt] = t
+        self.account((ev,))
 
     def finalize(self, end_time: float, trace_digest: str | None = None) -> dict:
         for uid in sorted(self.ledgers):

@@ -75,6 +75,11 @@ class Topology:
                     raise ScenarioError(
                         f"end device {uid} attaches to {spec.attach}, which is not a repeater"
                     )
+                if self.links.distance(uid, spec.attach) is None:
+                    # reception follows links, so every packet would be lost
+                    raise ScenarioError(
+                        f"end device {uid} has no link to its attach point {spec.attach}"
+                    )
             elif spec.attach is not None:
                 raise ScenarioError(f"node {uid}: only end devices may attach")
         for a, b, _d in self.links.link_items():

@@ -13,9 +13,12 @@ decoded frames are handed to the protocol dispatch, which is where
 flooding, routing, standby recovery, and the battery-triggered switches
 live.
 
-Every event goes through ``_emit``: it is fed to the metrics builder,
-which bills the energy ledgers, and appended to the trace writer's
-batch.
+Energy is billed where it is spent: each decoded or collided frame is
+charged to the peer's ledger at its end, and each transmission to the
+sender's just before its ``TX_END``. Every event goes through ``_emit``,
+which only appends it to the trace writer's batch; ``_flush`` hands a
+full batch (and, at the end of ``run``, the last one) to the metrics
+builder's ``account`` and then to the writer, which encodes it.
 
 Determinism: all randomness comes from named per-node streams, every
 iteration over node or link collections is sorted, and simultaneous
@@ -118,34 +121,9 @@ class Simulation:
         self.energy_aware = self.protocol == "routing"
         self._bootstrapped = False
 
-        # Directed received power per linked pair; shadowing (if any) is
-        # drawn once per undirected link so both directions agree. Each
-        # receiver keeps only the transmitters it can hear: every other
-        # frame is below sensitivity, for carrier sense and interference
-        # alike. Each sender keeps its hearer row: every linked peer in
-        # uid order with the power it receives, or None when it cannot
-        # hear the sender.
-        sigma = links.path_loss_model.shadowing_sigma_db
-        self.linked: dict[int, list[tuple[int, float | None]]] = {uid: [] for uid in topo.nodes}
-        self.audible: dict[int, dict[int, float]] = {uid: {} for uid in topo.nodes}
-        for a, b, _d in links.link_items():
-            shadow = 0.0
-            if sigma > 0:
-                shadow = self.rng.stream(a, f"shadow-{b}").gauss(0.0, sigma)
-            prx = links.rx_power(a, b, self.radio.tx_power_dbm, shadow)
-            if prx >= self.sensitivity:
-                self.audible[a][b] = prx
-                self.audible[b][a] = prx
-            else:
-                prx = None
-            self.linked[a].append((b, prx))
-            self.linked[b].append((a, prx))
-        for row in self.linked.values():
-            # peers are unique, so no two entries tie on the uid
-            row.sort()
-
         # The metrics builder owns the one energy ledger per node; the
-        # protocol reads the same ledger that the metrics report.
+        # simulation bills it, and the protocol reads the same ledger that
+        # the metrics report.
         self.builder = MetricsBuilder(scenario, self.seed)
         self.nodes: dict[int, Node] = {}
         for uid in sorted(topo.nodes):
@@ -157,8 +135,40 @@ class Simulation:
                 TxQueue(scenario.mac.queue_capacity),
                 DedupCache(scenario.mac.dedup_ttl_s, scenario.mac.dedup_capacity),
                 self.builder.ledgers[uid],
-                NeighborTable(uid, links.path_loss_model),
+                NeighborTable(uid, links.path_loss_model, self.radio.tx_power_dbm),
             )
+
+        # Directed received power per linked pair; shadowing (if any) is
+        # drawn once per undirected link so both directions agree. Each
+        # receiver keeps only the transmitters it can hear: every other
+        # frame is below sensitivity, for carrier sense and interference
+        # alike. Each sender keeps its hearer row: every linked peer in
+        # uid order as (peer node, the power it receives or None when it
+        # cannot hear the sender, the peer's audible map). Links come
+        # sorted with a < b, so a row gets its lower peers in order, then
+        # its higher ones: it is built in uid order.
+        sigma = links.path_loss_model.shadowing_sigma_db
+        nodes = self.nodes
+        audible: dict[int, dict[int, float]] = {uid: {} for uid in topo.nodes}
+        linked: dict[int, list[tuple[Node, float | None, dict[int, float]]]] = {
+            uid: [] for uid in topo.nodes
+        }
+        for a, b, _d in links.link_items():
+            shadow = 0.0
+            if sigma > 0:
+                shadow = self.rng.stream(a, f"shadow-{b}").gauss(0.0, sigma)
+            prx = links.rx_power(a, b, self.radio.tx_power_dbm, shadow)
+            heard_by_a = audible[a]
+            heard_by_b = audible[b]
+            if prx >= self.sensitivity:
+                heard_by_a[b] = prx
+                heard_by_b[a] = prx
+            else:
+                prx = None
+            linked[a].append((nodes[b], prx, heard_by_b))
+            linked[b].append((nodes[a], prx, heard_by_a))
+        self.audible = audible
+        self.linked = linked
 
         self.active: dict[int, deque[Transmission]] = {
             MESH_CHANNEL: deque(),
@@ -178,12 +188,15 @@ class Simulation:
     # plumbing
 
     def _emit(self, kind: int, node: int, pkt=None, peer=None, dur=None, ch=None) -> None:
-        ev = (self.queue.now, kind, node, pkt, peer, dur, ch)
-        self.builder.feed(ev)
         batch = self._batch
-        batch.append(ev)
+        batch.append((self.queue.now, kind, node, pkt, peer, dur, ch))
         if len(batch) >= tr.BATCH_EVENTS:
-            self.trace.flush()
+            self._flush()
+
+    def _flush(self) -> None:
+        """Account the waiting events, then let the trace writer encode them."""
+        self.builder.account(self._batch)
+        self.trace.flush()
 
     def _new_pid(self) -> int:
         pid = self._next_pid
@@ -356,16 +369,16 @@ class Simulation:
             for t in self.active[ch]
             if t.t0 < t1 and t.t1 > t0 and t is not trans
         ]
-        nodes = self.nodes
         emit = self._emit
         # Reception at each live peer, in the order RxBelowSens ->
         # DroppedBusyTx -> capture over the rivals the peer can hear. Peers
-        # decode before the sender is billed: a sender that dies during
-        # its last frame is still heard.
-        for peer, p in self.linked[uid]:
-            node = nodes[peer]
-            if node.ledger.dead:
+        # decode, and are billed, before the sender is billed: a sender
+        # that dies during its last frame is still heard.
+        for node, p, audible in self.linked[uid]:
+            ledger = node.ledger
+            if ledger.dead:
                 continue
+            peer = node.uid
             if p is None:
                 emit(tr.RX_BELOW_SENS, peer, pid, uid, None, ch)
                 continue
@@ -377,24 +390,24 @@ class Simulation:
             if busy:
                 emit(tr.DROPPED_BUSY_TX, peer, pid, uid, None, ch)
                 continue
-            audible = self.audible[peer]
             strongest = None
             for tx in rivals:
                 ip = audible.get(tx)
                 if ip is not None and (strongest is None or ip > strongest):
                     strongest = ip
             ok = reception_outcome(p, strongest, self.sensitivity, self.capture) == RX_OK
-            # the builder bills the decoded window when it sees the outcome
+            ledger.charge_rx(now - dur, now)
             emit(tr.RX_OK if ok else tr.RX_COLLIDED, peer, pid, uid, dur, ch)
-            if node.ledger.dead:
+            if ledger.dead:
                 self._kill(node)
             elif ok:
                 self._deliver(node, trans.packet, uid, p)
-        node = nodes[uid]
-        if not node.ledger.dead:
-            # the builder bills the transmission when it sees TX_END
+        node = self.nodes[uid]
+        ledger = node.ledger
+        if not ledger.dead:
+            ledger.charge_tx(now - dur, now)
             emit(tr.TX_END, uid, pid, None, dur, ch)
-        if node.ledger.dead:
+        if ledger.dead:
             self._kill(node)
             return
         if node.queue:
@@ -422,7 +435,7 @@ class Simulation:
 
         if kind == BEACON:
             if not node.is_ed:
-                node.ntable.record_beacon(tx_uid, prx_dbm, self.radio.tx_power_dbm)
+                node.ntable.record_beacon(tx_uid, prx_dbm)
                 if node.is_repeater:
                     self._relay(node, packet)
             return
@@ -669,8 +682,8 @@ class Simulation:
                 fn, args = queue.pop()
                 fn(*args)
         finally:
-            # the writer holds a partial batch; a failed run keeps it too
-            self.trace.flush()
+            # a partial batch is waiting; a failed run keeps it too
+            self._flush()
         end = horizon if hit_horizon else queue.now
         return RunResult(self.builder.finalize(end, self.trace.hexdigest()))
 

@@ -182,6 +182,17 @@ MALFORMED_SCENARIOS = {
         },
     },
     "horizon-nan": {**VALID_SCENARIO, "horizon_s": NAN},
+    # reception follows links, so this end device would lose every packet
+    "attach-unlinked": {
+        **VALID_SCENARIO,
+        "topology": {
+            **VALID_SCENARIO["topology"],
+            "links": [
+                {"a": 0, "b": 1, "distance_m": 100.0},
+                {"a": 101, "b": 0, "distance_m": 10.0},
+            ],
+        },
+    },
 }
 
 

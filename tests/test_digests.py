@@ -1,12 +1,15 @@
 """Golden digests: the same behaviour, checked the same way every time.
 
 Rebuilds the 18-case matrix (3 bundled scenarios x 3 protocols x
-learning phase on/off) and compares each run's trace digest and event
-total to ``tests/data/digests.json``. Periodic traffic budgets are
-capped at ``CAP`` packets so the whole matrix stays fast; scripted
-schedules run as written. Six downlink cases (3 bundled scenarios x
-flooding/routing) run ``DOWNLINK_PACKETS`` periodic uplinks after one
-``inject_downlink`` per gateway, so the downlink path is pinned too.
+learning phase on/off) and compares each run's trace digest, event
+total, and the sha256 of its sorted-key metrics JSON and of its
+``battery.csv`` to ``tests/data/digests.json``. Energy never reaches
+the trace, so the last two pin billing end to end. Periodic traffic
+budgets are capped at ``CAP`` packets so the whole matrix stays fast;
+scripted schedules run as written. Six downlink cases (3 bundled
+scenarios x flooding/routing) run ``DOWNLINK_PACKETS`` periodic uplinks
+after one ``inject_downlink`` per gateway, so the downlink path is
+pinned too.
 Two drain cases run ``two_ed_battery`` under routing and
 routing_no_energy at ``DRAIN_PACKETS``: repeater batteries die (under
 routing every one, after eight energy-aware route switches), so the
@@ -16,12 +19,15 @@ deliberate trace-format or behaviour change regenerates the file with
     PYTHONPATH=src python tests/test_digests.py
 """
 
+import hashlib
 import json
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from loramesh.metrics import write_battery_csv
 from loramesh.scenario import load_scenario
 from loramesh.simulation import Simulation
 
@@ -58,7 +64,16 @@ def run_case(case: str) -> dict:
         for gw in sorted(scn.topology.gateways):
             sim.inject_downlink(gw)
     metrics = sim.run().metrics
-    return {"trace_sha256": metrics["trace_sha256"], "events": sum(metrics["counts"].values())}
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp) / "battery.csv"
+        write_battery_csv(csv_path, sim.builder)
+        battery = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    return {
+        "trace_sha256": metrics["trace_sha256"],
+        "events": sum(metrics["counts"].values()),
+        "metrics_sha256": hashlib.sha256(json.dumps(metrics, sort_keys=True).encode()).hexdigest(),
+        "battery_sha256": battery,
+    }
 
 
 @pytest.fixture(scope="module")

@@ -36,14 +36,18 @@ def test_event_queue_rejects_past():
         q.push(0.5, lambda: None)
 
 
-def test_event_queue_peek_and_len():
+def test_event_queue_peek_and_truthiness():
     q = EventQueue()
     assert q.peek_time() is None
-    assert len(q) == 0
+    assert not q
     q.push(2.0, lambda: None)
     q.push(1.0, lambda: None)
     assert q.peek_time() == 1.0
-    assert len(q) == 2
+    q.pop()
+    assert q
+    assert q.peek_time() == 2.0
+    q.pop()
+    assert not q
 
 
 def test_rng_streams_reproducible():

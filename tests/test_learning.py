@@ -44,18 +44,19 @@ def test_quantize_distance_grid():
 
 
 def test_neighbor_table_running_mean():
-    table = NeighborTable(owner=5, model=MODEL)
-    table.record_beacon(2, -70.0, 14.0)
-    rec = table.record_beacon(2, -80.0, 14.0)
+    table = NeighborTable(owner=5, model=MODEL, tx_power_dbm=14.0)
+    table.record_beacon(2, -70.0)
+    table.record_beacon(2, -80.0)
+    rec = table.records[2]
     assert rec.samples == 2
     assert rec.avg_prx_dbm == pytest.approx(-75.0)
-    assert rec.est_distance_m == pytest.approx(estimate_distance(14.0, -75.0, MODEL))
+    assert table.distance(2) == pytest.approx(estimate_distance(14.0, -75.0, MODEL))
 
 
 def test_neighbor_table_entries_sorted_and_quantized():
-    table = NeighborTable(owner=5, model=MODEL)
-    table.record_beacon(9, -76.0, 14.0)
-    table.record_beacon(2, -51.0, 14.0)
+    table = NeighborTable(owner=5, model=MODEL, tx_power_dbm=14.0)
+    table.record_beacon(9, -76.0)
+    table.record_beacon(2, -51.0)
     entries = table.entries()
     assert [uid for uid, _ in entries] == [2, 9]
     for _, dist in entries:

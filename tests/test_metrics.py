@@ -6,6 +6,7 @@ import statistics
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from loramesh import trace as tr
 from loramesh.metrics import MetricsBuilder, recompute_from_trace, write_battery_csv
@@ -38,6 +39,69 @@ def synthetic_builder(events, end=10.0):
     for ev in events:
         builder.feed(ev)
     return builder.finalize(end)
+
+
+# Events over the tiny scenario's nodes, at non-decreasing times from
+# 1.0 s. Few packet ids and nodes, and kinds biased to the accounted
+# ones, make a Generated and its ingress RxOk (at repeater 1, from end
+# device 101) common.
+UIDS = st.sampled_from([0, 1, 101])
+EVENT = st.tuples(
+    st.sampled_from([0.0, 0.0, 0.01, 0.5]),
+    st.one_of(
+        st.sampled_from([tr.GENERATED, tr.RX_OK, tr.TX_END, tr.DELIVERED]),
+        st.sampled_from(range(len(tr.EVENT_NAMES))),
+    ),
+    UIDS,
+    st.integers(0, 3),
+    UIDS,
+    st.sampled_from([0.014, 0.3]),
+)
+
+
+def timed(steps):
+    t = 1.0
+    events = []
+    for step, kind, node, pkt, peer, dur in steps:
+        t += step
+        events.append((t, kind, node, pkt, peer, dur, 1))
+    return events
+
+
+def bill(builder, ev):
+    """Charge ``ev``'s window as the live simulation does, where it is spent."""
+    t, kind, node, _pkt, _peer, dur, _ch = ev
+    if kind in (tr.RX_OK, tr.RX_COLLIDED):
+        builder.ledgers[node].charge_rx(t - dur, t)
+    elif kind == tr.TX_END:
+        builder.ledgers[node].charge_tx(t - dur, t)
+
+
+@given(st.lists(EVENT, max_size=40), st.sets(st.integers(1, 39)))
+@example(
+    # the ingress RxOk of packet 2 lands in the batch after its Generated,
+    # and the packet is lost past the end device
+    [(0.0, tr.GENERATED, 101, 2, 0, 0.014), (0.014, tr.RX_OK, 1, 2, 101, 0.014)],
+    {1},
+)
+# the same two events in one batch
+@example([(0.0, tr.GENERATED, 101, 2, 0, 0.014), (0.014, tr.RX_OK, 1, 2, 101, 0.014)], set())
+def test_accounting_does_not_depend_on_batch_boundaries(steps, cuts):
+    events = timed(steps)
+    fed = MetricsBuilder(tiny_scenario(), seed=1)
+    for ev in events:
+        fed.feed(ev)
+    live = MetricsBuilder(tiny_scenario(), seed=1)
+    bounds = [0] + sorted(c for c in cuts if c < len(events)) + [len(events)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        batch = events[lo:hi]
+        for ev in batch:
+            bill(live, ev)
+        live.account(batch)
+    end = events[-1][tr.T] if events else 1.0
+    assert json.dumps(live.finalize(end), sort_keys=True) == json.dumps(
+        fed.finalize(end), sort_keys=True
+    )
 
 
 def test_latency_statistics_against_stdlib():
@@ -168,6 +232,17 @@ def small_flood(packets=50):
     scn = load_scenario("representative")
     traffic = replace(scn.traffic, total_packets=packets, schedule={})
     return replace(scn, protocol="flooding", traffic=traffic)
+
+
+@pytest.mark.parametrize("batch_events", [1, 7])
+def test_live_metrics_do_not_depend_on_batch_size(monkeypatch, batch_events):
+    scn = small_flood(200)
+    whole = Simulation(scn).run().metrics
+    # packets lost past their end device: ingress is accounted across batches
+    assert whole["losses"]["intermediate"] > 0
+    monkeypatch.setattr(tr, "BATCH_EVENTS", batch_events)
+    split = Simulation(scn).run().metrics
+    assert json.dumps(split, sort_keys=True) == json.dumps(whole, sort_keys=True)
 
 
 def test_each_trace_event_is_encoded_once(monkeypatch):
