@@ -3,22 +3,33 @@
 One Simulation instance owns the event queue, every node's radio and
 protocol state, and the trace writer. The flow per transmission: the
 sender's MAC chain draws a wait, senses, and begins the transmission,
-which schedules one end-of-air event; at that event the frames that
-overlap it are listed once, reception is arbitrated for every live peer
-straight from the sender's hearer row (each linked peer in uid order
-with the power it receives, or None when it cannot hear the sender:
-sensitivity, then own-transmit exclusion, then capture margin over the
-overlapping frames the peer can hear), then the sender is billed;
-decoded frames are handed to the protocol dispatch, which is where
-flooding, routing, standby recovery, and the battery-triggered switches
-live.
+which schedules one end-of-air event; at that event reception is
+arbitrated for every live peer straight from the sender's hearer row
+(each linked peer in uid order with the power it receives, or None when
+it cannot hear the sender: sensitivity, then own-transmit exclusion,
+then capture margin over the overlapping frames the peer hears), then
+the sender is billed; decoded frames are handed to the protocol
+dispatch, which is where flooding, routing, standby recovery, and the
+battery-triggered switches live.
+
+Only a receiver that hears a frame's sender can be disturbed by it, so
+no scan covers the whole network. Each node keeps one hearing list per
+channel: every frame from a sender it hears, in begin order, with the
+power it receives. A frame is added to the lists of its sender's
+hearers when it begins, and a list drops its oldest frames, once they
+ended more than the longest airtime ago, when it next grows. Carrier
+sense reads the node's own mesh list, and the strongest rival of a
+frame at a peer is the loudest other frame in the peer's list that
+overlaps it.
 
 Energy is billed where it is spent: each decoded or collided frame is
 charged to the peer's ledger at its end, and each transmission to the
-sender's just before its ``TX_END``. Every event goes through ``_emit``,
-which only appends it to the trace writer's batch; ``_flush`` hands a
-full batch (and, at the end of ``run``, the last one) to the metrics
-builder's ``account`` and then to the writer, which encodes it.
+sender's just before its ``TX_END``. Events are appended to the trace
+writer's batch, by ``_emit`` or, on the per-frame path, directly; the
+run loop checks the batch once per dispatched event, and ``_flush``
+hands a full batch (and, at the end of ``run``, the last one) to the
+metrics builder's ``account`` and then to the writer, which encodes it.
+Neither the accounting nor the trace bytes depend on where a batch ends.
 
 Determinism: all randomness comes from named per-node streams, every
 iteration over node or link collections is sorted, and simultaneous
@@ -81,6 +92,7 @@ class Node:
         "learned",
         "chain_active",
         "tx_intervals",
+        "hearing",
     )
 
     def __init__(self, uid: int, role_flags: tuple[bool, bool, bool], queue: TxQueue, dedup: DedupCache, ledger: EnergyLedger, ntable: NeighborTable) -> None:
@@ -94,6 +106,9 @@ class Node:
         self.learned = LearnedTable(uid)
         self.chain_active = False
         self.tx_intervals: deque[tuple[float, float]] = deque()
+        # per channel, the frames this node hears, in begin order, as
+        # (transmission, received power)
+        self.hearing: tuple[list, list] = ([], [])
 
 
 @dataclass
@@ -140,40 +155,25 @@ class Simulation:
 
         # Directed received power per linked pair; shadowing (if any) is
         # drawn once per undirected link so both directions agree. Each
-        # receiver keeps only the transmitters it can hear: every other
-        # frame is below sensitivity, for carrier sense and interference
-        # alike. Each sender keeps its hearer row: every linked peer in
-        # uid order as (peer node, the power it receives or None when it
-        # cannot hear the sender, the peer's audible map). Links come
-        # sorted with a < b, so a row gets its lower peers in order, then
-        # its higher ones: it is built in uid order.
+        # sender keeps its hearer row: every linked peer in uid order as
+        # (peer node, the power it receives, or None when it cannot hear
+        # the sender). Links come sorted with a < b, so a row gets its
+        # lower peers in order, then its higher ones: it is built in uid
+        # order.
         sigma = links.path_loss_model.shadowing_sigma_db
         nodes = self.nodes
-        audible: dict[int, dict[int, float]] = {uid: {} for uid in topo.nodes}
-        linked: dict[int, list[tuple[Node, float | None, dict[int, float]]]] = {
-            uid: [] for uid in topo.nodes
-        }
+        linked: dict[int, list[tuple[Node, float | None]]] = {uid: [] for uid in topo.nodes}
         for a, b, _d in links.link_items():
             shadow = 0.0
             if sigma > 0:
                 shadow = self.rng.stream(a, f"shadow-{b}").gauss(0.0, sigma)
             prx = links.rx_power(a, b, self.radio.tx_power_dbm, shadow)
-            heard_by_a = audible[a]
-            heard_by_b = audible[b]
-            if prx >= self.sensitivity:
-                heard_by_a[b] = prx
-                heard_by_b[a] = prx
-            else:
+            if prx < self.sensitivity:
                 prx = None
-            linked[a].append((nodes[b], prx, heard_by_b))
-            linked[b].append((nodes[a], prx, heard_by_a))
-        self.audible = audible
+            linked[a].append((nodes[b], prx))
+            linked[b].append((nodes[a], prx))
         self.linked = linked
 
-        self.active: dict[int, deque[Transmission]] = {
-            MESH_CHANNEL: deque(),
-            ED_CHANNEL: deque(),
-        }
         self._next_pid = 0
         self.budget_left = scenario.traffic.total_packets
         self.delivered_pids: set[int] = set()
@@ -188,10 +188,7 @@ class Simulation:
     # plumbing
 
     def _emit(self, kind: int, node: int, pkt=None, peer=None, dur=None, ch=None) -> None:
-        batch = self._batch
-        batch.append((self.queue.now, kind, node, pkt, peer, dur, ch))
-        if len(batch) >= tr.BATCH_EVENTS:
-            self._flush()
+        self._batch.append((self.queue.now, kind, node, pkt, peer, dur, ch))
 
     def _flush(self) -> None:
         """Account the waiting events, then let the trace writer encode them."""
@@ -296,7 +293,7 @@ class Simulation:
         pid = self._new_pid()
         packet = Packet(pid, DATA_UP, ed_uid, ed_uid, None, traffic.payload_bytes)
         self._emit(tr.GENERATED, ed_uid, pkt=pid)
-        node.queue.push(packet)
+        self._push(node, packet)
         if not node.chain_active:
             node.chain_active = True
             self._begin_tx(node, node.queue.pop(), ED_CHANNEL)
@@ -307,21 +304,24 @@ class Simulation:
     # ------------------------------------------------------------------
     # MAC
 
-    def _enqueue_mesh(self, node: Node, packet: Packet) -> None:
-        if node.ledger.dead:
-            return
+    def _push(self, node: Node, packet: Packet) -> None:
+        """Queue ``packet`` at ``node``; a full queue drops its oldest, on record."""
         evicted = node.queue.push(packet)
         if evicted is not None:
             self._emit(tr.QUEUE_DROPPED, node.uid, pkt=evicted.packet_id)
+
+    def _enqueue_mesh(self, node: Node, packet: Packet) -> None:
+        if node.ledger.dead:
+            return
+        self._push(node, packet)
         if not node.chain_active:
             node.chain_active = True
             self.queue.push(self.queue.now + self._wait(node.uid), self._ev_sense, (node.uid,))
 
-    def _mesh_busy(self, uid: int) -> bool:
+    def _mesh_busy(self, node: Node) -> bool:
         now = self.queue.now
-        audible = self.audible[uid]
-        for t in self.active[MESH_CHANNEL]:
-            if t.t0 <= now < t.t1 and t.tx_uid in audible:
+        for t, _p in node.hearing[MESH_CHANNEL]:
+            if t.t0 <= now < t.t1:
                 return True
         return False
 
@@ -330,7 +330,7 @@ class Simulation:
         if node.ledger.dead or not node.queue:
             node.chain_active = False
             return
-        if self._mesh_busy(uid):
+        if self._mesh_busy(node):
             self.queue.push(self.queue.now + self._wait(uid), self._ev_sense, (uid,))
             return
         self._begin_tx(node, node.queue.pop(), MESH_CHANNEL)
@@ -342,17 +342,24 @@ class Simulation:
         if dur is None:
             dur = self._airtimes[size] = airtime(self.radio, size)
         t1 = now + dur
-        trans = Transmission(node.uid, channel, now, t1, packet)
-        chan = self.active[channel]
+        uid = node.uid
+        trans = Transmission(uid, channel, now, t1, packet)
+        # A frame that ended by ``horizon`` overlaps nothing still on air.
         horizon = now - self.max_air
-        while chan and chan[0].t1 <= horizon:
-            chan.popleft()
-        chan.append(trans)
+        for peer, p in self.linked[uid]:
+            if p is not None:
+                heard = peer.hearing[channel]
+                if heard and heard[0][0].t1 <= horizon:
+                    k = 1
+                    while k < len(heard) and heard[k][0].t1 <= horizon:
+                        k += 1
+                    del heard[:k]
+                heard.append((trans, p))
         intervals = node.tx_intervals
         intervals.append((now, t1))
         while intervals and intervals[0][1] <= horizon:
             intervals.popleft()
-        self._emit(tr.TX_START, node.uid, pkt=packet.packet_id, dur=dur, ch=channel)
+        self._batch.append((now, tr.TX_START, uid, packet.packet_id, None, dur, channel))
         self.queue.push(t1, self._ev_tx_end, (trans,))
 
     def _ev_tx_end(self, trans: Transmission) -> None:
@@ -361,26 +368,22 @@ class Simulation:
         t1 = trans.t1
         now = self.queue.now
         dur = t1 - t0
+        start = now - dur
         pid = trans.packet.packet_id
         ch = trans.channel
-        # reception only queues work, so no frame begins inside the loop
-        rivals = [
-            t.tx_uid
-            for t in self.active[ch]
-            if t.t0 < t1 and t.t1 > t0 and t is not trans
-        ]
-        emit = self._emit
+        append = self._batch.append
         # Reception at each live peer, in the order RxBelowSens ->
-        # DroppedBusyTx -> capture over the rivals the peer can hear. Peers
-        # decode, and are billed, before the sender is billed: a sender
-        # that dies during its last frame is still heard.
-        for node, p, audible in self.linked[uid]:
+        # DroppedBusyTx -> capture over the overlapping frames the peer
+        # hears. Peers decode, and are billed, before the sender is
+        # billed: a sender that dies during its last frame is still heard.
+        # Reception only queues work, so no frame begins inside the loop.
+        for node, p in self.linked[uid]:
             ledger = node.ledger
             if ledger.dead:
                 continue
             peer = node.uid
             if p is None:
-                emit(tr.RX_BELOW_SENS, peer, pid, uid, None, ch)
+                append((now, tr.RX_BELOW_SENS, peer, pid, uid, None, ch))
                 continue
             busy = False
             for a, b in node.tx_intervals:
@@ -388,16 +391,20 @@ class Simulation:
                     busy = True
                     break
             if busy:
-                emit(tr.DROPPED_BUSY_TX, peer, pid, uid, None, ch)
+                append((now, tr.DROPPED_BUSY_TX, peer, pid, uid, None, ch))
                 continue
             strongest = None
-            for tx in rivals:
-                ip = audible.get(tx)
-                if ip is not None and (strongest is None or ip > strongest):
+            for t, ip in node.hearing[ch]:
+                if (
+                    t.t0 < t1
+                    and t.t1 > t0
+                    and t is not trans
+                    and (strongest is None or ip > strongest)
+                ):
                     strongest = ip
             ok = reception_outcome(p, strongest, self.sensitivity, self.capture) == RX_OK
-            ledger.charge_rx(now - dur, now)
-            emit(tr.RX_OK if ok else tr.RX_COLLIDED, peer, pid, uid, dur, ch)
+            ledger.charge_rx(start, now)
+            append((now, tr.RX_OK if ok else tr.RX_COLLIDED, peer, pid, uid, dur, ch))
             if ledger.dead:
                 self._kill(node)
             elif ok:
@@ -405,8 +412,8 @@ class Simulation:
         node = self.nodes[uid]
         ledger = node.ledger
         if not ledger.dead:
-            ledger.charge_tx(now - dur, now)
-            emit(tr.TX_END, uid, pid, None, dur, ch)
+            ledger.charge_tx(start, now)
+            append((now, tr.TX_END, uid, pid, None, dur, ch))
         if ledger.dead:
             self._kill(node)
             return
@@ -673,6 +680,8 @@ class Simulation:
         self._bootstrap()
         horizon = self.scenario.horizon_s
         queue = self.queue
+        batch = self._batch
+        limit = tr.BATCH_EVENTS
         hit_horizon = False
         try:
             while queue:
@@ -681,6 +690,8 @@ class Simulation:
                     break
                 fn, args = queue.pop()
                 fn(*args)
+                if len(batch) >= limit:
+                    self._flush()
         finally:
             # a partial batch is waiting; a failed run keeps it too
             self._flush()

@@ -8,7 +8,9 @@ and one file write per batch, with the same bytes as line by line. The
 simulation appends to the writer's batch directly. Every outcome of one
 frame end shares its time, pkt, peer, duration and ch, so the encoder
 builds the ``,"pkt":…,"peer":…,"dur":…,"ch":…}`` tail once per frame end
-and reuses it for each outcome.
+and reuses it for each outcome. A run has few distinct durations (one
+airtime per payload size), so the ``,"dur":…`` piece of a nonzero float
+is built once per value and kept, across batches, in a bounded memo.
 """
 
 from __future__ import annotations
@@ -60,6 +62,15 @@ BATCH_EVENTS = 256
 _HEADS = tuple(f',"ev":"{name}","node":' for name in EVENT_NAMES)
 _UNSET = object()
 
+# Encoded ``,"dur":…`` pieces by duration value, shared by every call
+# and writer: a piece depends on its key alone, so sharing changes no
+# output. Only nonzero floats are keys: equal nonzero floats share a
+# repr, while 0.0 == -0.0 and 1 == 1.0 do not. A run's durations are
+# airtimes, one per payload size, so the bound is met only by unusual
+# callers; the memo is then emptied and refilled.
+DUR_PIECES_MAX = 256
+_dur_pieces: dict[float, str] = {}
+
 
 def encode_events(events) -> str:
     """One JSON line per trace tuple, each ending in a newline.
@@ -67,7 +78,8 @@ def encode_events(events) -> str:
     Stable field order, no spaces: ``t``, ``ev``, ``node``, then ``pkt``,
     ``peer``, ``dur`` and ``ch`` when set, numbers in ``repr`` form. Runs
     of events share pieces: all outcomes of one frame end carry the same
-    time object, and a frame's end and its outcomes the same duration.
+    time object, and a frame's end and its outcomes the same duration
+    object; a duration seen before takes its piece from ``_dur_pieces``.
     An event with every field set (a reception outcome) takes a fast
     path: it reuses the whole encoded ``,"pkt":…,"peer":…,"dur":…,"ch":…}``
     tail while its pkt, peer and ch are the previous tail's objects and
@@ -79,7 +91,8 @@ def encode_events(events) -> str:
     heads = _HEADS
     last_t = _UNSET
     head = ""
-    last_dur = None
+    pieces = _dur_pieces
+    last_dur = _UNSET
     dur_part = ""
     # the tail is valid for exactly these objects
     tail_pkt = tail_peer = tail_ch = tail_dur = _UNSET
@@ -89,10 +102,16 @@ def encode_events(events) -> str:
             last_t = t
             head = f'{{"t":{t!r}'
         if dur is not None:
-            # equal nonzero floats share a repr; 0.0 == -0.0 and 1 == 1.0 do not
-            if dur.__class__ is not float or dur != last_dur or not dur:
-                last_dur = dur if dur.__class__ is float else None
-                dur_part = f',"dur":{dur!r}'
+            if dur is not last_dur:
+                last_dur = dur
+                if dur.__class__ is float and dur:
+                    dur_part = pieces.get(dur)
+                    if dur_part is None:
+                        if len(pieces) >= DUR_PIECES_MAX:
+                            pieces.clear()
+                        dur_part = pieces[dur] = f',"dur":{dur!r}'
+                else:
+                    dur_part = f',"dur":{dur!r}'
             if peer is not None and pkt is not None and ch is not None:
                 if (
                     pkt is not tail_pkt

@@ -1,13 +1,16 @@
 import io
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from loramesh import trace as tr
+from loramesh.channel import RX_OK, reception_outcome
 from loramesh.engine import RngStreams
-from loramesh.model import RadioConfig, airtime
+from loramesh.model import BEACON, MESH_CHANNEL, Packet, RadioConfig, airtime
 from loramesh.planner import plan_from_topology
 from loramesh.scenario import load_scenario, scenario_from_dict
 from loramesh.simulation import Simulation, run
@@ -198,6 +201,34 @@ def test_queue_overflow_drops_oldest():
     generated = events_of(events, tr.GENERATED)
     assert dropped[0][3] == generated[0][3]  # the older packet went
     assert m["delivered"] == 1
+
+
+def test_end_device_queue_overflow_is_recorded():
+    scn = build(
+        [
+            {"uid": 0, "role": "gateway"},
+            {"uid": 1, "role": "repeater"},
+            {"uid": 101, "role": "end_device", "attach": 1},
+        ],
+        [
+            {"a": 0, "b": 1, "distance_m": 100.0},
+            {"a": 101, "b": 1, "distance_m": 10.0},
+        ],
+        # the first packet goes on air at once; the next three queue behind it
+        {101: [1.0, 1.001, 1.002, 1.003]},
+        mac={"wait_min_s": 0.05, "wait_max_s": 0.05, "queue_capacity": 1},
+    )
+    m, events = run_traced(scn)
+    assert m["generated"] == 4
+    assert m["delivered"] == 1
+    assert m["losses"]["initial_ed"] == 2
+    generated = [ev[3] for ev in events_of(events, tr.GENERATED)]
+    at_device = [ev for ev in events_of(events, tr.QUEUE_DROPPED) if ev[2] == 101]
+    # each newcomer pushes out the one queued before it
+    assert [ev[3] for ev in at_device] == generated[1:3]
+    assert [ev[0] for ev in at_device] == [1.002, 1.003]
+    # the repeater drops one more when the last uplink arrives
+    assert m["counts"]["queue_dropped"] == 3
 
 
 def test_flooding_rebroadcasts_once_per_node():
@@ -440,3 +471,250 @@ def test_one_shot_instance_hooks_on_pop_and_run():
     assert sim.run().metrics["trace_sha256"] == plain
     assert hooked == ["run", "pop"]
     assert "pop" not in vars(queue) and "run" not in vars(sim)
+
+
+# ----------------------------------------------------------------------
+# hearing lists against a network-wide scan
+
+RECEPTION_KINDS = (tr.RX_OK, tr.RX_COLLIDED, tr.RX_BELOW_SENS, tr.DROPPED_BUSY_TX)
+
+
+class ScanChecked(Simulation):
+    """Checks every carrier sense and every reception outcome against the
+    network-wide scan: every frame on air so far, filtered by what the
+    receiver hears, with no per-receiver index and nothing pruned."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # every frame begun, in begin order, as (sender, channel, t0, t1)
+        self.frames: list[tuple[int, int, float, float]] = []
+        self.audible: dict[int, dict[int, float]] = {uid: {} for uid in self.nodes}
+        for tx, row in self.linked.items():
+            for node, p in row:
+                if p is not None:
+                    self.audible[node.uid][tx] = p
+        self.seen = Counter()
+
+    def _begin_tx(self, node, packet, channel) -> None:
+        super()._begin_tx(node, packet, channel)
+        t0, t1 = node.tx_intervals[-1]
+        self.frames.append((node.uid, channel, t0, t1))
+
+    def _mesh_busy(self, node) -> bool:
+        now = self.queue.now
+        heard = self.audible[node.uid]
+        expected = any(
+            ch == MESH_CHANNEL and t0 <= now < t1 and tx in heard
+            for tx, ch, t0, t1 in self.frames
+        )
+        busy = super()._mesh_busy(node)
+        assert busy == expected
+        self.seen["busy" if busy else "idle"] += 1
+        return busy
+
+    def _ev_tx_end(self, trans) -> None:
+        uid, ch, t0, t1 = trans.tx_uid, trans.channel, trans.t0, trans.t1
+        expected = []
+        for node, p in self.linked[uid]:
+            if node.ledger.dead:
+                continue
+            peer = node.uid
+            if p is None:
+                kind = tr.RX_BELOW_SENS
+            elif any(tx == peer and a < t1 and b > t0 for tx, _c, a, b in self.frames):
+                kind = tr.DROPPED_BUSY_TX
+            else:
+                heard = self.audible[peer]
+                rivals = [
+                    heard[tx]
+                    for tx, c, a, b in self.frames
+                    if c == ch and a < t1 and b > t0 and (tx, a) != (uid, t0) and tx in heard
+                ]
+                strongest = max(rivals) if rivals else None
+                ok = reception_outcome(p, strongest, self.sensitivity, self.capture) == RX_OK
+                kind = tr.RX_OK if ok else tr.RX_COLLIDED
+            expected.append((kind, peer))
+        batch = self.trace.batch
+        start = len(batch)
+        super()._ev_tx_end(trans)
+        pid = trans.packet.packet_id
+        got = [
+            (ev[tr.KIND], ev[tr.NODE])
+            for ev in batch[start:]
+            if ev[tr.KIND] in RECEPTION_KINDS and ev[tr.PKT] == pid and ev[tr.PEER] == uid
+        ]
+        assert got == expected
+        self.seen.update(kind for kind, _peer in got)
+
+
+DISTANCES = st.sampled_from([8.0, 30.0, 60.0, 120.0, 400.0, 1500.0, 3500.0, 6000.0])
+
+
+@st.composite
+def small_networks(draw):
+    """A gateway, one to four repeaters and one to three end devices, with
+    random links (some below sensitivity), shadowing on or off, and bursts
+    of scripted uplinks close enough to collide."""
+    repeaters = list(range(1, draw(st.integers(min_value=1, max_value=4)) + 1))
+    devices = list(range(101, 101 + draw(st.integers(min_value=1, max_value=3))))
+    nodes = [{"uid": 0, "role": "gateway"}] + [{"uid": r, "role": "repeater"} for r in repeaters]
+    links = {}
+    for a in [0] + repeaters:
+        for b in repeaters:
+            if a < b and draw(st.booleans()):
+                links[a, b] = draw(DISTANCES)
+    schedule = {}
+    for ed in devices:
+        attach = draw(st.sampled_from(repeaters))
+        nodes.append({"uid": ed, "role": "end_device", "attach": attach})
+        links[min(ed, attach), max(ed, attach)] = draw(DISTANCES)
+        # end devices and other nodes may overhear each other
+        for other in draw(st.sets(st.sampled_from([0] + repeaters + devices), max_size=2)):
+            if other != ed:
+                links.setdefault((min(ed, other), max(ed, other)), draw(DISTANCES))
+        schedule[ed] = sorted(
+            draw(
+                st.lists(
+                    st.sampled_from([1.0, 1.005, 1.02, 1.05, 1.1, 1.3]), min_size=1, max_size=4
+                )
+            )
+        )
+    sigma = draw(st.sampled_from([0.0, 6.0]))
+    topology = {
+        "nodes": nodes,
+        "links": [{"a": a, "b": b, "distance_m": d} for (a, b), d in sorted(links.items())],
+        "path_loss": {"shadowing_sigma_db": sigma},
+    }
+    return {
+        "name": "hearing",
+        "topology": topology,
+        "traffic": {
+            "schedule": {str(ed): ts for ed, ts in schedule.items()},
+            "payload_bytes": draw(st.sampled_from([10, 20, 200])),
+        },
+        "mac": {"wait_min_s": 0.0, "wait_max_s": draw(st.sampled_from([0.005, 0.05]))},
+        "protocol": draw(st.sampled_from(["flooding", "routing", "routing_no_energy"])),
+        "seed": draw(st.integers(min_value=0, max_value=50)),
+    }
+
+
+HIDDEN_PAIR = {
+    "name": "hidden",
+    "topology": {
+        "nodes": [
+            {"uid": 0, "role": "gateway"},
+            {"uid": 1, "role": "repeater"},
+            {"uid": 2, "role": "repeater"},
+            {"uid": 101, "role": "end_device", "attach": 1},
+            {"uid": 102, "role": "end_device", "attach": 2},
+        ],
+        "links": [
+            {"a": 0, "b": 1, "distance_m": 100.0},
+            {"a": 0, "b": 2, "distance_m": 100.0},
+            {"a": 101, "b": 1, "distance_m": 10.0},
+            {"a": 102, "b": 2, "distance_m": 10.0},
+        ],
+    },
+    "traffic": {"schedule": {"101": [1.0], "102": [1.005]}},
+    "mac": {"wait_min_s": 0.05, "wait_max_s": 0.05},
+    "protocol": "routing",
+    "seed": 1,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_networks())
+@example(HIDDEN_PAIR)
+def test_hearing_lists_match_the_network_wide_scan(data):
+    sim = ScanChecked(scenario_from_dict(data))
+    m = sim.run().metrics
+    assert sim.seen[tr.RX_OK] + sim.seen[tr.RX_COLLIDED] == (
+        m["counts"]["rx_ok"] + m["counts"]["rx_collided"]
+    )
+    if data == HIDDEN_PAIR:
+        assert sim.seen[tr.RX_COLLIDED] == 2 and sim.seen["idle"] > 0
+
+
+def hidden_star():
+    """Repeaters 1, 3 and 4 all reach gateway 0 but not each other; at the
+    gateway 1 is 15 dB louder than 3, and 3 is 17 dB louder than 4. The
+    gateway records beacons and sends nothing."""
+    scn = build(
+        [
+            {"uid": 0, "role": "gateway"},
+            {"uid": 1, "role": "repeater"},
+            {"uid": 3, "role": "repeater"},
+            {"uid": 4, "role": "repeater"},
+        ],
+        [
+            {"a": 0, "b": 1, "distance_m": 50.0},
+            {"a": 0, "b": 3, "distance_m": 200.0},
+            {"a": 0, "b": 4, "distance_m": 1000.0},
+        ],
+        {},
+        protocol="flooding",
+    )
+    return ScanChecked(scn)
+
+
+def begin_at(sim, uid, when, pid, payload_bytes=20):
+    """Put a beacon from ``uid`` on air at ``when``; returns its (t0, t1)."""
+    sim.queue.now = when
+    packet = Packet(pid, BEACON, uid, uid, None, payload_bytes)
+    sim._begin_tx(sim.nodes[uid], packet, MESH_CHANNEL)
+    return sim.nodes[uid].tx_intervals[-1]
+
+
+def end_next(sim):
+    fn, args = sim.queue.pop()
+    assert fn == sim._ev_tx_end
+    fn(*args)
+
+
+def outcomes_at_gateway(sim):
+    """The gateway's outcome for each frame; ends every frame still on air."""
+    while sim.queue:
+        end_next(sim)
+    return {
+        ev[tr.PKT]: ev[tr.KIND]
+        for ev in sim.trace.batch
+        if ev[tr.NODE] == 0 and ev[tr.KIND] in RECEPTION_KINDS
+    }
+
+
+def test_sense_is_busy_from_a_frames_start_until_its_end():
+    sim = hidden_star()
+    t0, t1 = begin_at(sim, 1, 2.0, 0)
+    gateway = sim.nodes[0]
+    for now, busy in ((t0, True), (math.nextafter(t1, 0.0), True), (t1, False)):
+        sim.queue.now = now
+        assert sim._mesh_busy(gateway) is busy
+    # neither the sender nor a node out of its reach hears it
+    sim.queue.now = t0
+    assert not sim._mesh_busy(sim.nodes[1])
+    assert not sim._mesh_busy(sim.nodes[3])
+
+
+def test_a_rival_that_ends_at_a_frames_start_does_not_count():
+    sim = hidden_star()
+    _t0, t1 = begin_at(sim, 1, 2.0, 0)
+    begin_at(sim, 3, t1, 1)
+    assert outcomes_at_gateway(sim) == {0: tr.RX_OK, 1: tr.RX_OK}
+    # one step earlier the louder frame overlaps the quieter one
+    sim = hidden_star()
+    _t0, t1 = begin_at(sim, 1, 2.0, 0)
+    begin_at(sim, 3, math.nextafter(t1, 0.0), 1)
+    assert outcomes_at_gateway(sim) == {0: tr.RX_OK, 1: tr.RX_COLLIDED}
+
+
+def test_a_rival_that_ended_still_counts_against_a_longer_frame():
+    # the louder short frame 0 ends inside the long frame 1, and the faint
+    # frame 2 begins before frame 1 ends: frame 0 must still count at
+    # frame 1's end
+    sim = hidden_star()
+    _t0, t1 = begin_at(sim, 1, 2.0, 0)
+    begin_at(sim, 3, 2.001, 1, payload_bytes=200)
+    end_next(sim)
+    assert sim.queue.now == t1
+    begin_at(sim, 4, t1 + 0.015, 2)
+    assert outcomes_at_gateway(sim) == {0: tr.RX_OK, 1: tr.RX_COLLIDED, 2: tr.RX_COLLIDED}

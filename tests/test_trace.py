@@ -95,6 +95,20 @@ EDGES = [
     # a changed ch under an equal duration
     (5.0, tr.RX_OK, 4, PKT, PEER, 0.03, 0),
     (5.0, tr.RX_OK, 5, PKT, PEER, 0.03, 1),
+    # equal but distinct durations with others between them
+    (6.0, tr.TX_END, 4, 12, None, 0.014144, 0),
+    (6.0, tr.TX_END, 5, 13, None, 0.03, 0),
+    (6.0, tr.TX_END, 6, 14, None, float("0.014144"), 0),
+    (6.0, tr.TX_END, 7, 15, None, 0.02, 0),
+    (6.0, tr.TX_END, 8, 16, None, float(repr(0.03)), 0),
+    # the memo's keys are floats: 1 after 1.0, 1.0 after 1, 0.0 after -0.0
+    (7.0, tr.TX_END, 1, 17, None, 1.0, 0),
+    (7.0, tr.TX_END, 1, 18, None, 0.5, 0),
+    (7.0, tr.TX_END, 1, 19, None, 1, 0),
+    (7.0, tr.TX_END, 1, 20, None, 0.5, 0),
+    (7.0, tr.TX_END, 1, 21, None, 1.0, 0),
+    (7.0, tr.TX_END, 1, 22, None, -0.0, 0),
+    (7.0, tr.TX_END, 1, 23, None, 0.0, 0),
 ]
 
 
@@ -123,3 +137,15 @@ def test_writer_output_spans_batches_unchanged(events):
     expected = reference_text(stream)
     assert buf.getvalue() == expected
     assert digest == hashlib.sha256(expected.encode("ascii")).hexdigest()
+
+
+def test_duration_memo_stays_bounded():
+    # more distinct durations than the memo holds, then each again as an
+    # equal but distinct float, in reverse
+    durations = [0.001 * (k + 1) for k in range(tr.DUR_PIECES_MAX + 40)]
+    again = [float(repr(d)) for d in reversed(durations)]
+    events = [(1.0, tr.TX_END, 1, k, None, d, 0) for k, d in enumerate(durations + again)]
+    for _ in range(2):
+        assert tr.encode_events(events) == reference_text(events)
+        assert len(tr._dur_pieces) <= tr.DUR_PIECES_MAX
+    assert tr.encode_events(EDGES) == reference_text(EDGES)
