@@ -9,7 +9,7 @@ route switching. A deterministic engine makes every run reproducible
 from (scenario, seed) alone.
 """
 
-from .channel import LinkModel, PathLossModel, reception_outcome
+from .channel import LinkModel, PathLossModel, captures
 from .energy import EnergyLedger
 from .engine import EventQueue, RngStreams
 from .learning import LearnedTable, NeighborTable, estimate_distance
@@ -40,11 +40,11 @@ __all__ = [
     "Topology",
     "airtime",
     "bundled_scenario_names",
+    "captures",
     "estimate_distance",
     "load_scenario",
     "plan",
     "plan_from_topology",
-    "reception_outcome",
     "run",
     "__version__",
 ]

@@ -1,9 +1,15 @@
-"""Propagation model and reception arbitration.
+"""Propagation model, audibility, and the capture rule.
 
 Underground galleries attenuate hard and shadow little, so links follow a
 log-distance law with a configurable exponent and (by default) no
 shadowing term. Reachability is topology driven: node pairs without an
 explicit link never exchange energy, whatever the nominal range.
+
+Who hears whom is decided once per run, by ``LinkModel.hearing``: a
+linked pair hears each other when the received power, shadow term
+included, is at or above sensitivity. The simulator's hearer rows and
+the oracle planner both read that one map, and ``captures`` then only
+arbitrates between frames that are already audible.
 """
 
 from __future__ import annotations
@@ -11,10 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Reception outcomes.
-RX_OK = 0
-RX_COLLIDED = 1
-RX_BELOW_SENSITIVITY = 2
+from .engine import RngStreams
 
 DEFAULT_SENSITIVITY_DBM = -116.0
 DEFAULT_CAPTURE_DB = 6.0
@@ -75,7 +78,8 @@ class LinkModel:
     Links are undirected and explicit: ``distance(a, b)`` is ``None`` for
     any pair the deployment file does not connect, and such pairs are
     unconditionally out of range for carrier sensing, reception, and
-    interference alike.
+    interference alike. A linked pair below sensitivity is out of range
+    in the same way; ``hearing`` says which linked pairs those are.
     """
 
     def __init__(
@@ -115,32 +119,33 @@ class LinkModel:
     def link_items(self) -> list[tuple[int, int, float]]:
         return sorted((a, b, d) for (a, b), d in self._distance.items())
 
-    def rx_power(self, tx_uid: int, rx_uid: int, tx_power_dbm: float, shadow_db: float = 0.0) -> float | None:
-        """Received power for one directed transmission, None if unlinked."""
-        d = self.distance(tx_uid, rx_uid)
-        if d is None:
-            return None
-        return received_power(tx_power_dbm, self.path_loss_model, d, shadow_db)
+    def hearing(self, tx_power_dbm: float, seed: int) -> list[tuple[int, int, float | None]]:
+        """Every link in ``link_items`` order as (a, b, received power).
+
+        The power is None when it is below sensitivity: such a pair
+        neither decodes nor senses the other, and does not interfere.
+        Shadowing, if any, is drawn once per undirected link from the
+        run's ``(a, "shadow-{b}")`` stream, so both directions agree.
+        """
+        model = self.path_loss_model
+        sigma = model.shadowing_sigma_db
+        rng = RngStreams(seed)
+        heard = []
+        for a, b, d in self.link_items():
+            shadow = rng.stream(a, f"shadow-{b}").gauss(0.0, sigma) if sigma > 0 else 0.0
+            prx = received_power(tx_power_dbm, model, d, shadow)
+            heard.append((a, b, prx if prx >= self.sensitivity_dbm else None))
+        return heard
 
 
-def reception_outcome(
-    prx_dbm: float,
-    strongest_interferer_dbm: float | None,
-    sensitivity_dbm: float,
-    capture_threshold_db: float,
-) -> int:
-    """Outcome for one transmission given its worst concurrent rival.
+def captures(prx_dbm: float, strongest_interferer_dbm: float | None, capture_threshold_db: float) -> bool:
+    """Whether an audible frame survives its worst concurrent rival.
 
-    A frame below the sensitivity floor is undetectable. Otherwise it
-    survives interference only when it clears the strongest overlapping
-    rival by the capture margin for its whole airtime; the caller passes
-    the strongest rival seen across that window.
+    It does only when it clears the strongest overlapping rival by the
+    capture margin for its whole airtime; the caller passes the strongest
+    audible rival seen across that window, or None when there was none.
     """
-    if prx_dbm < sensitivity_dbm:
-        return RX_BELOW_SENSITIVITY
-    if strongest_interferer_dbm is None:
-        return RX_OK
-    if prx_dbm - strongest_interferer_dbm >= capture_threshold_db:
-        return RX_OK
-    return RX_COLLIDED
-
+    return (
+        strongest_interferer_dbm is None
+        or prx_dbm - strongest_interferer_dbm >= capture_threshold_db
+    )

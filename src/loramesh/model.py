@@ -167,8 +167,9 @@ class Packet:
     """One over-the-air transmission unit.
 
     The same logical packet (``packet_id``) is re-instantiated at every
-    hop so per-hop fields (transmitter, addressee, piggyback) never
-    mutate a frame that is still in flight elsewhere.
+    hop so per-hop fields (addressee, piggyback) never mutate a frame
+    that is still in flight elsewhere. A frame's sender is its
+    transmission's ``tx_uid``, not a packet field.
 
     ``next_hop`` encodes addressing: ``None`` is an undirected broadcast
     (flooding), an ``int`` is a unicast uplink hop, and a ``tuple`` is a
@@ -179,11 +180,9 @@ class Packet:
         "packet_id",
         "kind",
         "origin",
-        "current_tx",
         "next_hop",
         "payload_bytes",
         "battery_level",
-        "hop_count",
         "body",
     )
 
@@ -192,39 +191,33 @@ class Packet:
         packet_id: int,
         kind: int,
         origin: int,
-        current_tx: int,
         next_hop=None,
         payload_bytes: int = 20,
         battery_level: int | None = None,
-        hop_count: int = 0,
         body=None,
     ) -> None:
         self.packet_id = packet_id
         self.kind = kind
         self.origin = origin
-        self.current_tx = current_tx
         self.next_hop = next_hop
         self.payload_bytes = payload_bytes
         self.battery_level = battery_level
-        self.hop_count = hop_count
         self.body = body
 
-    def rehop(self, tx: int, next_hop=None, battery_level: int | None = None) -> "Packet":
+    def rehop(self, next_hop=None, battery_level: int | None = None) -> "Packet":
         """Copy for the next hop; the forwarded payload keeps its size."""
         return Packet(
             self.packet_id,
             self.kind,
             self.origin,
-            tx,
             next_hop,
             self.payload_bytes,
             battery_level,
-            self.hop_count + 1,
             self.body,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Packet(id={self.packet_id}, kind={KIND_NAMES[self.kind]}, "
-            f"origin={self.origin}, tx={self.current_tx}, next={self.next_hop})"
+            f"origin={self.origin}, next={self.next_hop})"
         )

@@ -302,32 +302,27 @@ def emit_chunks(
         raise PlannerError(f"table row {exc}") from exc
 
 
-def plan_from_topology(topology, tx_power_dbm: float) -> GlobalGraph:
+def plan_from_topology(topology, heard) -> GlobalGraph:
     """Plan as if the learning phase had run losslessly on ``topology``.
 
-    Builds the reports each mesh node would produce, its true link
-    distances passed through the same wire quantization, and feeds them
-    to the normal pipeline. A report lists only the neighbors the node
-    hears: those whose received power at ``tx_power_dbm`` (the
-    scenario's radio power), without shadowing, is at or above
-    sensitivity. That is the simulator's own audibility test when
-    ``shadowing_sigma_db`` is 0; with shadowing the simulator draws its
-    own per-link offsets and may hear a different set. A link nobody can
-    hear is never quantized, so its length may exceed the wire range.
-    With zero shadowing the in-simulator learning phase converges to
-    exactly this plan.
+    ``heard`` is the run's audibility map (``LinkModel.hearing``): every
+    link as (a, b, received power, or None when inaudible). Each mesh
+    node reports the mesh peers it hears, at their true distance passed
+    through the wire quantization, and the reports feed the normal
+    pipeline. An inaudible link is never quantized, so its length may
+    exceed the wire range. With zero shadowing and no control frame
+    lost, the in-simulator learning phase converges to exactly this
+    plan; with shadowing its RSSI distance estimates carry the shadow
+    term, while this plan keeps the true distances.
     """
     links = topology.links
-    reports: dict[int, list[tuple[int, float]]] = {}
-    mesh = sorted(topology.gateways | topology.repeaters)
-    mesh_set = set(mesh)
-    for uid in mesh:
-        entries = [
-            (nbr, quantize_distance(links.distance(uid, nbr)))
-            for nbr in links.neighbors(uid)
-            if nbr in mesh_set and links.rx_power(nbr, uid, tx_power_dbm) >= links.sensitivity_dbm
-        ]
-        reports[uid] = entries
+    mesh = topology.gateways | topology.repeaters
+    reports: dict[int, list[tuple[int, float]]] = {uid: [] for uid in sorted(mesh)}
+    for a, b, prx in heard:
+        if prx is not None and a in mesh and b in mesh:
+            dist = quantize_distance(links.distance(a, b))
+            reports[a].append((b, dist))
+            reports[b].append((a, dist))
     return plan(reports, sorted(topology.gateways))
 
 

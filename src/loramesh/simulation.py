@@ -6,11 +6,15 @@ sender's MAC chain draws a wait, senses, and begins the transmission,
 which schedules one end-of-air event; at that event reception is
 arbitrated for every live peer straight from the sender's hearer row
 (each linked peer in uid order with the power it receives, or None when
-it cannot hear the sender: sensitivity, then own-transmit exclusion,
+it cannot hear the sender: audibility, then own-transmit exclusion,
 then capture margin over the overlapping frames the peer hears), then
 the sender is billed; decoded frames are handed to the protocol
 dispatch, which is where flooding, routing, standby recovery, and the
 battery-triggered switches live.
+
+The hearer rows come from the channel's audibility map
+(``LinkModel.hearing``), drawn once per run; the oracle planner plans
+over the same map, so a routed hop is always a link the run hears.
 
 Only a receiver that hears a frame's sender can be disturbed by it, so
 no scan covers the whole network. Each node keeps one hearing list per
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 
 from . import routing as rt
 from . import trace as tr
-from .channel import RX_OK, reception_outcome
+from .channel import captures
 from .energy import EnergyLedger
 from .engine import EventQueue, RngStreams
 from .learning import LearnedTable, NeighborTable, build_report_chunks
@@ -128,7 +132,6 @@ class Simulation:
         topo = scenario.topology
         self.topology = topo
         links = topo.links
-        self.sensitivity = links.sensitivity_dbm
         self.capture = links.capture_threshold_db
         self.max_air = airtime(self.radio, 255)
         self.protocol = scenario.protocol
@@ -153,23 +156,15 @@ class Simulation:
                 NeighborTable(uid, links.path_loss_model, self.radio.tx_power_dbm),
             )
 
-        # Directed received power per linked pair; shadowing (if any) is
-        # drawn once per undirected link so both directions agree. Each
-        # sender keeps its hearer row: every linked peer in uid order as
-        # (peer node, the power it receives, or None when it cannot hear
-        # the sender). Links come sorted with a < b, so a row gets its
-        # lower peers in order, then its higher ones: it is built in uid
-        # order.
-        sigma = links.path_loss_model.shadowing_sigma_db
+        # The audibility map, and from it each sender's hearer row: every
+        # linked peer in uid order as (peer node, the power it receives,
+        # or None when it cannot hear the sender). Links come sorted with
+        # a < b, so a row gets its lower peers in order, then its higher
+        # ones: it is built in uid order.
+        self.heard = links.hearing(self.radio.tx_power_dbm, self.seed)
         nodes = self.nodes
         linked: dict[int, list[tuple[Node, float | None]]] = {uid: [] for uid in topo.nodes}
-        for a, b, _d in links.link_items():
-            shadow = 0.0
-            if sigma > 0:
-                shadow = self.rng.stream(a, f"shadow-{b}").gauss(0.0, sigma)
-            prx = links.rx_power(a, b, self.radio.tx_power_dbm, shadow)
-            if prx < self.sensitivity:
-                prx = None
+        for a, b, prx in self.heard:
             linked[a].append((nodes[b], prx))
             linked[b].append((nodes[a], prx))
         self.linked = linked
@@ -211,7 +206,7 @@ class Simulation:
             # a flood: its origin must not relay its own packet back
             node.dedup.seen(pid, self.queue.now)
         self._enqueue_mesh(
-            node, Packet(pid, kind, node.uid, node.uid, next_hop, payload_bytes, None, 0, body)
+            node, Packet(pid, kind, node.uid, next_hop, payload_bytes, None, body)
         )
         return pid
 
@@ -219,7 +214,7 @@ class Simulation:
         """Rebroadcast a flood the first time ``node`` decodes it."""
         if node.dedup.seen(packet.packet_id, self.queue.now):
             return False
-        self._enqueue_mesh(node, packet.rehop(node.uid))
+        self._enqueue_mesh(node, packet.rehop())
         return True
 
     # ------------------------------------------------------------------
@@ -238,7 +233,7 @@ class Simulation:
         self._bootstrapped = True
         scenario = self.scenario
         if self.protocol != "flooding" and not scenario.learning_phase:
-            self.graph = plan_from_topology(self.topology, self.radio.tx_power_dbm)
+            self.graph = plan_from_topology(self.topology, self.heard)
             self._install_plan(self.graph.vertices)
         if scenario.learning_phase:
             self._schedule_learning()
@@ -291,7 +286,7 @@ class Simulation:
         if node.ledger.dead:
             return
         pid = self._new_pid()
-        packet = Packet(pid, DATA_UP, ed_uid, ed_uid, None, traffic.payload_bytes)
+        packet = Packet(pid, DATA_UP, ed_uid, None, traffic.payload_bytes)
         self._emit(tr.GENERATED, ed_uid, pkt=pid)
         self._push(node, packet)
         if not node.chain_active:
@@ -372,10 +367,11 @@ class Simulation:
         pid = trans.packet.packet_id
         ch = trans.channel
         append = self._batch.append
-        # Reception at each live peer, in the order RxBelowSens ->
-        # DroppedBusyTx -> capture over the overlapping frames the peer
-        # hears. Peers decode, and are billed, before the sender is
-        # billed: a sender that dies during its last frame is still heard.
+        # Reception at each live peer, in the order RxBelowSens (the
+        # audibility map) -> DroppedBusyTx -> capture over the overlapping
+        # frames the peer hears. Peers decode, and are billed, before the
+        # sender is billed: a sender that dies during its last frame is
+        # still heard.
         # Reception only queues work, so no frame begins inside the loop.
         for node, p in self.linked[uid]:
             ledger = node.ledger
@@ -402,7 +398,7 @@ class Simulation:
                     and (strongest is None or ip > strongest)
                 ):
                     strongest = ip
-            ok = reception_outcome(p, strongest, self.sensitivity, self.capture) == RX_OK
+            ok = captures(p, strongest, self.capture)
             ledger.charge_rx(start, now)
             append((now, tr.RX_OK if ok else tr.RX_COLLIDED, peer, pid, uid, dur, ch))
             if ledger.dead:
@@ -595,11 +591,8 @@ class Simulation:
         if level < r.last_announced_level:
             piggy = level
             r.last_announced_level = level
-        if direction == rt.UP:
-            fwd = packet.rehop(node.uid, r.upstream_current, piggy)
-        else:
-            fwd = packet.rehop(node.uid, r.downstream_current, piggy)
-        self._enqueue_mesh(node, fwd)
+        next_hop = r.upstream_current if direction == rt.UP else r.downstream_current
+        self._enqueue_mesh(node, packet.rehop(next_hop, piggy))
 
     # ------------------------------------------------------------------
     # learning phase

@@ -248,7 +248,8 @@ def _downlink_coverage_ok(graph) -> bool:
 
 def test_ac03_reference_deployment_tables(capsys):
     scenario = load_scenario("representative")
-    graph = plan_from_topology(scenario.topology, scenario.radio.tx_power_dbm)
+    heard = scenario.topology.links.hearing(scenario.radio.tx_power_dbm, scenario.seed)
+    graph = plan_from_topology(scenario.topology, heard)
     failures = []
     for uid, (value, upstream) in REFERENCE_TABLES.items():
         got_value = graph.distance_value[uid]

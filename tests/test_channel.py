@@ -2,14 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from loramesh.channel import (
-    RX_BELOW_SENSITIVITY,
-    RX_COLLIDED,
-    RX_OK,
     LinkModel,
     PathLossModel,
+    captures,
     path_loss,
     received_power,
-    reception_outcome,
 )
 
 
@@ -59,9 +56,10 @@ def test_link_model_symmetry_and_absence():
     assert lm.distance(1, 2) == 80.0
     assert lm.distance(2, 1) == 80.0
     assert lm.distance(1, 3) is None
-    assert lm.rx_power(1, 3, 14.0) is None
     assert lm.neighbors(1) == [2]
     assert lm.neighbors(3) == []
+    # an unlinked pair is not on the audibility map at all
+    assert [(a, b) for a, b, _p in lm.hearing(14.0, 1)] == [(1, 2)]
 
 
 def test_link_model_rejects_bad_links():
@@ -75,40 +73,41 @@ def test_link_model_rejects_bad_links():
         lm.add_link(2, 1, 11.0)  # duplicate regardless of orientation
 
 
-def test_reception_outcome_sensitivity_floor():
-    assert reception_outcome(-116.0, None, -116.0, 6.0) == RX_OK
-    assert reception_outcome(-116.01, None, -116.0, 6.0) == RX_BELOW_SENSITIVITY
+def test_hearing_sensitivity_floor():
+    # 90 dB of loss at 100 m: -26 dBm arrives at exactly -116 dBm
+    lm = LinkModel()
+    lm.add_link(1, 2, 100.0)
+    assert lm.hearing(-26.0, 1) == [(1, 2, -116.0)]
+    assert lm.hearing(-26.01, 1) == [(1, 2, None)]
 
 
-def test_reception_outcome_capture_boundary():
+def test_hearing_keeps_link_order_and_powers():
+    lm = LinkModel()
+    lm.add_link(3, 1, 100.0)
+    lm.add_link(1, 2, 10.0)
+    assert lm.hearing(14.0, 1) == [(1, 2, pytest.approx(-51.0)), (1, 3, pytest.approx(-76.0))]
+
+
+def test_captures_boundary():
     # margin of exactly the threshold survives, a hair less does not
-    assert reception_outcome(-70.0, -76.0, -116.0, 6.0) == RX_OK
-    assert reception_outcome(-70.0, -75.99, -116.0, 6.0) == RX_COLLIDED
-    assert reception_outcome(-70.0, None, -116.0, 6.0) == RX_OK
+    assert captures(-70.0, -76.0, 6.0)
+    assert not captures(-70.0, -75.99, 6.0)
+    assert captures(-70.0, None, 6.0)
 
 
-def test_reception_outcome_single_arrival():
-    assert reception_outcome(-80.0, None, -116.0, 6.0) == RX_OK
+def test_captures_single_arrival():
+    assert captures(-80.0, None, 6.0)
 
 
-def test_reception_outcome_capture_and_losers():
+def test_captures_and_losers():
     # three overlapping frames at -70, -76 and -90 dBm: each is judged
     # against the strongest of the others, so only the -70 frame survives
-    assert reception_outcome(-70.0, -76.0, -116.0, 6.0) == RX_OK
-    assert reception_outcome(-76.0, -70.0, -116.0, 6.0) == RX_COLLIDED
-    assert reception_outcome(-90.0, -70.0, -116.0, 6.0) == RX_COLLIDED
+    assert captures(-70.0, -76.0, 6.0)
+    assert not captures(-76.0, -70.0, 6.0)
+    assert not captures(-90.0, -70.0, 6.0)
 
 
-def test_reception_outcome_mutual_destruction():
+def test_captures_mutual_destruction():
     # 1 dB apart: neither frame clears the margin over the other
-    assert reception_outcome(-70.0, -71.0, -116.0, 6.0) == RX_COLLIDED
-    assert reception_outcome(-71.0, -70.0, -116.0, 6.0) == RX_COLLIDED
-
-
-def test_reception_outcome_subsensitivity_rival_is_not_interference():
-    # The caller passes only audible rivals. A -117 dBm rival is below
-    # the -116 dBm floor, so the -112 dBm frame sees no rival and is
-    # decoded; counting the rival would have collided it (5 dB < 6 dB).
-    assert reception_outcome(-112.0, None, -116.0, 6.0) == RX_OK
-    assert reception_outcome(-112.0, -117.0, -116.0, 6.0) == RX_COLLIDED
-    assert reception_outcome(-117.0, -112.0, -116.0, 6.0) == RX_BELOW_SENSITIVITY
+    assert not captures(-70.0, -71.0, 6.0)
+    assert not captures(-71.0, -70.0, 6.0)

@@ -349,7 +349,8 @@ class TestLearn:
         assert rc == 0
         learned = (out / "routing_tables.json").read_text()
         scenario = load_scenario("representative")
-        assert learned == plan_to_json(plan_from_topology(scenario.topology, scenario.radio.tx_power_dbm))
+        heard = scenario.topology.links.hearing(scenario.radio.tx_power_dbm, scenario.seed)
+        assert learned == plan_to_json(plan_from_topology(scenario.topology, heard))
         parsed = json.loads(learned)
         assert parsed["gateways"] == [0, 18]
         assert len(parsed["tables"]) == 19

@@ -100,12 +100,12 @@ def test_payload_size_helpers():
 
 
 def test_packet_rehop_keeps_identity():
-    p = Packet(7, 1, origin=42, current_tx=42, next_hop=None, payload_bytes=20)
-    q = p.rehop(5, next_hop=9, battery_level=80)
+    p = Packet(7, 1, origin=42, next_hop=None, payload_bytes=20)
+    q = p.rehop(next_hop=9, battery_level=80)
     assert q.packet_id == 7
     assert q.origin == 42
-    assert q.current_tx == 5
     assert q.next_hop == 9
     assert q.battery_level == 80
-    assert q.hop_count == p.hop_count + 1
-    assert p.current_tx == 42  # original untouched
+    assert q.payload_bytes == 20
+    # original untouched
+    assert (p.next_hop, p.battery_level) == (None, None)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from loramesh import trace as tr
-from loramesh.channel import RX_OK, reception_outcome
+from loramesh.channel import captures, received_power
 from loramesh.engine import RngStreams
 from loramesh.model import BEACON, MESH_CHANNEL, Packet, RadioConfig, airtime
 from loramesh.planner import plan_from_topology
@@ -322,7 +322,7 @@ def test_learning_phase_converges_to_ideal_plan():
     )
     sim = Simulation(scn)
     res = sim.run()
-    ideal = plan_from_topology(scn.topology, scn.radio.tx_power_dbm)
+    ideal = plan_from_topology(scn.topology, sim.heard)
     for uid in (1, 2):
         route = sim.nodes[uid].route
         assert route.installed
@@ -531,7 +531,7 @@ class ScanChecked(Simulation):
                     if c == ch and a < t1 and b > t0 and (tx, a) != (uid, t0) and tx in heard
                 ]
                 strongest = max(rivals) if rivals else None
-                ok = reception_outcome(p, strongest, self.sensitivity, self.capture) == RX_OK
+                ok = captures(p, strongest, self.capture)
                 kind = tr.RX_OK if ok else tr.RX_COLLIDED
             expected.append((kind, peer))
         batch = self.trace.batch
@@ -635,6 +635,106 @@ def test_hearing_lists_match_the_network_wide_scan(data):
         assert sim.seen[tr.RX_COLLIDED] == 2 and sim.seen["idle"] > 0
 
 
+def hears(sim):
+    """The (sender, receiver) pairs the run's hearer rows call audible."""
+    return {(tx, node.uid) for tx, row in sim.linked.items() for node, p in row if p is not None}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_networks(), st.sampled_from(["routing", "routing_no_energy"]))
+def test_oracle_plan_uses_only_links_the_run_hears(data, protocol):
+    sim = Simulation(scenario_from_dict({**data, "protocol": protocol}))
+    sim.run()
+    audible = hears(sim)
+    for uid, upstream in sim.graph.upstream.items():
+        assert upstream is None or (uid, upstream) in audible
+    for uid, members in sim.graph.downstream.items():
+        assert all((uid, member) in audible for member in members)
+
+
+SHADOWED_TRIANGLE = {
+    "name": "shadowed",
+    "topology": {
+        "nodes": [
+            {"uid": 0, "role": "gateway"},
+            {"uid": 1, "role": "repeater"},
+            {"uid": 2, "role": "repeater"},
+            {"uid": 101, "role": "end_device", "attach": 1},
+        ],
+        "links": [
+            {"a": 0, "b": 1, "distance_m": 3000.0},
+            {"a": 0, "b": 2, "distance_m": 1500.0},
+            {"a": 1, "b": 2, "distance_m": 1600.0},
+            {"a": 1, "b": 101, "distance_m": 10.0},
+        ],
+        "path_loss": {"shadowing_sigma_db": 6.0},
+    },
+    "traffic": {"total_packets": 20},
+    "protocol": "routing",
+}
+
+
+@pytest.mark.parametrize("seed", [9, 10])
+def test_oracle_plan_routes_around_a_shadowed_link(seed):
+    # the 0-1 link is audible without shadowing (-112.9 dBm), but these
+    # seeds draw it below sensitivity, so 1 must reach the gateway via 2
+    sim = Simulation(scenario_from_dict({**SHADOWED_TRIANGLE, "seed": seed}))
+    metrics = sim.run().metrics
+    assert (0, 1) not in hears(sim)
+    assert sim.graph.upstream[1] == 2
+    assert metrics["pdr"] == 1.0
+
+
+@pytest.mark.parametrize("seed", [1, 6, 9, 10])
+def test_shadowed_hearing_is_the_simulators_map(seed):
+    scn = scenario_from_dict(SHADOWED_TRIANGLE)
+    links = scn.topology.links
+    tx = scn.radio.tx_power_dbm
+    rng = RngStreams(seed)
+    expected = []
+    for a, b, d in links.link_items():
+        shadow = rng.stream(a, f"shadow-{b}").gauss(0.0, 6.0)
+        prx = received_power(tx, links.path_loss_model, d, shadow)
+        expected.append((a, b, prx if prx >= links.sensitivity_dbm else None))
+    heard = links.hearing(tx, seed)
+    assert heard == expected
+    sim = Simulation(scn, seed)
+    rows = {
+        (min(tx_uid, node.uid), max(tx_uid, node.uid)): p
+        for tx_uid, row in sim.linked.items()
+        for node, p in row
+    }
+    assert rows == {(a, b): p for a, b, p in heard}
+
+
+@pytest.mark.parametrize("sensitivity, rival_heard", [(-116.0, False), (-120.0, True)])
+def test_a_sub_sensitivity_rival_is_not_interference(sensitivity, rival_heard):
+    # at the gateway, 1 arrives at -112.0 dBm and 4 at -117.1 dBm: 5.1 dB
+    # is below the capture margin, so 4 collides 1's frame only when 4 is
+    # audible
+    topology = {
+        "nodes": [
+            {"uid": 0, "role": "gateway"},
+            {"uid": 1, "role": "repeater"},
+            {"uid": 4, "role": "repeater"},
+        ],
+        "links": [
+            {"a": 0, "b": 1, "distance_m": 2750.0},
+            {"a": 0, "b": 4, "distance_m": 4400.0},
+        ],
+        "sensitivity_dbm": sensitivity,
+    }
+    sim = ScanChecked(
+        scenario_from_dict({"name": "faint", "topology": topology, "protocol": "flooding"})
+    )
+    begin_at(sim, 1, 2.0, 0)
+    begin_at(sim, 4, 2.001, 1)
+    if rival_heard:
+        assert outcomes_at_gateway(sim) == {0: tr.RX_COLLIDED, 1: tr.RX_COLLIDED}
+    else:
+        assert outcomes_at_gateway(sim) == {0: tr.RX_OK, 1: tr.RX_BELOW_SENS}
+
+
 def hidden_star():
     """Repeaters 1, 3 and 4 all reach gateway 0 but not each other; at the
     gateway 1 is 15 dB louder than 3, and 3 is 17 dB louder than 4. The
@@ -660,7 +760,7 @@ def hidden_star():
 def begin_at(sim, uid, when, pid, payload_bytes=20):
     """Put a beacon from ``uid`` on air at ``when``; returns its (t0, t1)."""
     sim.queue.now = when
-    packet = Packet(pid, BEACON, uid, uid, None, payload_bytes)
+    packet = Packet(pid, BEACON, uid, None, payload_bytes)
     sim._begin_tx(sim.nodes[uid], packet, MESH_CHANNEL)
     return sim.nodes[uid].tx_intervals[-1]
 
