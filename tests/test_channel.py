@@ -73,8 +73,9 @@ def test_link_model_rejects_bad_links():
         lm.add_link(2, 1, 11.0)  # duplicate regardless of orientation
 
 
-def test_hearing_sensitivity_floor():
-    # 90 dB of loss at 100 m: -26 dBm arrives at exactly -116 dBm
+def test_reception_outcome_sensitivity_floor():
+    # the audibility map is reception's sensitivity floor: 90 dB of loss
+    # at 100 m, so -26 dBm arrives at exactly -116 dBm and is audible
     lm = LinkModel()
     lm.add_link(1, 2, 100.0)
     assert lm.hearing(-26.0, 1) == [(1, 2, -116.0)]
@@ -88,18 +89,18 @@ def test_hearing_keeps_link_order_and_powers():
     assert lm.hearing(14.0, 1) == [(1, 2, pytest.approx(-51.0)), (1, 3, pytest.approx(-76.0))]
 
 
-def test_captures_boundary():
+def test_reception_outcome_capture_boundary():
     # margin of exactly the threshold survives, a hair less does not
     assert captures(-70.0, -76.0, 6.0)
     assert not captures(-70.0, -75.99, 6.0)
     assert captures(-70.0, None, 6.0)
 
 
-def test_captures_single_arrival():
+def test_reception_outcome_single_arrival():
     assert captures(-80.0, None, 6.0)
 
 
-def test_captures_and_losers():
+def test_reception_outcome_capture_and_losers():
     # three overlapping frames at -70, -76 and -90 dBm: each is judged
     # against the strongest of the others, so only the -70 frame survives
     assert captures(-70.0, -76.0, 6.0)
@@ -107,7 +108,18 @@ def test_captures_and_losers():
     assert not captures(-90.0, -70.0, 6.0)
 
 
-def test_captures_mutual_destruction():
+def test_reception_outcome_mutual_destruction():
     # 1 dB apart: neither frame clears the margin over the other
     assert not captures(-70.0, -71.0, 6.0)
     assert not captures(-71.0, -70.0, 6.0)
+
+
+def test_reception_outcome_subsensitivity_rival_is_not_interference():
+    # A -117 dBm rival is below the -116 dBm floor, so the map leaves it
+    # out and capture sees no rival for the -112 dBm frame; counting the
+    # rival would have collided it (5 dB < 6 dB).
+    lm = LinkModel()
+    lm.add_link(0, 1, 100.0)
+    assert lm.hearing(-27.0, 1) == [(0, 1, None)]
+    assert captures(-112.0, None, 6.0)
+    assert not captures(-112.0, -117.0, 6.0)
