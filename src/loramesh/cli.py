@@ -4,7 +4,8 @@ Subcommands: simulate (one run, writes metrics.json, trace.ndjson,
 battery.csv), plan (offline planner over a neighbor-reports file),
 learn (in-simulator discovery phase, exports the planned tables),
 loadtest (interval ladder x budget ladder, reports the saturation
-knee), compare (flooding vs routing A/B across seeds).
+knee), compare (flooding vs routing A/B across seeds), render (prints a
+packed trace file as one JSON line per event).
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 """
@@ -22,7 +23,7 @@ from .metrics import write_battery_csv
 from .planner import PlannerError, plan, plan_to_json, reports_from_dict
 from .scenario import PROTOCOLS, Scenario, ScenarioError, load_scenario
 from .simulation import Simulation
-from .trace import TraceWriter
+from .trace import TraceFormatError, TraceWriter, ndjson_line, read_trace
 
 
 def _default_seed() -> int | None:
@@ -261,6 +262,17 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def cmd_render(args) -> int:
+    try:
+        sys.stdout.writelines(map(ndjson_line, read_trace(args.trace)))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early, as `| head` does; point stdout at
+        # devnull so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loramesh",
@@ -310,6 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--packets", type=int, default=None)
     p.set_defaults(fn=cmd_compare)
 
+    p = sub.add_parser("render", help="print a trace file as one JSON line per event")
+    p.add_argument("--trace", required=True, help="trace.ndjson written by simulate")
+    p.set_defaults(fn=cmd_render)
+
     return parser
 
 
@@ -320,7 +336,13 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
         return args.fn(args)
-    except (ScenarioError, PlannerError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (
+        ScenarioError,
+        PlannerError,
+        TraceFormatError,
+        FileNotFoundError,
+        json.JSONDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001

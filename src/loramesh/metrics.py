@@ -8,13 +8,14 @@ bills them itself, where energy is spent (each decoded or collided frame
 at its end, each own transmission just before ``TX_END``), so the
 battery levels the protocol acts on are the ones reported. Everything
 else is derived by ``account``, once per batch of events, just before
-the trace writer encodes that batch; nothing in it depends on where the
+the trace writer packs that batch; nothing in it depends on where the
 batches split. ``feed`` replays one event: it bills the ledger the way
 the live run does, from the charge window the event encodes (``t - dur``
 to ``t``), then accounts the event. Because nothing here peeks at
 simulator internals, the identical metrics can be recomputed later from
 an exported trace file with ``feed``, which is also how the trace format
-is validated.
+is validated: ``recompute_from_trace`` decodes the packed records, feeds
+them and packs them again for the digest.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ END_DEVICE = "end_device"
 ROLES = (GATEWAY, REPEATER, END_DEVICE)
 
 PROTOCOLS = ("flooding", "routing", "routing_no_energy")
+UID_LIMIT = 2**31
 
 
 class ScenarioError(ValueError):
@@ -53,6 +54,10 @@ class Topology:
     ) -> None:
         self.nodes: dict[int, NodeSpec] = {}
         for spec in nodes:
+            # a uid fills a signed 32-bit trace slot, where -1 means "none";
+            # attach points and link ends must name nodes, so they are bound too
+            if not 0 <= spec.uid < UID_LIMIT:
+                raise ScenarioError(f"node uid {spec.uid} is outside 0 <= uid < 2**31")
             if spec.uid in self.nodes:
                 raise ScenarioError(f"duplicate node uid {spec.uid}")
             self.nodes[spec.uid] = spec

@@ -32,7 +32,8 @@ sender's just before its ``TX_END``. Events are appended to the trace
 writer's batch, by ``_emit`` or, on the per-frame path, directly; the
 run loop checks the batch once per dispatched event, and ``_flush``
 hands a full batch (and, at the end of ``run``, the last one) to the
-metrics builder's ``account`` and then to the writer, which encodes it.
+metrics builder's ``account`` and then to the writer, which packs each
+event into one fixed-size trace record and hashes it (see ``trace``).
 Neither the accounting nor the trace bytes depend on where a batch ends.
 
 Determinism: all randomness comes from named per-node streams, every

@@ -1,22 +1,34 @@
 """Run trace: the complete, replayable record of what happened on air.
 
 Events are fixed-arity tuples (time, kind, node, packet, peer, duration,
-channel) with None in unused slots. The newline-delimited JSON encoding
-is built by hand so that identical runs serialize to identical bytes.
-The writer encodes events in batches: one encoder call, one hash update
-and one file write per batch, with the same bytes as line by line. The
-simulation appends to the writer's batch directly. Every outcome of one
-frame end shares its time, pkt, peer, duration and ch, so the encoder
-builds the ``,"pkt":…,"peer":…,"dur":…,"ch":…}`` tail once per frame end
-and reuses it for each outcome. A run has few distinct durations (one
-airtime per payload size), so the ``,"dur":…`` piece of a nonzero float
-is built once per value and kept, across batches, in a bounded memo.
+channel) with None in unused slots; time and duration are floats.
+
+Wire form, version 2. A trace is ASCII text. Its first line is the
+constant JSON ``HEADER`` (format name, version, record layout). Every
+later line is one event: the base64 of one little-endian ``RECORD``
+(``<dBiiidb``: t, kind, node, pkt, peer, dur, ch), 30 bytes, so 40
+characters with no padding, then a newline. A None slot is stored as a
+value no real event has: -1 for pkt, peer and ch, NaN for dur. ``struct``
+raises, and never wraps, on a value its slot cannot hold, such as a node
+or packet id beyond 2**31 - 1 or a channel beyond 127; the scenario
+loader keeps node uids in range. The run's fingerprint ``trace_sha256``
+is the sha256 of exactly these bytes, header included, whether or not a
+file is written. Both float slots round-trip exactly, so ``read_trace``
+gives back equal tuples and packing them again gives the same digest.
+
+One event per line keeps the bytes independent of where batches split
+and leaves every emitted event in the file when a run raises. NDJSON is
+only a rendering (``ndjson_line``, ``loramesh render``): one JSON object
+per event, the bytes version 1 traces held.
 """
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
+import os
+import struct
 
 GENERATED = 0
 TX_START = 1
@@ -50,122 +62,79 @@ EVENT_NAMES = (
     "DuplicateSuppressed",
 )
 
-_NAME_TO_KIND = {name: kind for kind, name in enumerate(EVENT_NAMES)}
-
 # Tuple slots.
 T, KIND, NODE, PKT, PEER, DUR, CH = range(7)
 
 
-# Events held by a writer before it encodes, hashes and writes them.
+# Events held by a writer before it packs, hashes and writes them.
 BATCH_EVENTS = 256
 
-_HEADS = tuple(f',"ev":"{name}","node":' for name in EVENT_NAMES)
-_UNSET = object()
-
-# Encoded ``,"dur":…`` pieces by duration value, shared by every call
-# and writer: a piece depends on its key alone, so sharing changes no
-# output. Only nonzero floats are keys: equal nonzero floats share a
-# repr, while 0.0 == -0.0 and 1 == 1.0 do not. A run's durations are
-# airtimes, one per payload size, so the bound is met only by unusual
-# callers; the memo is then emptied and refilled.
-DUR_PIECES_MAX = 256
-_dur_pieces: dict[float, str] = {}
-
-
-def encode_events(events) -> str:
-    """One JSON line per trace tuple, each ending in a newline.
-
-    Stable field order, no spaces: ``t``, ``ev``, ``node``, then ``pkt``,
-    ``peer``, ``dur`` and ``ch`` when set, numbers in ``repr`` form. Runs
-    of events share pieces: all outcomes of one frame end carry the same
-    time object, and a frame's end and its outcomes the same duration
-    object; a duration seen before takes its piece from ``_dur_pieces``.
-    An event with every field set (a reception outcome) takes a fast
-    path: it reuses the whole encoded ``,"pkt":…,"peer":…,"dur":…,"ch":…}``
-    tail while its pkt, peer and ch are the previous tail's objects and
-    the duration piece was not rebuilt since, which holds for every
-    outcome of one frame end, even with other events between them.
-    """
-    out = []
-    append = out.append
-    heads = _HEADS
-    last_t = _UNSET
-    head = ""
-    pieces = _dur_pieces
-    last_dur = _UNSET
-    dur_part = ""
-    # the tail is valid for exactly these objects
-    tail_pkt = tail_peer = tail_ch = tail_dur = _UNSET
-    tail = ""
-    for t, kind, node, pkt, peer, dur, ch in events:
-        if t is not last_t:
-            last_t = t
-            head = f'{{"t":{t!r}'
-        if dur is not None:
-            if dur is not last_dur:
-                last_dur = dur
-                if dur.__class__ is float and dur:
-                    dur_part = pieces.get(dur)
-                    if dur_part is None:
-                        if len(pieces) >= DUR_PIECES_MAX:
-                            pieces.clear()
-                        dur_part = pieces[dur] = f',"dur":{dur!r}'
-                else:
-                    dur_part = f',"dur":{dur!r}'
-            if peer is not None and pkt is not None and ch is not None:
-                if (
-                    pkt is not tail_pkt
-                    or peer is not tail_peer
-                    or ch is not tail_ch
-                    or dur_part is not tail_dur
-                ):
-                    tail_pkt, tail_peer, tail_ch, tail_dur = pkt, peer, ch, dur_part
-                    tail = f',"pkt":{pkt},"peer":{peer}{dur_part},"ch":{ch}}}\n'
-                append(f"{head}{heads[kind]}{node}{tail}")
-                continue
-        line = f"{head}{heads[kind]}{node}"
-        if pkt is not None:
-            line += f',"pkt":{pkt}'
-        if peer is not None:
-            line += f',"peer":{peer}'
-        if dur is not None:
-            line += dur_part
-        if ch is not None:
-            line += f',"ch":{ch}'
-        append(line + "}\n")
-    return "".join(out)
+FORMAT = "loramesh-trace"
+VERSION = 2
+RECORD = struct.Struct("<dBiiidb")
+# base64 of one record: 30 bytes make 40 characters, no padding
+RECORD_CHARS = 40
+HEADER = (
+    json.dumps(
+        {
+            "format": FORMAT,
+            "version": VERSION,
+            "record": RECORD.format,
+            "fields": ["t", "kind", "node", "pkt", "peer", "dur", "ch"],
+            "none": {"pkt": -1, "peer": -1, "dur": "NaN", "ch": -1},
+            "line": "base64 of one record",
+        },
+        separators=(",", ":"),
+    )
+    + "\n"
+)
+_NAN = float("nan")
+_HEADER_HASH = hashlib.sha256(HEADER.encode("ascii"))
 
 
-def decode_event(line: str) -> tuple:
-    data = json.loads(line)
-    return (
-        data["t"],
-        _NAME_TO_KIND[data["ev"]],
-        data["node"],
-        data.get("pkt"),
-        data.get("peer"),
-        data.get("dur"),
-        data.get("ch"),
+def pack_events(events) -> bytes:
+    """One trace line per event: the base64 of its record and a newline."""
+    pack = RECORD.pack
+    line = binascii.b2a_base64
+    nan = _NAN
+    return b"".join(
+        [
+            line(
+                pack(
+                    t,
+                    kind,
+                    node,
+                    -1 if pkt is None else pkt,
+                    -1 if peer is None else peer,
+                    nan if dur is None else dur,
+                    -1 if ch is None else ch,
+                )
+            )
+            for t, kind, node, pkt, peer, dur, ch in events
+        ]
     )
 
 
 class TraceWriter:
-    """The run's one trace sink: a streaming SHA-256 over the encoded lines.
+    """The run's one trace sink: a streaming SHA-256 over the packed lines.
 
-    Events are held until ``BATCH_EVENTS`` of them are waiting; ``flush``
-    then encodes the batch once, feeds it to the hash and, when an open
-    text file is given, writes it there too, so the file's sha256 is the
-    digest. ``hexdigest`` flushes first, and ``Simulation.run`` flushes
-    when a run raises, so the file holds every event emitted. A caller
-    may append to ``batch`` itself and call ``flush`` once it holds
+    When an open text file is given, the header is written at once and
+    every line after it as it is hashed, so the file's sha256 is the
+    digest. Events are held until ``BATCH_EVENTS`` of them are waiting;
+    ``flush`` then packs the batch once, feeds it to the hash and writes
+    it. ``hexdigest`` flushes first, and ``Simulation.run`` flushes when a
+    run raises, so the file holds every event emitted. A caller may
+    append to ``batch`` itself and call ``flush`` once it holds
     ``BATCH_EVENTS`` or more; the bytes do not depend on batch sizes.
     """
 
     def __init__(self, fh=None) -> None:
         self._fh = fh
-        self._hash = hashlib.sha256()
-        # the events waiting to be encoded; emptied in place, never replaced
+        self._hash = _HEADER_HASH.copy()
+        # the events waiting to be packed; emptied in place, never replaced
         self.batch: list[tuple] = []
+        if fh is not None:
+            fh.write(HEADER)
 
     def add(self, ev: tuple) -> None:
         batch = self.batch
@@ -177,21 +146,92 @@ class TraceWriter:
         if not self.batch:
             # the file may be closed once the run is over
             return
-        text = encode_events(self.batch)
+        data = pack_events(self.batch)
         self.batch.clear()
-        self._hash.update(text.encode("ascii"))
+        self._hash.update(data)
         if self._fh is not None:
-            self._fh.write(text)
+            self._fh.write(data.decode("ascii"))
 
     def hexdigest(self) -> str:
         self.flush()
         return self._hash.hexdigest()
 
 
-def read_trace(path: str):
-    """Yield decoded trace tuples from an exported trace file."""
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield decode_event(line)
+class TraceFormatError(ValueError):
+    """A file that is not a version 2 trace, with the file and line named."""
+
+
+def _header_problem(line: str) -> str:
+    if not line:
+        return "empty file, no trace header"
+    try:
+        data = json.loads(line)
+    except ValueError:
+        data = None
+    if isinstance(data, dict) and "t" in data and "ev" in data:
+        return "a version 1 NDJSON trace; this reader reads version 2 only"
+    if isinstance(data, dict) and data.get("format") == FORMAT:
+        return f"unknown trace header (version {data.get('version')!r})"
+    return "no trace header"
+
+
+def _records(fh, name: str):
+    first = fh.readline()
+    if first != HEADER:
+        raise TraceFormatError(f"{name}:1: {_header_problem(first)}")
+    unpack = RECORD.unpack
+    decode = binascii.a2b_base64
+    kinds = len(EVENT_NAMES)
+    for lineno, line in enumerate(fh, 2):
+        try:
+            if len(line) != RECORD_CHARS + 1 or line[-1] != "\n":
+                raise ValueError
+            # a non-base64 character is skipped, so the record comes out short
+            t, kind, node, pkt, peer, dur, ch = unpack(decode(line[:-1]))
+        except (ValueError, struct.error):
+            raise TraceFormatError(
+                f"{name}:{lineno}: not one {RECORD_CHARS}-character base64 record"
+            ) from None
+        if kind >= kinds:
+            raise TraceFormatError(f"{name}:{lineno}: unknown event kind {kind}")
+        yield (
+            t,
+            kind,
+            node,
+            None if pkt == -1 else pkt,
+            None if peer == -1 else peer,
+            None if dur != dur else dur,
+            None if ch == -1 else ch,
+        )
+
+
+def read_trace(source):
+    """Yield the event tuples of a trace: a path, or a text file open for reading.
+
+    Raises ``TraceFormatError``, naming the file and the line, at a
+    missing or unknown header (a version 1 NDJSON trace among them) and
+    at a line that is not one record.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        # undecodable bytes become a line that is not a record
+        with open(source, encoding="ascii", errors="replace") as fh:
+            yield from _records(fh, os.fspath(source))
+    else:
+        yield from _records(source, getattr(source, "name", "<trace>"))
+
+
+def ndjson_line(ev: tuple) -> str:
+    """One event as one JSON line: ``t``, ``ev`` and ``node``, then ``pkt``,
+    ``peer``, ``dur`` and ``ch`` when set, numbers in ``repr`` form, no
+    spaces, newline-terminated."""
+    t, kind, node, pkt, peer, dur, ch = ev
+    line = f'{{"t":{t!r},"ev":"{EVENT_NAMES[kind]}","node":{node}'
+    if pkt is not None:
+        line += f',"pkt":{pkt}'
+    if peer is not None:
+        line += f',"peer":{peer}'
+    if dur is not None:
+        line += f',"dur":{dur!r}'
+    if ch is not None:
+        line += f',"ch":{ch}'
+    return line + "}\n"

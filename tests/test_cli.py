@@ -8,6 +8,8 @@ scenario data.
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -182,6 +184,36 @@ MALFORMED_SCENARIOS = {
         },
     },
     "horizon-nan": {**VALID_SCENARIO, "horizon_s": NAN},
+    # a uid fills a signed 32-bit trace slot, where -1 means "none"
+    "uid-negative": {
+        **VALID_SCENARIO,
+        "topology": {
+            "nodes": [
+                {"uid": 0, "role": "gateway"},
+                {"uid": -1, "role": "repeater"},
+                {"uid": 101, "role": "end_device", "attach": -1},
+            ],
+            "links": [
+                {"a": 0, "b": -1, "distance_m": 100.0},
+                {"a": 101, "b": -1, "distance_m": 10.0},
+            ],
+        },
+    },
+    "uid-too-large": {
+        **VALID_SCENARIO,
+        "topology": {
+            "nodes": [
+                {"uid": 0, "role": "gateway"},
+                {"uid": 1, "role": "repeater"},
+                {"uid": 2**32, "role": "end_device", "attach": 1},
+            ],
+            "links": [
+                {"a": 0, "b": 1, "distance_m": 100.0},
+                {"a": 2**32, "b": 1, "distance_m": 10.0},
+            ],
+        },
+        "traffic": {"schedule": {str(2**32): [1.0]}},
+    },
     # reception follows links, so this end device would lose every packet
     "attach-unlinked": {
         **VALID_SCENARIO,
@@ -233,6 +265,57 @@ INAUDIBLE_LONG_LINK = {
     },
     "traffic": {"total_packets": 3},
 }
+
+
+class TestRender:
+    def test_prints_one_json_line_per_event(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", "standby_recovery", "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["render", "--trace", str(out / "trace.ndjson")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == sum(read_json(out / "metrics.json")["counts"].values())
+        assert lines[0] == '{"t":5.0,"ev":"Generated","node":101,"pkt":0}'
+        assert all(json.loads(line)["ev"] for line in lines)
+
+    def test_a_reader_that_stops_early_is_not_an_error(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["simulate", "--scenario", "representative", "--protocol", "flooding"]
+        assert main(argv + ["--packets", "100", "--out-dir", str(out)]) == 0
+        # more output than a pipe buffers (64 KiB), so render is still writing
+        assert (out / "trace.ndjson").stat().st_size > 1 << 18
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        render = [sys.executable, "-m", "loramesh", "render", "--trace", str(out / "trace.ndjson")]
+        with subprocess.Popen(
+            render, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            assert proc.stdout.readline().startswith(b'{"t":')
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert err == b""
+
+    @pytest.mark.parametrize(
+        "case, text, where",
+        [
+            ("v1-ndjson", '{"t":5.0,"ev":"Generated","node":101,"pkt":0}\n', ":1: a version 1"),
+            ("no-header", "AAAAAAAAFEAAZQAAAAAAAAD/////AAAAAAAA+H//\n", ":1: no trace header"),
+            ("unknown-header", '{"format":"loramesh-trace","version":9}\n', ":1: unknown trace header"),
+            ("bad-record", None, ":3: not one 40-character base64 record"),
+        ],
+    )
+    def test_a_wrong_file_exits_2_with_one_error_line(self, tmp_path, capsys, case, text, where):
+        path = tmp_path / f"{case}.ndjson"
+        if text is None:
+            assert main(["simulate", "--scenario", "standby_recovery", "--out-dir", str(tmp_path)]) == 0
+            lines = (tmp_path / "trace.ndjson").read_text().splitlines(keepends=True)
+            text = "".join(lines[:2]) + "not base64\n" + "".join(lines[2:])
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["render", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith(f"error: {path}{where}")
 
 
 class TestInaudibleLink:

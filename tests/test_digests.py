@@ -2,9 +2,12 @@
 
 Rebuilds the 18-case matrix (3 bundled scenarios x 3 protocols x
 learning phase on/off) and compares each run's trace digest, event
-total, and the sha256 of its sorted-key metrics JSON and of its
-``battery.csv`` to ``tests/data/digests.json``. Energy never reaches
-the trace, so the last two pin billing end to end. Periodic traffic
+total, the sha256 of its NDJSON rendering, and the sha256 of its
+sorted-key metrics JSON and of its ``battery.csv`` to
+``tests/data/digests.json``. The rendering's digest is the
+``trace_sha256`` that version 1 traces, which were NDJSON, carried, so
+it pins the events themselves across the trace format change. Energy
+never reaches the trace, so the last two pin billing end to end. Periodic traffic
 budgets are capped at ``CAP`` packets so the whole matrix stays fast;
 scripted schedules run as written. Six downlink cases (3 bundled
 scenarios x flooding/routing) run ``DOWNLINK_PACKETS`` periodic uplinks
@@ -20,6 +23,7 @@ deliberate trace-format or behaviour change regenerates the file with
 """
 
 import hashlib
+import io
 import json
 import tempfile
 from dataclasses import replace
@@ -30,6 +34,7 @@ import pytest
 from loramesh.metrics import write_battery_csv
 from loramesh.scenario import load_scenario
 from loramesh.simulation import Simulation
+from loramesh.trace import TraceWriter, ndjson_line, read_trace
 
 DATA = Path(__file__).parent / "data" / "digests.json"
 SCENARIOS = ("representative", "standby_recovery", "two_ed_battery")
@@ -59,7 +64,8 @@ def run_case(case: str) -> dict:
     elif not traffic.schedule:
         traffic = replace(traffic, total_packets=min(traffic.total_packets, CAP))
     scn = replace(scn, protocol=protocol, learning_phase=mode == "learning-on", traffic=traffic)
-    sim = Simulation(scn)
+    trace = io.StringIO()
+    sim = Simulation(scn, trace_writer=TraceWriter(trace))
     if mode == "downlink":
         for gw in sorted(scn.topology.gateways):
             sim.inject_downlink(gw)
@@ -68,9 +74,13 @@ def run_case(case: str) -> dict:
         csv_path = Path(tmp) / "battery.csv"
         write_battery_csv(csv_path, sim.builder)
         battery = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert hashlib.sha256(trace.getvalue().encode("ascii")).hexdigest() == metrics["trace_sha256"]
+    trace.seek(0)
+    ndjson = "".join(map(ndjson_line, read_trace(trace)))
     return {
         "trace_sha256": metrics["trace_sha256"],
         "events": sum(metrics["counts"].values()),
+        "ndjson_sha256": hashlib.sha256(ndjson.encode("ascii")).hexdigest(),
         "metrics_sha256": hashlib.sha256(json.dumps(metrics, sort_keys=True).encode()).hexdigest(),
         "battery_sha256": battery,
     }

@@ -246,20 +246,22 @@ def test_live_metrics_do_not_depend_on_batch_size(monkeypatch, batch_events):
 
 
 def test_each_trace_event_is_encoded_once(monkeypatch):
-    encoded = []
-    encode = tr.encode_events
+    packed = []
+    pack = tr.pack_events
 
     def counting(events):
-        encoded.extend(events)
-        return encode(events)
+        packed.extend(events)
+        return pack(events)
 
-    monkeypatch.setattr(tr, "encode_events", counting)
+    monkeypatch.setattr(tr, "pack_events", counting)
     for scn in (load_scenario("standby_recovery"), small_flood()):
-        encoded.clear()
+        packed.clear()
         buf = io.StringIO()
         live = Simulation(scn, trace_writer=tr.TraceWriter(buf)).run().metrics
         events = sum(live["counts"].values())
-        assert len(encoded) == events
+        assert len(packed) == events
+        # the header, then one record per event
+        assert len(buf.getvalue().splitlines()) == 1 + events
         assert hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest() == live["trace_sha256"]
     # the flood fills several batches and ends on a partial one
     assert events > 2 * tr.BATCH_EVENTS and events % tr.BATCH_EVENTS
@@ -283,13 +285,15 @@ def test_failed_run_keeps_every_emitted_line(tmp_path, monkeypatch):
         sim = Simulation(scn, trace_writer=tr.TraceWriter(fh))
         with pytest.raises(RuntimeError, match="handler failed"):
             sim.run()
-    text = path.read_text()
     emitted = sum(sim.builder.counts)
     assert emitted >= stop_after and emitted % tr.BATCH_EVENTS
-    assert len(text.splitlines()) == emitted
-    # the same lines, in order, that the run writes when nothing fails
-    assert full.getvalue().startswith(text)
-    assert hashlib.sha256(text.encode("ascii")).hexdigest() == sim.trace.hexdigest()
+    events = list(tr.read_trace(path))
+    assert len(events) == emitted
+    # the same records, in order, that the run writes when nothing fails
+    full.seek(0)
+    assert events == list(tr.read_trace(full))[:emitted]
+    assert full.getvalue().startswith(path.read_text())
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sim.trace.hexdigest()
 
 
 def test_battery_csv_layout(tmp_path):

@@ -37,7 +37,8 @@ def build(nodes, links, schedule, protocol="routing", seed=1, **extra):
 
 def decoded(buf):
     """The events a trace writer wrote to an in-memory buffer."""
-    return [tr.decode_event(line) for line in buf.getvalue().splitlines()]
+    buf.seek(0)
+    return list(tr.read_trace(buf))
 
 
 def run_traced(scn):

@@ -1,36 +1,23 @@
-"""The batched trace encoder writes the bytes of the one-line-per-event rules."""
+"""The packed trace: one record per line, exact round trips, clean refusals,
+and the NDJSON rendering."""
 
+import base64
 import hashlib
 import io
+import struct
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from loramesh import trace as tr
 
-
-def reference_line(ev):
-    """The per-event rules, one event at a time."""
-    parts = [f'"t":{ev[tr.T]!r},"ev":"{tr.EVENT_NAMES[ev[tr.KIND]]}","node":{ev[tr.NODE]}']
-    if ev[tr.PKT] is not None:
-        parts.append(f'"pkt":{ev[tr.PKT]}')
-    if ev[tr.PEER] is not None:
-        parts.append(f'"peer":{ev[tr.PEER]}')
-    if ev[tr.DUR] is not None:
-        parts.append(f'"dur":{ev[tr.DUR]!r}')
-    if ev[tr.CH] is not None:
-        parts.append(f'"ch":{ev[tr.CH]}')
-    return "{" + ",".join(parts) + "}"
-
-
-def reference_text(events):
-    return "".join(reference_line(ev) + "\n" for ev in events)
-
-
-# finite floats only: the trace is JSON, and repr(nan) is not
+# finite floats only: the NDJSON rendering is JSON, and repr(nan) is not
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 1e-07, 1e16, 5e-324, 0.014144, 1.7976931348623157e308]
 )
-SLOT = st.none() | st.integers(min_value=0, max_value=10**6)
+# the widest values the record's int slots hold, or None
+SLOT = st.none() | st.integers(min_value=0, max_value=2**31 - 1)
+CHANNEL = st.none() | st.integers(min_value=0, max_value=127)
 
 
 def _reuse(draw, previous, fresh):
@@ -56,96 +43,148 @@ def event_lists(draw):
     pkt = peer = ch = None
     for _ in range(draw(st.integers(min_value=0, max_value=30))):
         t = _reuse(draw, t, FLOATS)
-        dur = _reuse(draw, dur, st.none() | FLOATS | st.integers(min_value=0, max_value=3))
+        dur = _reuse(draw, dur, st.none() | FLOATS)
         kind = draw(st.integers(min_value=0, max_value=len(tr.EVENT_NAMES) - 1))
-        node = draw(st.integers(min_value=0, max_value=2000))
+        node = draw(st.integers(min_value=0, max_value=2**31 - 1))
         how = draw(st.sampled_from(("frame", "frame", "channel", "equal", "new")))
         if how == "new" or not events:
-            pkt, peer, ch = draw(SLOT), draw(SLOT), draw(SLOT)
+            pkt, peer, ch = draw(SLOT), draw(SLOT), draw(CHANNEL)
         elif how == "channel":
-            ch = draw(SLOT)
+            ch = draw(CHANNEL)
         elif how == "equal":
             pkt, peer, ch = (None if x is None else int(str(x)) for x in (pkt, peer, ch))
         events.append((t, kind, node, pkt, peer, dur, ch))
     return events
 
 
-T0 = 1.5
-# one frame end: the same pkt and peer objects in every outcome
-PKT, PEER = 70000, 9
-EDGES = [
-    (T0, tr.STANDBY_CANCELLED, 3, 7, None, None, None),
-    (T0, tr.STANDBY_CANCELLED, 3, 8, 2, None, None),
-    (1e-07, tr.TX_END, 1, 9, None, 1e16, 0),
-    (float("1e-07"), tr.RX_OK, 2, 9, 1, 1e16, 0),
-    (2.0, tr.RX_OK, 2, 9, 1, 0.0, 0),
-    (2.0, tr.RX_OK, 2, 9, 1, -0.0, 0),
-    (2.0, tr.RX_OK, 2, 9, 1, 1.0, 0),
-    (2.0, tr.RX_OK, 2, 9, 1, 1, 0),
-    (2.0, tr.RX_OK, 2, 9, 1, 1.0, 0),
-    (0.0, tr.GENERATED, 101, 10, None, None, None),
-    (-0.0, tr.GENERATED, 101, 11, None, None, None),
-    # outcomes of one frame with a DuplicateSuppressed between them
-    (3.25, tr.RX_OK, 4, PKT, PEER, 0.014144, 0),
-    (3.25, tr.DUP_SUPPRESSED, 4, PKT, PEER, None, None),
-    (3.25, tr.RX_COLLIDED, 5, PKT, PEER, 0.014144, 0),
-    # the same pkt, peer and ch under a changed duration
-    (4.0, tr.RX_OK, 4, PKT, PEER, 0.02, 0),
-    (4.0, tr.RX_OK, 5, PKT, PEER, 0.03, 0),
-    # a changed ch under an equal duration
-    (5.0, tr.RX_OK, 4, PKT, PEER, 0.03, 0),
-    (5.0, tr.RX_OK, 5, PKT, PEER, 0.03, 1),
-    # equal but distinct durations with others between them
-    (6.0, tr.TX_END, 4, 12, None, 0.014144, 0),
-    (6.0, tr.TX_END, 5, 13, None, 0.03, 0),
-    (6.0, tr.TX_END, 6, 14, None, float("0.014144"), 0),
-    (6.0, tr.TX_END, 7, 15, None, 0.02, 0),
-    (6.0, tr.TX_END, 8, 16, None, float(repr(0.03)), 0),
-    # the memo's keys are floats: 1 after 1.0, 1.0 after 1, 0.0 after -0.0
-    (7.0, tr.TX_END, 1, 17, None, 1.0, 0),
-    (7.0, tr.TX_END, 1, 18, None, 0.5, 0),
-    (7.0, tr.TX_END, 1, 19, None, 1, 0),
-    (7.0, tr.TX_END, 1, 20, None, 0.5, 0),
-    (7.0, tr.TX_END, 1, 21, None, 1.0, 0),
-    (7.0, tr.TX_END, 1, 22, None, -0.0, 0),
-    (7.0, tr.TX_END, 1, 23, None, 0.0, 0),
+# float edges and every None slot
+ROUND_TRIPS = [
+    (-0.0, tr.GENERATED, 0, None, None, None, None),
+    (5e-324, tr.TX_START, 2**31 - 1, 2**31 - 1, None, 1.7976931348623157e308, 127),
+    (1.7976931348623157e308, tr.RX_OK, 1, 0, 0, -0.0, 0),
+    (0.0, tr.DUP_SUPPRESSED, 1, 0, 0, 5e-324, None),
+    (1e16, tr.STANDBY_CANCELLED, 3, None, 2, None, None),
 ]
 
 
-@given(event_lists())
-@example(EDGES)
-def test_encode_events_matches_the_per_event_rules(events):
-    text = tr.encode_events(events)
-    assert text == reference_text(events)
-    lines = text.splitlines()
-    assert len(lines) == len(events)
-    for line, ev in zip(lines, events):
-        # repr tells 0.0 from -0.0 and 1 from 1.0
-        assert list(map(repr, tr.decode_event(line))) == list(map(repr, ev))
-
-
-@given(event_lists())
-@example(EDGES)
-def test_writer_output_spans_batches_unchanged(events):
-    # enough copies that the writer flushes full batches and a partial one
-    stream = events * (tr.BATCH_EVENTS // max(len(events), 1) + 2)
+def written(events, cuts=()):
+    """The file a writer leaves when it is flushed after each index in ``cuts``."""
     buf = io.StringIO()
     writer = tr.TraceWriter(buf)
-    for ev in stream:
-        writer.add(ev)
+    for i, ev in enumerate(events):
+        writer.batch.append(ev)
+        if i in cuts:
+            writer.flush()
     digest = writer.hexdigest()
-    expected = reference_text(stream)
-    assert buf.getvalue() == expected
-    assert digest == hashlib.sha256(expected.encode("ascii")).hexdigest()
+    return buf.getvalue(), digest
 
 
-def test_duration_memo_stays_bounded():
-    # more distinct durations than the memo holds, then each again as an
-    # equal but distinct float, in reverse
-    durations = [0.001 * (k + 1) for k in range(tr.DUR_PIECES_MAX + 40)]
-    again = [float(repr(d)) for d in reversed(durations)]
-    events = [(1.0, tr.TX_END, 1, k, None, d, 0) for k, d in enumerate(durations + again)]
-    for _ in range(2):
-        assert tr.encode_events(events) == reference_text(events)
-        assert len(tr._dur_pieces) <= tr.DUR_PIECES_MAX
-    assert tr.encode_events(EDGES) == reference_text(EDGES)
+@given(event_lists(), st.sets(st.integers(min_value=0, max_value=30)))
+@example(ROUND_TRIPS, {0, 2})
+def test_writer_output_spans_batches_unchanged(events, cuts):
+    text, digest = written(events, cuts)
+    whole = tr.HEADER + tr.pack_events(events).decode("ascii")
+    assert (text, digest) == (whole, hashlib.sha256(whole.encode("ascii")).hexdigest())
+    lines = text.splitlines(keepends=True)
+    assert lines[0] == tr.HEADER
+    assert all(len(line) == tr.RECORD_CHARS + 1 for line in lines[1:])
+    again = list(tr.read_trace(io.StringIO(text)))
+    # repr tells 0.0 from -0.0 and keeps every last bit
+    assert [list(map(repr, ev)) for ev in again] == [list(map(repr, ev)) for ev in events]
+    assert written(again)[1] == digest
+
+
+def test_an_empty_trace_is_its_header():
+    text, digest = written([])
+    assert text == tr.HEADER
+    assert digest == hashlib.sha256(tr.HEADER.encode("ascii")).hexdigest()
+    assert tr.TraceWriter().hexdigest() == digest
+    assert list(tr.read_trace(io.StringIO(text))) == []
+
+
+def test_record_layout():
+    ev = (1.5, tr.RX_OK, 7, 9, 3, 0.25, 1)
+    (line,) = tr.pack_events([ev]).splitlines()
+    assert struct.unpack("<dBiiidb", base64.b64decode(line)) == ev
+    (line,) = tr.pack_events([(1.5, tr.GENERATED, 7, None, None, None, None)]).splitlines()
+    t, kind, node, pkt, peer, dur, ch = struct.unpack("<dBiiidb", base64.b64decode(line))
+    assert (t, kind, node, pkt, peer, ch) == (1.5, tr.GENERATED, 7, -1, -1, -1)
+    assert dur != dur
+
+
+@pytest.mark.parametrize("slot, value", [(tr.NODE, 2**31), (tr.PKT, 2**31), (tr.CH, 128)])
+def test_a_value_beyond_its_slot_raises_and_never_wraps(slot, value):
+    ev = [1.0, tr.TX_START, 1, 2, None, 0.5, 0]
+    ev[slot] = value
+    with pytest.raises(struct.error):
+        tr.pack_events([tuple(ev)])
+
+
+def trace_file(tmp_path, text):
+    path = tmp_path / "trace.ndjson"
+    path.write_text(text)
+    return path
+
+
+# a version 1 trace line, a missing header and an unknown one, a bad record
+V1_LINE = '{"t":0.0,"ev":"Generated","node":101,"pkt":0}\n'
+RECORD = tr.pack_events([(0.0, tr.GENERATED, 101, 0, None, None, None)]).decode("ascii")
+WRONG_FILES = {
+    "v1-ndjson": (V1_LINE * 2, 1, "version 1 NDJSON trace"),
+    "empty": ("", 1, "no trace header"),
+    "no-header": (RECORD * 2, 1, "no trace header"),
+    "unknown-version": (tr.HEADER.replace('"version":2', '"version":3') + RECORD, 1, "version 3"),
+    "short-record": (tr.HEADER + RECORD + RECORD[:30] + "\n", 3, "base64 record"),
+    "long-record": (tr.HEADER + RECORD[:-1] + "AAAA\n", 2, "base64 record"),
+    "not-base64": (tr.HEADER + RECORD + "!" * 40 + "\n", 3, "base64 record"),
+    "one-bad-char": (tr.HEADER + RECORD[:20] + "*" + RECORD[21:], 2, "base64 record"),
+    "padded": (tr.HEADER + RECORD[:36] + "====\n", 2, "base64 record"),
+    "no-newline": (tr.HEADER + RECORD[:-1], 2, "base64 record"),
+    "non-ascii": (tr.HEADER + "é" * 40 + "\n", 2, "base64 record"),
+    "unknown-kind": (
+        tr.HEADER + tr.pack_events([(0.0, 200, 1, 0, None, None, None)]).decode("ascii"),
+        2,
+        "unknown event kind 200",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_FILES))
+def test_a_wrong_file_names_its_file_and_line(tmp_path, case):
+    text, lineno, why = WRONG_FILES[case]
+    path = trace_file(tmp_path, text)
+    with pytest.raises(tr.TraceFormatError, match=why) as exc:
+        list(tr.read_trace(path))
+    assert str(exc.value).startswith(f"{path}:{lineno}: ")
+    assert isinstance(exc.value, ValueError)
+
+
+# the NDJSON rendering of version 1, pinned line by line
+EDGES = [
+    ((-0.0, tr.GENERATED, 101, 11, None, None, None), '{"t":-0.0,"ev":"Generated","node":101,"pkt":11}'),
+    (
+        (1e-07, tr.TX_END, 1, 9, None, 1e16, 0),
+        '{"t":1e-07,"ev":"TxEnd","node":1,"pkt":9,"dur":1e+16,"ch":0}',
+    ),
+    (
+        (2.0, tr.RX_OK, 2, 9, 1, -0.0, 0),
+        '{"t":2.0,"ev":"RxOk","node":2,"pkt":9,"peer":1,"dur":-0.0,"ch":0}',
+    ),
+    (
+        (1.5, tr.STANDBY_CANCELLED, 3, 7, None, None, None),
+        '{"t":1.5,"ev":"StandbyCancelled","node":3,"pkt":7}',
+    ),
+    (
+        (1.5, tr.STANDBY_CANCELLED, 3, 8, 2, None, None),
+        '{"t":1.5,"ev":"StandbyCancelled","node":3,"pkt":8,"peer":2}',
+    ),
+    (
+        (3.25, tr.RX_COLLIDED, 5, 70000, 9, 0.014144, 1),
+        '{"t":3.25,"ev":"RxCollided","node":5,"pkt":70000,"peer":9,"dur":0.014144,"ch":1}',
+    ),
+]
+
+
+def test_ndjson_line_edges():
+    for ev, line in EDGES:
+        assert tr.ndjson_line(ev) == line + "\n"
