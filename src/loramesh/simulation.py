@@ -15,16 +15,19 @@ battery-triggered switches live.
 The hearer rows come from the channel's audibility map
 (``LinkModel.hearing``), drawn once per run; the oracle planner plans
 over the same map, so a routed hop is always a link the run hears.
+Links are symmetric, so a receiver's own row also names every sender it
+hears, with the power it receives.
 
-Only a receiver that hears a frame's sender can be disturbed by it, so
-no scan covers the whole network. Each node keeps one hearing list per
-channel: every frame from a sender it hears, in begin order, with the
-power it receives. A frame is added to the lists of its sender's
-hearers when it begins, and a list drops its oldest frames, once they
-ended more than the longest airtime ago, when it next grows. Carrier
-sense reads the node's own mesh list, and the strongest rival of a
-frame at a peer is the loudest other frame in the peer's list that
-overlaps it.
+Interference is read from those rows and from each node's two latest
+frames; no scan covers the whole network. A node runs one MAC chain on
+one channel (end devices on the end-device channel, the others on the
+mesh channel), so its frames never overlap and begin in order. Of its
+frames that overlap a frame ending at t1, the latest begun before t1 is
+then its last or, when the last began at exactly t1 before that end was
+arbitrated, the one before. Carrier sense asks whether a sender in the
+node's row has its last frame on the mesh channel still on air; a
+frame's strongest rival at a peer is the loudest other sender in the
+peer's row with a frame on that channel overlapping it.
 
 Energy is billed where it is spent: each decoded or collided frame is
 charged to the peer's ledger at its end, and each transmission to the
@@ -43,7 +46,6 @@ events pop in insertion order.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from . import routing as rt
@@ -96,8 +98,8 @@ class Node:
         "ntable",
         "learned",
         "chain_active",
-        "tx_intervals",
-        "hearing",
+        "last",
+        "prev",
     )
 
     def __init__(self, uid: int, role_flags: tuple[bool, bool, bool], queue: TxQueue, dedup: DedupCache, ledger: EnergyLedger, ntable: NeighborTable) -> None:
@@ -110,10 +112,10 @@ class Node:
         self.ntable = ntable
         self.learned = LearnedTable(uid)
         self.chain_active = False
-        self.tx_intervals: deque[tuple[float, float]] = deque()
-        # per channel, the frames this node hears, in begin order, as
-        # (transmission, received power)
-        self.hearing: tuple[list, list] = ([], [])
+        # this node's latest frame and the one before it: all that
+        # interference and carrier sense read (see the module docstring)
+        self.last: Transmission | None = None
+        self.prev: Transmission | None = None
 
 
 @dataclass
@@ -134,7 +136,6 @@ class Simulation:
         self.topology = topo
         links = topo.links
         self.capture = links.capture_threshold_db
-        self.max_air = airtime(self.radio, 255)
         self.protocol = scenario.protocol
         self.standby_enabled = scenario.standby_enabled and self.protocol != "flooding"
         self.energy_aware = self.protocol == "routing"
@@ -316,8 +317,9 @@ class Simulation:
 
     def _mesh_busy(self, node: Node) -> bool:
         now = self.queue.now
-        for t, _p in node.hearing[MESH_CHANNEL]:
-            if t.t0 <= now < t.t1:
+        for sender, p in self.linked[node.uid]:
+            t = sender.last
+            if p is not None and t is not None and t.channel == MESH_CHANNEL and t.t0 <= now < t.t1:
                 return True
         return False
 
@@ -340,21 +342,8 @@ class Simulation:
         t1 = now + dur
         uid = node.uid
         trans = Transmission(uid, channel, now, t1, packet)
-        # A frame that ended by ``horizon`` overlaps nothing still on air.
-        horizon = now - self.max_air
-        for peer, p in self.linked[uid]:
-            if p is not None:
-                heard = peer.hearing[channel]
-                if heard and heard[0][0].t1 <= horizon:
-                    k = 1
-                    while k < len(heard) and heard[k][0].t1 <= horizon:
-                        k += 1
-                    del heard[:k]
-                heard.append((trans, p))
-        intervals = node.tx_intervals
-        intervals.append((now, t1))
-        while intervals and intervals[0][1] <= horizon:
-            intervals.popleft()
+        node.prev = node.last
+        node.last = trans
         self._batch.append((now, tr.TX_START, uid, packet.packet_id, None, dur, channel))
         self.queue.push(t1, self._ev_tx_end, (trans,))
 
@@ -368,6 +357,7 @@ class Simulation:
         pid = trans.packet.packet_id
         ch = trans.channel
         append = self._batch.append
+        sender = self.nodes[uid]
         # Reception at each live peer, in the order RxBelowSens (the
         # audibility map) -> DroppedBusyTx -> capture over the overlapping
         # frames the peer hears. Peers decode, and are billed, before the
@@ -382,22 +372,22 @@ class Simulation:
             if p is None:
                 append((now, tr.RX_BELOW_SENS, peer, pid, uid, None, ch))
                 continue
-            busy = False
-            for a, b in node.tx_intervals:
-                if a < t1 and b > t0:
-                    busy = True
-                    break
-            if busy:
+            # A node's frame overlapping [t0, t1) is its last or, when that
+            # began at t1, the one before (see the module docstring).
+            t = node.last
+            if t is not None and t.t0 >= t1:
+                t = node.prev
+            if t is not None and t.t1 > t0:
                 append((now, tr.DROPPED_BUSY_TX, peer, pid, uid, None, ch))
                 continue
             strongest = None
-            for t, ip in node.hearing[ch]:
-                if (
-                    t.t0 < t1
-                    and t.t1 > t0
-                    and t is not trans
-                    and (strongest is None or ip > strongest)
-                ):
+            for other, ip in self.linked[peer]:
+                t = other.last
+                if t is not None and t.t0 >= t1:
+                    t = other.prev
+                if t is None or t.t1 <= t0 or ip is None or other is sender:
+                    continue
+                if t.channel == ch and (strongest is None or ip > strongest):
                     strongest = ip
             ok = captures(p, strongest, self.capture)
             ledger.charge_rx(start, now)
@@ -406,21 +396,20 @@ class Simulation:
                 self._kill(node)
             elif ok:
                 self._deliver(node, trans.packet, uid, p)
-        node = self.nodes[uid]
-        ledger = node.ledger
+        ledger = sender.ledger
         if not ledger.dead:
             ledger.charge_tx(start, now)
             append((now, tr.TX_END, uid, pid, None, dur, ch))
         if ledger.dead:
-            self._kill(node)
+            self._kill(sender)
             return
-        if node.queue:
-            if node.is_ed:
-                self._begin_tx(node, node.queue.pop(), ED_CHANNEL)
+        if sender.queue:
+            if sender.is_ed:
+                self._begin_tx(sender, sender.queue.pop(), ED_CHANNEL)
             else:
                 self.queue.push(now + self._wait(uid), self._ev_sense, (uid,))
         else:
-            node.chain_active = False
+            sender.chain_active = False
 
     def _kill(self, node: Node) -> None:
         node.chain_active = False
@@ -659,11 +648,15 @@ class Simulation:
         """Queue one downlink packet at gateway ``gw_uid``; returns its pid.
 
         Flooding sends it to everyone; the routing protocols address it
-        to the gateway's forwarding set.
+        to the gateway's forwarding set. Raises ``ValueError`` for a node
+        that is not a gateway: only gateways send downlink.
         """
+        node = self.nodes[gw_uid]
+        if not node.is_gateway:
+            role = self.topology.nodes[gw_uid].role
+            raise ValueError(f"node {gw_uid} ({role}) is not a gateway; downlink enters at a gateway")
         # route tables must exist before the forwarding set is stamped
         self._bootstrap()
-        node = self.nodes[gw_uid]
         next_hop = None if self.protocol == "flooding" else node.route.downstream_current
         return self._originate(node, DATA_DOWN, payload_bytes, next_hop)
 

@@ -210,12 +210,18 @@ def read_trace(source):
 
     Raises ``TraceFormatError``, naming the file and the line, at a
     missing or unknown header (a version 1 NDJSON trace among them) and
-    at a line that is not one record.
+    at a line that is not one record; and, naming the file, at a path
+    that cannot be opened.
     """
     if isinstance(source, (str, os.PathLike)):
-        # undecodable bytes become a line that is not a record
-        with open(source, encoding="ascii", errors="replace") as fh:
-            yield from _records(fh, os.fspath(source))
+        name = os.fspath(source)
+        try:
+            # undecodable bytes become a line that is not a record
+            fh = open(source, encoding="ascii", errors="replace")
+        except OSError as exc:
+            raise TraceFormatError(f"{name}: cannot read trace: {exc.strerror}") from exc
+        with fh:
+            yield from _records(fh, name)
     else:
         yield from _records(source, getattr(source, "name", "<trace>"))
 

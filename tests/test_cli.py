@@ -302,15 +302,19 @@ class TestRender:
             ("no-header", "AAAAAAAAFEAAZQAAAAAAAAD/////AAAAAAAA+H//\n", ":1: no trace header"),
             ("unknown-header", '{"format":"loramesh-trace","version":9}\n', ":1: unknown trace header"),
             ("bad-record", None, ":3: not one 40-character base64 record"),
+            ("directory", None, ": cannot read trace: Is a directory"),
         ],
     )
     def test_a_wrong_file_exits_2_with_one_error_line(self, tmp_path, capsys, case, text, where):
         path = tmp_path / f"{case}.ndjson"
-        if text is None:
-            assert main(["simulate", "--scenario", "standby_recovery", "--out-dir", str(tmp_path)]) == 0
-            lines = (tmp_path / "trace.ndjson").read_text().splitlines(keepends=True)
-            text = "".join(lines[:2]) + "not base64\n" + "".join(lines[2:])
-        path.write_text(text)
+        if case == "directory":
+            path.mkdir()
+        else:
+            if text is None:
+                assert main(["simulate", "--scenario", "standby_recovery", "--out-dir", str(tmp_path)]) == 0
+                lines = (tmp_path / "trace.ndjson").read_text().splitlines(keepends=True)
+                text = "".join(lines[:2]) + "not base64\n" + "".join(lines[2:])
+            path.write_text(text)
         capsys.readouterr()
         assert main(["render", "--trace", str(path)]) == 2
         err = capsys.readouterr().err

@@ -384,6 +384,15 @@ def test_downlink_coverage_reaches_leaf_repeaters():
     assert tx_nodes.count(2) == 0  # the leaf holds no forwarding duty
 
 
+@pytest.mark.parametrize("uid, role", [(101, "end_device"), (1, "repeater")])
+def test_downlink_enters_only_at_a_gateway(uid, role):
+    # an end device would otherwise send a mesh-channel frame
+    sim = Simulation(load_scenario("representative"))
+    with pytest.raises(ValueError, match=rf"^node {uid} \({role}\) is not a gateway"):
+        sim.inject_downlink(uid)
+    assert not sim.queue
+
+
 def test_node_death_silences_it_and_sets_lifetime():
     scn = build(
         [
@@ -475,7 +484,7 @@ def test_one_shot_instance_hooks_on_pop_and_run():
 
 
 # ----------------------------------------------------------------------
-# hearing lists against a network-wide scan
+# the two-frame interference rule against a network-wide scan
 
 RECEPTION_KINDS = (tr.RX_OK, tr.RX_COLLIDED, tr.RX_BELOW_SENS, tr.DROPPED_BUSY_TX)
 
@@ -498,8 +507,14 @@ class ScanChecked(Simulation):
 
     def _begin_tx(self, node, packet, channel) -> None:
         super()._begin_tx(node, packet, channel)
-        t0, t1 = node.tx_intervals[-1]
-        self.frames.append((node.uid, channel, t0, t1))
+        trans = node.last
+        # the premise of the two-frame rule: a node's frames never overlap,
+        # begin in order, and all go out on one channel
+        for tx, c, _a, b in reversed(self.frames):
+            if tx == node.uid:
+                assert trans.t0 >= b and c == channel
+                break
+        self.frames.append((node.uid, channel, trans.t0, trans.t1))
 
     def _mesh_busy(self, node) -> bool:
         now = self.queue.now
@@ -763,7 +778,8 @@ def begin_at(sim, uid, when, pid, payload_bytes=20):
     sim.queue.now = when
     packet = Packet(pid, BEACON, uid, None, payload_bytes)
     sim._begin_tx(sim.nodes[uid], packet, MESH_CHANNEL)
-    return sim.nodes[uid].tx_intervals[-1]
+    trans = sim.nodes[uid].last
+    return trans.t0, trans.t1
 
 
 def end_next(sim):
@@ -772,14 +788,15 @@ def end_next(sim):
     fn(*args)
 
 
-def outcomes_at_gateway(sim):
-    """The gateway's outcome for each frame; ends every frame still on air."""
+def outcomes_at_gateway(sim, uid=0):
+    """The gateway's (or ``uid``'s) outcome for each frame; ends every frame
+    still on air."""
     while sim.queue:
         end_next(sim)
     return {
         ev[tr.PKT]: ev[tr.KIND]
         for ev in sim.trace.batch
-        if ev[tr.NODE] == 0 and ev[tr.KIND] in RECEPTION_KINDS
+        if ev[tr.NODE] == uid and ev[tr.KIND] in RECEPTION_KINDS
     }
 
 
@@ -819,3 +836,33 @@ def test_a_rival_that_ended_still_counts_against_a_longer_frame():
     assert sim.queue.now == t1
     begin_at(sim, 4, t1 + 0.015, 2)
     assert outcomes_at_gateway(sim) == {0: tr.RX_OK, 1: tr.RX_COLLIDED, 2: tr.RX_COLLIDED}
+
+
+def test_a_rival_frame_before_one_begun_at_the_end_still_counts():
+    # 2's short frame overlaps 1's long frame, and 2 begins its next frame
+    # at the long frame's end instant, before that end is arbitrated: the
+    # overlapping frame is then 2's frame before its last
+    sim = ScanChecked(hidden_pair(100.0, 100.0))
+    _t0, t1 = begin_at(sim, 1, 2.0, 0, payload_bytes=200)
+    begin_at(sim, 2, 2.001, 1)
+    end_next(sim)
+    begin_at(sim, 2, t1, 2)
+    assert outcomes_at_gateway(sim) == {0: tr.RX_COLLIDED, 1: tr.RX_COLLIDED, 2: tr.RX_OK}
+
+
+def test_an_own_frame_before_one_begun_at_the_end_still_drops():
+    # the same timing with the receiver's own frames: repeater 1 sends
+    # while the gateway's long frame is on air
+    sim = ScanChecked(
+        build(
+            [{"uid": 0, "role": "gateway"}, {"uid": 1, "role": "repeater"}],
+            [{"a": 0, "b": 1, "distance_m": 100.0}],
+            {},
+            protocol="flooding",
+        )
+    )
+    _t0, t1 = begin_at(sim, 0, 2.0, 0, payload_bytes=200)
+    begin_at(sim, 1, 2.001, 1)
+    end_next(sim)
+    begin_at(sim, 1, t1, 2)
+    assert outcomes_at_gateway(sim, uid=1) == {0: tr.DROPPED_BUSY_TX}
