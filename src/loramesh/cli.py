@@ -99,8 +99,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    with open(args.reports) as fh:
-        data = json.load(fh)
+    try:
+        with open(args.reports) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise PlannerError(f"{args.reports}: cannot read reports: {exc.strerror}") from exc
     reports, gateways = reports_from_dict(data)
     graph = plan(reports, gateways)
     for line in graph.warnings:
@@ -142,18 +145,18 @@ def cmd_learn(args) -> int:
     return 0
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _parse_list(text: str, convert, flag: str) -> list:
+    """A comma-separated command-line list, each part read by ``convert``."""
+    try:
+        return [convert(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ScenarioError(f"{flag} is not a comma-separated list of numbers: {text!r}") from None
 
 
 def cmd_loadtest(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    intervals = _parse_floats(args.intervals)
-    budgets = _parse_ints(args.budgets)
+    intervals = _parse_list(args.intervals, float, "--intervals")
+    budgets = _parse_list(args.budgets, int, "--budgets")
     if not intervals or not budgets:
         raise ScenarioError("interval and budget ladders must be nonempty")
     if any(b >= a for a, b in zip(intervals, intervals[1:])):
@@ -218,7 +221,7 @@ def _mean_std(values: list[float]) -> dict:
 
 def cmd_compare(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    seeds = _parse_ints(args.seeds)
+    seeds = _parse_list(args.seeds, int, "--seeds")
     if not seeds:
         raise ScenarioError("at least one seed required")
     collected: dict[str, dict[str, list[float]]] = {}

@@ -50,7 +50,7 @@ class EnergyLedger:
         "death_time",
     )
 
-    def __init__(self, model: EnergyModel, capacity_mah: float | None = None, start: float = 0.0) -> None:
+    def __init__(self, model: EnergyModel, capacity_mah: float | None = None) -> None:
         self.capacity = model.battery_capacity_mah if capacity_mah is None else capacity_mah
         if self.capacity <= 0:
             raise ValueError("battery capacity must be positive")
@@ -60,10 +60,10 @@ class EnergyLedger:
         self.tx_s = 0.0
         self.rx_s = 0.0
         self.idle_s = 0.0
-        self.charged_until = start
+        self.charged_until = 0.0
         self.level = 100
         self.level_floor = self._floor_bound(100)
-        self.history: list[tuple[float, int]] = [(start, 100)]
+        self.history: list[tuple[float, int]] = [(0.0, 100)]
         self.dead = False
         self.death_time: float | None = None
 

@@ -22,7 +22,7 @@ class DedupCache:
 
     __slots__ = ("ttl_s", "capacity", "_stamps")
 
-    def __init__(self, ttl_s: float = 60.0, capacity: int = 4096) -> None:
+    def __init__(self, ttl_s: float, capacity: int) -> None:
         self.ttl_s = ttl_s
         self.capacity = capacity
         self._stamps: dict[int, float] = {}
@@ -49,7 +49,7 @@ class TxQueue:
 
     __slots__ = ("capacity", "_items")
 
-    def __init__(self, capacity: int = 512) -> None:
+    def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self._items: deque = deque()
 

@@ -1,26 +1,28 @@
 """Scenario configuration: deployment, radio, traffic, and run options.
 
 A scenario file is one JSON document embedding (or referencing) the
-deployment topology plus every knob a run needs. Validation happens
-eagerly at load; anything structurally wrong, and any number that is not
-finite, raises ``ScenarioError`` and the command line maps that onto the
-configuration exit code.
+deployment topology plus every knob a run needs. One reader, ``_build``,
+turns each JSON object into its class: each key converts by the type of
+the parameter it names, and a key left out keeps the class's default.
+Node and link entries, ``topology_file`` and the role capacities in the
+energy block are read by code of their own. Validation happens eagerly
+at load: an unknown key, a value of the wrong JSON type (a flag that is
+not a boolean, an integer field given 7.9), a number that is not finite
+and each class's own checks raise ``ScenarioError``, which the command
+line maps onto the configuration exit code.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .channel import (
-    DEFAULT_CAPTURE_DB,
-    DEFAULT_SENSITIVITY_DBM,
-    LinkModel,
-    PathLossModel,
-)
+from .channel import LinkModel, PathLossModel
 from .model import EnergyModel, MAX_PAYLOAD_BYTES, RadioConfig
 
 GATEWAY = "gateway"
@@ -29,6 +31,8 @@ END_DEVICE = "end_device"
 ROLES = (GATEWAY, REPEATER, END_DEVICE)
 
 PROTOCOLS = ("flooding", "routing", "routing_no_energy")
+# Scenario fields that the scenario file sets in its "energy" block
+ROLE_CAPACITIES = ("gateway_capacity_mah", "ed_capacity_mah")
 UID_LIMIT = 2**31
 
 
@@ -157,18 +161,19 @@ class PhaseWindows:
 
 @dataclass
 class Scenario:
-    name: str
     topology: Topology
     radio: RadioConfig
     energy: EnergyModel
     traffic: TrafficSpec
     mac: MacParams
     phases: PhaseWindows
+    name: str = "unnamed"
     protocol: str = "routing"
     seed: int = 1
     horizon_s: float | None = None
     standby_enabled: bool = True
     learning_phase: bool = False
+    # None keeps energy.battery_capacity_mah for that role
     gateway_capacity_mah: float | None = None
     ed_capacity_mah: float | None = None
 
@@ -186,41 +191,113 @@ class Scenario:
 
 
 def _number(value, key: str) -> float:
-    """``float(value)``, rejecting NaN and the infinities JSON readers accept."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ScenarioError(f"{key} must be a finite number, got {value!r}")
-    return number
+    """A JSON number as a float; NaN and the infinities JSON readers accept are refused."""
+    if type(value) in (int, float) and math.isfinite(value):
+        return float(value)
+    raise ScenarioError(f"{key} must be a finite number, got {value!r}")
 
 
-def _require(data: dict, key: str, context: str):
-    if key not in data:
-        raise ScenarioError(f"{context}: missing required key {key!r}")
-    return data[key]
+def _integer(value, key: str) -> int:
+    """A JSON integer; an integral float such as ``6.0`` is accepted too."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ScenarioError(f"{key} must be an integer, got {value!r}")
+
+
+def _flag(value, key: str) -> bool:
+    if type(value) is bool:
+        return value
+    raise ScenarioError(f"{key} must be true or false, got {value!r}")
+
+
+def _text(value, key: str) -> str:
+    if type(value) is str:
+        return value
+    raise ScenarioError(f"{key} must be a string, got {value!r}")
+
+
+def _schedule(value, key: str) -> dict[int, tuple[float, ...]]:
+    """Scripted uplink times per end device; JSON object keys are uid strings."""
+    return {int(uid): tuple(_number(t, f"{key} time") for t in times) for uid, times in value.items()}
+
+
+# The conversion for each field annotation a JSON value can set. Every
+# module here postpones annotations, so an annotation is its source text.
+_CONVERSIONS = {
+    "float": _number,
+    "int": _integer,
+    "bool": _flag,
+    "str": _text,
+    "dict[int, tuple[float, ...]]": _schedule,
+}
+
+
+@functools.cache
+def _settable(cls) -> dict[str, tuple]:
+    """Each parameter of ``cls`` a JSON value can set: (conversion, whether null is allowed)."""
+    table = {}
+    for name, param in inspect.signature(cls).parameters.items():
+        kind = param.annotation
+        optional = kind.endswith(" | None")
+        convert = _CONVERSIONS.get(kind.removesuffix(" | None"))
+        if convert is not None:
+            table[name] = (convert, optional)
+    return table
+
+
+def _object(value, section: str) -> dict:
+    """A copy of one JSON object, so the reader can take its special keys out."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{section}: expected a JSON object, got {type(value).__name__}")
+    return dict(value)
+
+
+def _values(cls, data: dict, section: str, skip=()) -> dict:
+    """Each key of ``data`` converted; one naming no settable parameter, or in ``skip``, is unknown."""
+    settable = _settable(cls)
+    values = {}
+    for key, value in data.items():
+        if key not in settable or key in skip:
+            raise ScenarioError(f"{section}: unknown key {key!r}")
+        convert, optional = settable[key]
+        values[key] = None if value is None and optional else convert(value, f"{section}: {key}")
+    return values
+
+
+def _build(cls, data, section: str, skip=(), **given):
+    """``cls`` from one JSON object of the scenario file.
+
+    A key the object leaves out keeps the default ``cls`` declares, so
+    each default is written once, on the class. ``given`` holds the
+    parameters that other code reads, and a ``ValueError`` the class
+    raises becomes a ``ScenarioError`` that names the section.
+    """
+    values = _values(cls, _object(data, section), section, skip)
+    try:
+        return cls(**values, **given)
+    except ValueError as exc:
+        raise ScenarioError(f"{section}: {exc}") from exc
+
+
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def topology_from_dict(data: dict) -> Topology:
-    pl = data.get("path_loss", {})
+    data = _object(data, "topology")
     try:
-        model = PathLossModel(
-            ref_distance_m=_number(pl.get("ref_distance_m", 1.0), "ref_distance_m"),
-            ref_loss_db=_number(pl.get("ref_loss_db", 40.0), "ref_loss_db"),
-            exponent=_number(pl.get("exponent", 2.5), "exponent"),
-            shadowing_sigma_db=_number(pl.get("shadowing_sigma_db", 0.0), "shadowing_sigma_db"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"path loss model: {exc}") from exc
-    links = LinkModel(
-        path_loss_model=model,
-        sensitivity_dbm=_number(
-            data.get("sensitivity_dbm", DEFAULT_SENSITIVITY_DBM), "sensitivity_dbm"
-        ),
-        capture_threshold_db=_number(
-            data.get("capture_threshold_db", DEFAULT_CAPTURE_DB), "capture_threshold_db"
-        ),
-    )
+        node_items, link_items = data.pop("nodes"), data.pop("links")
+    except KeyError as exc:
+        raise ScenarioError(f"topology: missing required key {exc}") from None
+    path_loss = _build(PathLossModel, data.pop("path_loss", {}), "path_loss")
+    links = _build(LinkModel, data, "topology", path_loss_model=path_loss)
     nodes = []
-    for item in _require(data, "nodes", "topology"):
+    for item in node_items:
         try:
             nodes.append(
                 NodeSpec(
@@ -232,7 +309,7 @@ def topology_from_dict(data: dict) -> Topology:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"malformed node entry {item!r}: {exc}") from exc
-    for item in _require(data, "links", "topology"):
+    for item in link_items:
         try:
             distance = _number(item["distance_m"], "distance_m")
             links.add_link(int(item["a"]), int(item["b"]), distance)
@@ -249,115 +326,34 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
         return _scenario_from_dict(data, base_dir)
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {type(exc).__name__}: {exc}") from exc
 
 
 def _scenario_from_dict(data: dict, base_dir: Path | None) -> Scenario:
-    name = str(data.get("name", "unnamed"))
+    data = _object(data, "scenario")
     if "topology" in data:
-        topo_data = data["topology"]
+        topo_data = data.pop("topology")
     elif "topology_file" in data:
-        path = Path(data["topology_file"])
+        path = Path(data.pop("topology_file"))
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        try:
-            topo_data = json.loads(path.read_text())
-        except OSError as exc:
-            raise ScenarioError(f"cannot read topology file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"topology file {path} is not valid JSON: {exc}") from exc
+        topo_data = _read_json(path, "topology file")
     else:
         raise ScenarioError("scenario needs either 'topology' or 'topology_file'")
-    topology = topology_from_dict(topo_data)
-
-    radio_data = data.get("radio", {})
-    try:
-        radio = RadioConfig(
-            spreading_factor=int(radio_data.get("spreading_factor", 7)),
-            bandwidth_hz=int(radio_data.get("bandwidth_hz", 500_000)),
-            coding_rate_denominator=int(radio_data.get("coding_rate_denominator", 5)),
-            preamble_symbols=int(radio_data.get("preamble_symbols", 8)),
-            explicit_header=bool(radio_data.get("explicit_header", True)),
-            crc_on=bool(radio_data.get("crc_on", True)),
-            tx_power_dbm=_number(radio_data.get("tx_power_dbm", 14.0), "tx_power_dbm"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"radio config: {exc}") from exc
-
-    energy_data = data.get("energy", {})
-    try:
-        energy = EnergyModel(
-            battery_capacity_mah=_number(
-                energy_data.get("battery_capacity_mah", 100.0), "battery_capacity_mah"
-            ),
-            i_tx_ma=_number(energy_data.get("i_tx_ma", 500.0), "i_tx_ma"),
-            i_rx_ma=_number(energy_data.get("i_rx_ma", 50.0), "i_rx_ma"),
-            i_idle_ma=_number(energy_data.get("i_idle_ma", 1.0), "i_idle_ma"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"energy model: {exc}") from exc
-
-    traffic_data = data.get("traffic", {})
-    schedule: dict[int, tuple[float, ...]] = {}
-    for uid, times in traffic_data.get("schedule", {}).items():
-        schedule[int(uid)] = tuple(_number(t, "scripted time") for t in times)
-    traffic = TrafficSpec(
-        mean_interval_s=_number(traffic_data.get("mean_interval_s", 2.0), "mean_interval_s"),
-        payload_bytes=int(traffic_data.get("payload_bytes", 20)),
-        total_packets=int(traffic_data.get("total_packets", 0)),
-        start_s=_number(traffic_data.get("start_s", 0.0), "start_s"),
-        schedule=schedule,
-    )
-
-    mac_data = data.get("mac", {})
-    mac = MacParams(
-        wait_min_s=_number(mac_data.get("wait_min_s", 0.010), "wait_min_s"),
-        wait_max_s=_number(mac_data.get("wait_max_s", 0.100), "wait_max_s"),
-        standby_min_s=_number(mac_data.get("standby_min_s", 0.150), "standby_min_s"),
-        standby_max_s=_number(mac_data.get("standby_max_s", 0.400), "standby_max_s"),
-        queue_capacity=int(mac_data.get("queue_capacity", 512)),
-        dedup_ttl_s=_number(mac_data.get("dedup_ttl_s", 60.0), "dedup_ttl_s"),
-        dedup_capacity=int(mac_data.get("dedup_capacity", 4096)),
-    )
-
-    phase_data = data.get("phases", {})
-    phases = PhaseWindows(
-        beacon_end_s=_number(phase_data.get("beacon_end_s", 30.0), "beacon_end_s"),
-        report_end_s=_number(phase_data.get("report_end_s", 120.0), "report_end_s"),
-        dissemination_end_s=_number(
-            phase_data.get("dissemination_end_s", 180.0), "dissemination_end_s"
-        ),
-        beacon_rounds=int(phase_data.get("beacon_rounds", 3)),
-        chunk_rounds=int(phase_data.get("chunk_rounds", 3)),
-    )
-
-    horizon = data.get("horizon_s")
-    scenario = Scenario(
-        name=name,
-        topology=topology,
-        radio=radio,
-        energy=energy,
-        traffic=traffic,
-        mac=mac,
-        phases=phases,
-        protocol=str(data.get("protocol", "routing")),
-        seed=int(data.get("seed", 1)),
-        horizon_s=_number(horizon, "horizon_s") if horizon is not None else None,
-        standby_enabled=bool(data.get("standby_enabled", True)),
-        learning_phase=bool(data.get("learning_phase", False)),
-        gateway_capacity_mah=(
-            _number(energy_data["gateway_capacity_mah"], "gateway_capacity_mah")
-            if "gateway_capacity_mah" in energy_data
-            else None
-        ),
-        ed_capacity_mah=(
-            _number(energy_data["ed_capacity_mah"], "ed_capacity_mah")
-            if "ed_capacity_mah" in energy_data
-            else None
-        ),
-    )
-    return scenario
+    energy_data = _object(data.pop("energy", {}), "energy")
+    # the role capacity overrides sit in the energy block but are Scenario fields
+    roles = {key: energy_data.pop(key) for key in ROLE_CAPACITIES if key in energy_data}
+    roles = _values(Scenario, roles, "energy")
+    sections = {
+        "topology": topology_from_dict(topo_data),
+        "radio": _build(RadioConfig, data.pop("radio", {}), "radio"),
+        "energy": _build(EnergyModel, energy_data, "energy"),
+        "traffic": _build(TrafficSpec, data.pop("traffic", {}), "traffic"),
+        "mac": _build(MacParams, data.pop("mac", {}), "mac"),
+        "phases": _build(PhaseWindows, data.pop("phases", {}), "phases"),
+    }
+    return _build(Scenario, data, "scenario", skip=ROLE_CAPACITIES, **sections, **roles)
 
 
 def load_scenario(source: str | Path) -> Scenario:
@@ -370,24 +366,12 @@ def load_scenario(source: str | Path) -> Scenario:
     text_name = str(source)
     if "/" not in text_name and not text_name.endswith(".json"):
         try:
-            text = (
-                resources.files("loramesh").joinpath("data", f"{text_name}.json").read_text()
-            )
-        except (FileNotFoundError, ModuleNotFoundError) as exc:
+            text = resources.files("loramesh").joinpath("data", f"{text_name}.json").read_text()
+        except FileNotFoundError as exc:
             raise ScenarioError(f"no bundled scenario named {text_name!r}") from exc
-        base_dir = None
-    else:
-        path = Path(source)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-        base_dir = path.parent
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-    return scenario_from_dict(data, base_dir)
+        return scenario_from_dict(json.loads(text))
+    path = Path(source)
+    return scenario_from_dict(_read_json(path, "scenario"), path.parent)
 
 
 def bundled_scenario_names() -> list[str]:

@@ -214,6 +214,20 @@ MALFORMED_SCENARIOS = {
         },
         "traffic": {"schedule": {str(2**32): [1.0]}},
     },
+    # a flag must be a JSON boolean and an integer field a JSON integer;
+    # each of these once loaded as a value the file did not mean
+    "learning-phase-string": {**VALID_SCENARIO, "learning_phase": "false"},
+    "standby-string": {**VALID_SCENARIO, "standby_enabled": "no"},
+    "spreading-factor-fraction": {**VALID_SCENARIO, "radio": {"spreading_factor": 7.9}},
+    "budget-fraction": {**VALID_SCENARIO, "traffic": {"total_packets": 2.5}},
+    # a key that nothing reads, which a run would otherwise silently ignore
+    "mac-unknown-key": {**VALID_SCENARIO, "mac": {"wait_max": 0.3}},
+    "top-level-unknown-key": {**VALID_SCENARIO, "protcol": "flooding"},
+    "role-capacity-at-top-level": {**VALID_SCENARIO, "gateway_capacity_mah": 50.0},
+    "topology-unknown-key": {
+        **VALID_SCENARIO,
+        "topology": {**VALID_SCENARIO["topology"], "sensitivity": -100.0},
+    },
     # reception follows links, so this end device would lose every packet
     "attach-unlinked": {
         **VALID_SCENARIO,
@@ -225,6 +239,19 @@ MALFORMED_SCENARIOS = {
             ],
         },
     },
+}
+
+
+# The message of each mistyped or unknown value names its key.
+NAMED_KEYS = {
+    "learning-phase-string": "learning_phase",
+    "standby-string": "standby_enabled",
+    "spreading-factor-fraction": "spreading_factor",
+    "budget-fraction": "total_packets",
+    "mac-unknown-key": "mac: unknown key 'wait_max'",
+    "top-level-unknown-key": "scenario: unknown key 'protcol'",
+    "role-capacity-at-top-level": "scenario: unknown key 'gateway_capacity_mah'",
+    "topology-unknown-key": "topology: unknown key 'sensitivity'",
 }
 
 
@@ -243,6 +270,16 @@ class TestMalformedScenario:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "runtime error" not in err
+        assert NAMED_KEYS.get(case, "") in err
+
+    def test_integral_float_and_null_horizon_load(self, tmp_path):
+        document = {
+            **VALID_SCENARIO,
+            "radio": {"spreading_factor": 8.0},
+            "horizon_s": None,
+            "energy": {"ed_capacity_mah": 50},
+        }
+        assert self.simulate(tmp_path, document) == 0
 
 
 # The 0-1 link is far beyond the 16 383.75 m wire range and far below
@@ -512,6 +549,27 @@ class TestCompare:
         ratios = summary["routing_over_flooding"]
         assert set(ratios) == {"pdr", "latency_mean_ms", "duty_max_pct", "energy_mah"}
         assert ratios["pdr"] is not None
+
+
+class TestMalformedLists:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["loadtest", "--scenario", "two_ed_battery", "--intervals", "a"], "--intervals"),
+            (["loadtest", "--scenario", "two_ed_battery", "--budgets", "x"], "--budgets"),
+            (["compare", "--scenario", "two_ed_battery", "--seeds", "x"], "--seeds"),
+        ],
+        ids=["loadtest-intervals", "loadtest-budgets", "compare-seeds"],
+    )
+    def test_a_list_that_is_not_numbers_exits_2(self, tmp_path, capsys, argv, named):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} ")
+
+    def test_plan_reports_directory_exits_2(self, tmp_path, capsys):
+        rc = main(["plan", "--reports", str(tmp_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: cannot read reports")
 
 
 class TestConsoleScript:

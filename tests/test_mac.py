@@ -29,14 +29,14 @@ class OrderedDictDedup:
 
 
 def test_dedup_first_sighting_caches():
-    cache = DedupCache()
+    cache = DedupCache(ttl_s=60.0, capacity=4096)
     assert cache.seen(7, 0.0) is False
     assert cache.seen(7, 1.0) is True
     assert cache.seen(8, 1.0) is False
 
 
 def test_dedup_ttl_expiry():
-    cache = DedupCache(ttl_s=60.0)
+    cache = DedupCache(ttl_s=60.0, capacity=4096)
     cache.seen(7, 0.0)
     assert cache.seen(7, 59.9) is True
     # entry inserted at t=0 expires once now - ttl >= 0
