@@ -18,10 +18,11 @@ import os
 import statistics
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .metrics import write_battery_csv
 from .planner import PlannerError, plan, plan_to_json, reports_from_dict
-from .scenario import PROTOCOLS, Scenario, ScenarioError, load_scenario
+from .scenario import PROTOCOLS, Scenario, ScenarioError, _read_json, load_scenario
 from .simulation import Simulation
 from .trace import TraceFormatError, TraceWriter, ndjson_line, read_trace
 
@@ -57,7 +58,10 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 
 def _out_dir(args) -> str:
     path = args.out_dir or "."
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"--out-dir {path}: {exc.strerror}") from exc
     return path
 
 
@@ -99,16 +103,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    try:
-        with open(args.reports) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise PlannerError(f"{args.reports}: cannot read reports: {exc.strerror}") from exc
-    reports, gateways = reports_from_dict(data)
+    out = _out_dir(args)
+    reports, gateways = reports_from_dict(_read_json(Path(args.reports), "reports file"))
     graph = plan(reports, gateways)
     for line in graph.warnings:
         print(f"warning: {line}", file=sys.stderr)
-    out = _out_dir(args)
     path = os.path.join(out, "routing_tables.json")
     with open(path, "w") as fh:
         fh.write(plan_to_json(graph))
@@ -126,6 +125,7 @@ def cmd_learn(args) -> int:
         horizon_s=scenario.phases.dissemination_end_s,
         protocol="routing" if scenario.protocol == "flooding" else scenario.protocol,
     )
+    out = _out_dir(args)
     _metrics, sim = _run_once(scenario)
     if sim.graph is None:
         print("error: discovery produced no usable plan", file=sys.stderr)
@@ -135,7 +135,6 @@ def cmd_learn(args) -> int:
     installed = sum(
         1 for uid in sim.topology.repeaters if sim.nodes[uid].route.installed
     )
-    out = _out_dir(args)
     path = os.path.join(out, "routing_tables.json")
     with open(path, "w") as fh:
         fh.write(plan_to_json(sim.graph))
@@ -161,6 +160,7 @@ def cmd_loadtest(args) -> int:
         raise ScenarioError("interval and budget ladders must be nonempty")
     if any(b >= a for a, b in zip(intervals, intervals[1:])):
         raise ScenarioError("intervals must be strictly descending")
+    out = _out_dir(args)
     report = {"scenario": scenario.name, "protocol": scenario.protocol, "intervals": []}
     n_eds = len(scenario.topology.end_devices)
     knee = None
@@ -203,7 +203,6 @@ def cmd_loadtest(args) -> int:
         print(f"interval={interval}s growth={shown} saturated={saturated}")
     report["knee_interval_s"] = knee
     report["knee_rate_pkt_per_s"] = None if knee is None else n_eds / knee
-    out = _out_dir(args)
     _dump_json(os.path.join(out, "loadtest.json"), report)
     if knee is None:
         print("no saturation observed on this ladder")
@@ -224,6 +223,7 @@ def cmd_compare(args) -> int:
     seeds = _parse_list(args.seeds, int, "--seeds")
     if not seeds:
         raise ScenarioError("at least one seed required")
+    out = _out_dir(args)
     collected: dict[str, dict[str, list[float]]] = {}
     for protocol in ("flooding", "routing"):
         rows = {"pdr": [], "latency_mean_ms": [], "duty_max_pct": [], "energy_mah": []}
@@ -251,7 +251,6 @@ def cmd_compare(args) -> int:
         base = summary["flooding"][key]["mean"]
         ratios[key] = summary["routing"][key]["mean"] / base if base else None
     summary["routing_over_flooding"] = ratios
-    out = _out_dir(args)
     _dump_json(os.path.join(out, "compare.json"), summary)
     for protocol in ("flooding", "routing"):
         row = summary[protocol]
@@ -339,13 +338,7 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
         return args.fn(args)
-    except (
-        ScenarioError,
-        PlannerError,
-        TraceFormatError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ScenarioError, PlannerError, TraceFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001

@@ -56,9 +56,9 @@ class MetricsBuilder:
             role = self.roles[uid]
             capacity = None
             if role == GATEWAY:
-                capacity = scenario.gateway_capacity_mah
+                capacity = scenario.energy.gateway_capacity_mah
             elif role == END_DEVICE:
-                capacity = scenario.ed_capacity_mah
+                capacity = scenario.energy.ed_capacity_mah
             self.ledgers[uid] = EnergyLedger(scenario.energy, capacity)
         self.generated: dict[int, tuple[float, int]] = {}
         self.delivered: dict[int, float] = {}

@@ -108,10 +108,17 @@ class EnergyModel:
     i_tx_ma: float = 500.0
     i_rx_ma: float = 50.0
     i_idle_ma: float = 1.0
+    # None keeps battery_capacity_mah for that role
+    gateway_capacity_mah: float | None = None
+    ed_capacity_mah: float | None = None
 
     def __post_init__(self) -> None:
         if self.battery_capacity_mah <= 0:
             raise ValueError("battery capacity must be positive")
+        if self.gateway_capacity_mah is not None and self.gateway_capacity_mah <= 0:
+            raise ValueError("gateway_capacity_mah must be positive")
+        if self.ed_capacity_mah is not None and self.ed_capacity_mah <= 0:
+            raise ValueError("ed_capacity_mah must be positive")
         for value in (self.i_tx_ma, self.i_rx_ma, self.i_idle_ma):
             if value < 0:
                 raise ValueError("current draw cannot be negative")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .learning import quantize_distance
 from .model import MAX_PAYLOAD_BYTES, pack_frames, table_row_bytes
+from .scenario import _integer, _number
 
 INFINITE = float("inf")
 
@@ -349,16 +350,20 @@ def plan_to_json(graph: GlobalGraph) -> str:
 
 
 def reports_from_dict(data: dict) -> tuple[dict[int, list[tuple[int, float]]], list[int]]:
-    """Parse the on-disk reports format; see the README for the layout."""
+    """Parse the on-disk reports format; see the README for the layout.
+
+    Uids follow the scenario file's integer rule, distances its finite-number rule.
+    """
     try:
-        gateways = [int(uid) for uid in data["gateways"]]
+        gateways = [_integer(uid, "reports file", "gateways entry") for uid in data["gateways"]]
         reports: dict[int, list[tuple[int, float]]] = {}
-        for item in data["reports"]:
-            observer = int(item["node"])
-            entries = [
-                (int(entry["uid"]), float(entry["distance_m"]))
-                for entry in item["neighbors"]
-            ]
+        for i, item in enumerate(data["reports"]):
+            observer = _integer(item["node"], f"reports[{i}]", "node")
+            entries = []
+            for j, entry in enumerate(item["neighbors"]):
+                where = f"reports[{i}].neighbors[{j}]"
+                uid = _integer(entry["uid"], where, "uid")
+                entries.append((uid, _number(entry["distance_m"], where, "distance_m")))
             reports[observer] = entries
     except (KeyError, TypeError, ValueError) as exc:
         raise PlannerError(f"malformed reports file: {exc}") from exc

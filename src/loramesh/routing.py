@@ -174,26 +174,14 @@ def case2_should_switch(level_self: int, announced: int) -> bool:
     return level_self > announced
 
 
-def apply_route_switch(state: RouteState, sender_uid: int, replace: int | None = None, direction: str = UP) -> bool:
-    """Point the route at the instructing neighbor; True when changed.
+def apply_route_switch(state: RouteState, sender_uid: int) -> bool:
+    """Point the uplink at the instructing neighbor; True when changed.
 
     Unknown senders are ignored; repeated instructions are a no-op.
-    Downlink instructions swap one member of the forwarding set.
     """
-    if state.value_of(sender_uid) is None:
+    if state.value_of(sender_uid) is None or state.upstream_current == sender_uid:
         return False
-    if direction == UP:
-        if state.upstream_current == sender_uid:
-            return False
-        state.upstream_current = sender_uid
-        return True
-    current = state.downstream_current
-    if sender_uid in current:
-        return False
-    if replace is not None and replace in current:
-        state.downstream_current = tuple(u for u in current if u != replace) + (sender_uid,)
-    else:
-        state.downstream_current = current + (sender_uid,)
+    state.upstream_current = sender_uid
     return True
 
 

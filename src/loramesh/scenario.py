@@ -4,12 +4,13 @@ A scenario file is one JSON document embedding (or referencing) the
 deployment topology plus every knob a run needs. One reader, ``_build``,
 turns each JSON object into its class: each key converts by the type of
 the parameter it names, and a key left out keeps the class's default.
-Node and link entries, ``topology_file`` and the role capacities in the
-energy block are read by code of their own. Validation happens eagerly
-at load: an unknown key, a value of the wrong JSON type (a flag that is
-not a boolean, an integer field given 7.9), a number that is not finite
-and each class's own checks raise ``ScenarioError``, which the command
-line maps onto the configuration exit code.
+Node entries build ``NodeSpec`` and link entries call
+``LinkModel.add_link`` through the same reader. Validation happens
+eagerly at load: an unknown or missing key, a value of the wrong JSON
+type (a flag that is not a boolean, an integer field given 7.9), a
+number that is not finite and each class's own checks raise
+``ScenarioError``, which the command line maps onto the configuration
+exit code.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import functools
 import inspect
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -31,8 +33,6 @@ END_DEVICE = "end_device"
 ROLES = (GATEWAY, REPEATER, END_DEVICE)
 
 PROTOCOLS = ("flooding", "routing", "routing_no_energy")
-# Scenario fields that the scenario file sets in its "energy" block
-ROLE_CAPACITIES = ("gateway_capacity_mah", "ed_capacity_mah")
 UID_LIMIT = 2**31
 
 
@@ -173,9 +173,6 @@ class Scenario:
     horizon_s: float | None = None
     standby_enabled: bool = True
     learning_phase: bool = False
-    # None keeps energy.battery_capacity_mah for that role
-    gateway_capacity_mah: float | None = None
-    ed_capacity_mah: float | None = None
 
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
@@ -190,81 +187,105 @@ class Scenario:
                 raise ScenarioError(f"traffic schedule names node {uid}, which is not an end device")
 
 
-def _number(value, key: str) -> float:
-    """A JSON number as a float; NaN and the infinities JSON readers accept are refused."""
-    if type(value) in (int, float) and math.isfinite(value):
+# Each conversion names the key only when it refuses a value, so a large
+# topology formats no message it does not print.
+_FLOAT_MAX = sys.float_info.max
+
+
+def _number(value, section: str, key: str) -> float:
+    """A JSON number as a float; NaN, the infinities JSON readers accept and
+    integers too large for a float are refused."""
+    if type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
         return float(value)
-    raise ScenarioError(f"{key} must be a finite number, got {value!r}")
+    raise ScenarioError(f"{section}: {key} must be a finite number, got {value!r}")
 
 
-def _integer(value, key: str) -> int:
+def _integer(value, section: str, key: str) -> int:
     """A JSON integer; an integral float such as ``6.0`` is accepted too."""
     if type(value) is int or type(value) is float and value.is_integer():
         return int(value)
-    raise ScenarioError(f"{key} must be an integer, got {value!r}")
+    raise ScenarioError(f"{section}: {key} must be an integer, got {value!r}")
 
 
-def _flag(value, key: str) -> bool:
+def _flag(value, section: str, key: str) -> bool:
     if type(value) is bool:
         return value
-    raise ScenarioError(f"{key} must be true or false, got {value!r}")
+    raise ScenarioError(f"{section}: {key} must be true or false, got {value!r}")
 
 
-def _text(value, key: str) -> str:
+def _text(value, section: str, key: str) -> str:
     if type(value) is str:
         return value
-    raise ScenarioError(f"{key} must be a string, got {value!r}")
+    raise ScenarioError(f"{section}: {key} must be a string, got {value!r}")
 
 
-def _schedule(value, key: str) -> dict[int, tuple[float, ...]]:
+def _schedule(value, section: str, key: str) -> dict[int, tuple[float, ...]]:
     """Scripted uplink times per end device; JSON object keys are uid strings."""
-    return {int(uid): tuple(_number(t, f"{key} time") for t in times) for uid, times in value.items()}
+    return {int(uid): tuple(_number(t, section, f"{key} time") for t in times) for uid, times in value.items()}
 
 
-# The conversion for each field annotation a JSON value can set. Every
-# module here postpones annotations, so an annotation is its source text.
+# The conversion for each field annotation a JSON value can set, and the
+# one JSON type that conversion passes unchanged. Every module here
+# postpones annotations, so an annotation is its source text.
 _CONVERSIONS = {
-    "float": _number,
-    "int": _integer,
-    "bool": _flag,
-    "str": _text,
-    "dict[int, tuple[float, ...]]": _schedule,
+    "float": (_number, None),
+    "int": (_integer, int),
+    "bool": (_flag, bool),
+    "str": (_text, str),
+    "dict[int, tuple[float, ...]]": (_schedule, None),
 }
 
 
 @functools.cache
-def _settable(cls) -> dict[str, tuple]:
-    """Each parameter of ``cls`` a JSON value can set: (conversion, whether null is allowed)."""
+def _settable(cls) -> tuple[dict[str, tuple], tuple[str, ...]]:
+    """Each parameter of ``cls`` a JSON value can set, as (its name, conversion, the
+    type passed unchanged, whether null is allowed), and those without a default.
+
+    The name is the signature's own string: keyword binding matches it by
+    identity, while a key read from JSON must be compared as text.
+    """
     table = {}
+    required = []
     for name, param in inspect.signature(cls).parameters.items():
         kind = param.annotation
+        if not isinstance(kind, str):
+            continue  # ``self`` of a function such as ``LinkModel.add_link``
         optional = kind.endswith(" | None")
-        convert = _CONVERSIONS.get(kind.removesuffix(" | None"))
-        if convert is not None:
-            table[name] = (convert, optional)
-    return table
+        conversion = _CONVERSIONS.get(kind.removesuffix(" | None"))
+        if conversion is not None:
+            table[name] = (name, *conversion, optional)
+            if param.default is param.empty:
+                required.append(name)
+    return table, tuple(required)
 
 
 def _object(value, section: str) -> dict:
-    """A copy of one JSON object, so the reader can take its special keys out."""
     if not isinstance(value, dict):
         raise ScenarioError(f"{section}: expected a JSON object, got {type(value).__name__}")
-    return dict(value)
+    return value
 
 
-def _values(cls, data: dict, section: str, skip=()) -> dict:
-    """Each key of ``data`` converted; one naming no settable parameter, or in ``skip``, is unknown."""
-    settable = _settable(cls)
+def _values(cls, data, section: str) -> dict:
+    """Each key of the JSON object ``data`` converted by the annotation of
+    the parameter of ``cls`` it names; one naming no such parameter is
+    unknown, and one without a default must be given."""
+    settable, required = _settable(cls)
     values = {}
-    for key, value in data.items():
-        if key not in settable or key in skip:
+    for key, value in _object(data, section).items():
+        entry = settable.get(key)
+        if entry is None:
             raise ScenarioError(f"{section}: unknown key {key!r}")
-        convert, optional = settable[key]
-        values[key] = None if value is None and optional else convert(value, f"{section}: {key}")
+        name, convert, exact, optional = entry
+        if type(value) is not exact:
+            value = None if value is None and optional else convert(value, section, key)
+        values[name] = value
+    for key in required:
+        if key not in values:
+            raise ScenarioError(f"{section}: missing required key {key!r}")
     return values
 
 
-def _build(cls, data, section: str, skip=(), **given):
+def _build(cls, data, section: str, **given):
     """``cls`` from one JSON object of the scenario file.
 
     A key the object leaves out keeps the default ``cls`` declares, so
@@ -272,7 +293,7 @@ def _build(cls, data, section: str, skip=(), **given):
     parameters that other code reads, and a ``ValueError`` the class
     raises becomes a ``ScenarioError`` that names the section.
     """
-    values = _values(cls, _object(data, section), section, skip)
+    values = _values(cls, data, section)
     try:
         return cls(**values, **given)
     except ValueError as exc:
@@ -280,43 +301,30 @@ def _build(cls, data, section: str, skip=(), **given):
 
 
 def _read_json(path: Path, what: str):
+    """One JSON file; one that cannot be read or parsed raises ScenarioError naming it."""
     try:
         return json.loads(path.read_text())
     except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"cannot read {what} {path}: {exc}") from exc
+        raise ScenarioError(f"{path}: cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{what} {path} is not valid JSON: {exc}") from exc
+        raise ScenarioError(f"{path}: {what} is not valid JSON: {exc}") from exc
 
 
 def topology_from_dict(data: dict) -> Topology:
-    data = _object(data, "topology")
+    data = dict(_object(data, "topology"))
     try:
         node_items, link_items = data.pop("nodes"), data.pop("links")
     except KeyError as exc:
         raise ScenarioError(f"topology: missing required key {exc}") from None
     path_loss = _build(PathLossModel, data.pop("path_loss", {}), "path_loss")
     links = _build(LinkModel, data, "topology", path_loss_model=path_loss)
-    nodes = []
-    for item in node_items:
-        try:
-            nodes.append(
-                NodeSpec(
-                    uid=int(item["uid"]),
-                    role=str(item["role"]),
-                    attach=int(item["attach"]) if "attach" in item and item["attach"] is not None else None,
-                    label=item.get("label"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"malformed node entry {item!r}: {exc}") from exc
-    for item in link_items:
-        try:
-            distance = _number(item["distance_m"], "distance_m")
-            links.add_link(int(item["a"]), int(item["b"]), distance)
-        except (KeyError, TypeError) as exc:
-            raise ScenarioError(f"malformed link entry {item!r}: {exc}") from exc
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+    # Entries are read by _values alone: NodeSpec raises nothing, add_link's
+    # errors name the link, and a positional add_link call binds faster
+    # than _build's keywords, which a large topology's load time shows.
+    nodes = [NodeSpec(**_values(NodeSpec, item, f"nodes[{i}]")) for i, item in enumerate(node_items)]
+    for i, item in enumerate(link_items):
+        link = _values(LinkModel.add_link, item, f"links[{i}]")
+        links.add_link(link["a"], link["b"], link["distance_m"])
     return Topology(nodes, links)
 
 
@@ -331,7 +339,7 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None) -> Scenario:
 
 
 def _scenario_from_dict(data: dict, base_dir: Path | None) -> Scenario:
-    data = _object(data, "scenario")
+    data = dict(_object(data, "scenario"))
     if "topology" in data:
         topo_data = data.pop("topology")
     elif "topology_file" in data:
@@ -341,19 +349,15 @@ def _scenario_from_dict(data: dict, base_dir: Path | None) -> Scenario:
         topo_data = _read_json(path, "topology file")
     else:
         raise ScenarioError("scenario needs either 'topology' or 'topology_file'")
-    energy_data = _object(data.pop("energy", {}), "energy")
-    # the role capacity overrides sit in the energy block but are Scenario fields
-    roles = {key: energy_data.pop(key) for key in ROLE_CAPACITIES if key in energy_data}
-    roles = _values(Scenario, roles, "energy")
     sections = {
         "topology": topology_from_dict(topo_data),
         "radio": _build(RadioConfig, data.pop("radio", {}), "radio"),
-        "energy": _build(EnergyModel, energy_data, "energy"),
+        "energy": _build(EnergyModel, data.pop("energy", {}), "energy"),
         "traffic": _build(TrafficSpec, data.pop("traffic", {}), "traffic"),
         "mac": _build(MacParams, data.pop("mac", {}), "mac"),
         "phases": _build(PhaseWindows, data.pop("phases", {}), "phases"),
     }
-    return _build(Scenario, data, "scenario", skip=ROLE_CAPACITIES, **sections, **roles)
+    return _build(Scenario, data, "scenario", **sections)
 
 
 def load_scenario(source: str | Path) -> Scenario:

@@ -451,8 +451,7 @@ class Simulation:
 
         if kind == ROUTE_SWITCH:
             if packet.next_hop == node.uid and not node.is_ed:
-                direction, replace = packet.body
-                if rt.apply_route_switch(node.route, tx_uid, replace, direction):
+                if rt.apply_route_switch(node.route, tx_uid):
                     self._emit(tr.ROUTE_SWITCHED, node.uid, pkt=packet.packet_id, peer=tx_uid)
             return
 
@@ -505,8 +504,7 @@ class Simulation:
                 )
             ):
                 r.switch_acted.add(key)
-                body = (rt.UP, mon.intended_next)
-                self._originate(node, ROUTE_SWITCH, ROUTE_SWITCH_PAYLOAD, mon.overheard_from, body)
+                self._originate(node, ROUTE_SWITCH, ROUTE_SWITCH_PAYLOAD, mon.overheard_from)
                 rt.revert_upstream(r)
             if not mon.fired:
                 self._emit(tr.STANDBY_CANCELLED, node.uid, pkt=pid, peer=tx_uid)
@@ -521,7 +519,7 @@ class Simulation:
                     and rt.case2_should_switch(node.ledger.level, announced)
                 ):
                     r.switch_acted.add(key)
-                    self._originate(node, ROUTE_SWITCH, ROUTE_SWITCH_PAYLOAD, hop[0], (rt.UP, None))
+                    self._originate(node, ROUTE_SWITCH, ROUTE_SWITCH_PAYLOAD, hop[0])
             rt.note_recent_hop(r, pid, tx_uid, next_hop)
         self._maybe_arm(node, packet, tx_uid, direction)
 

@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from loramesh import cli
 from loramesh.cli import main
 from loramesh.planner import plan_from_topology, plan_to_json
 from loramesh.scenario import load_scenario
@@ -106,18 +107,6 @@ class TestSimulate:
         )
         assert rc == 2
         assert "error" in capsys.readouterr().err
-
-    def test_unwritable_out_dir_exits_3(self):
-        rc = main(
-            [
-                "simulate",
-                "--scenario",
-                "standby_recovery",
-                "--out-dir",
-                "/dev/null/x",
-            ]
-        )
-        assert rc == 3
 
     def test_bad_protocol_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -228,6 +217,70 @@ MALFORMED_SCENARIOS = {
         **VALID_SCENARIO,
         "topology": {**VALID_SCENARIO["topology"], "sensitivity": -100.0},
     },
+    # node and link entries follow the same key and type rules; each of
+    # these once loaded (uids 1 and 1, a label ignored) or exited 3
+    "node-uid-fraction": {
+        **VALID_SCENARIO,
+        "topology": {
+            **VALID_SCENARIO["topology"],
+            "nodes": [
+                {"uid": 0, "role": "gateway"},
+                {"uid": 1.7, "role": "repeater"},
+                {"uid": 101, "role": "end_device", "attach": 1.2},
+            ],
+        },
+    },
+    "link-end-string": {
+        **VALID_SCENARIO,
+        "topology": {
+            **VALID_SCENARIO["topology"],
+            "links": [
+                {"a": 0, "b": "1", "distance_m": 100.0},
+                {"a": 101, "b": 1, "distance_m": 10.0},
+            ],
+        },
+    },
+    "node-unknown-key": {
+        **VALID_SCENARIO,
+        "topology": {
+            **VALID_SCENARIO["topology"],
+            "nodes": [
+                {"uid": 0, "role": "gateway", "lable": "gw"},
+                {"uid": 1, "role": "repeater"},
+                {"uid": 101, "role": "end_device", "attach": 1},
+            ],
+        },
+    },
+    "node-missing-key": {
+        **VALID_SCENARIO,
+        "topology": {
+            **VALID_SCENARIO["topology"],
+            "nodes": [
+                {"uid": 0, "role": "gateway"},
+                {"uid": 1},
+                {"uid": 101, "role": "end_device", "attach": 1},
+            ],
+        },
+    },
+    "link-missing-key": {
+        **VALID_SCENARIO,
+        "topology": {
+            **VALID_SCENARIO["topology"],
+            "links": [
+                {"a": 0, "b": 1},
+                {"a": 101, "b": 1, "distance_m": 10.0},
+            ],
+        },
+    },
+    "link-duplicate": {
+        **VALID_SCENARIO,
+        "topology": {
+            **VALID_SCENARIO["topology"],
+            "links": VALID_SCENARIO["topology"]["links"] + [{"a": 1, "b": 0, "distance_m": 90.0}],
+        },
+    },
+    "ed-capacity-zero": {**VALID_SCENARIO, "energy": {"ed_capacity_mah": 0}},
+    "gateway-capacity-negative": {**VALID_SCENARIO, "energy": {"gateway_capacity_mah": -5}},
     # reception follows links, so this end device would lose every packet
     "attach-unlinked": {
         **VALID_SCENARIO,
@@ -252,6 +305,14 @@ NAMED_KEYS = {
     "top-level-unknown-key": "scenario: unknown key 'protcol'",
     "role-capacity-at-top-level": "scenario: unknown key 'gateway_capacity_mah'",
     "topology-unknown-key": "topology: unknown key 'sensitivity'",
+    "node-uid-fraction": "nodes[1]: uid must be an integer, got 1.7",
+    "link-end-string": "links[0]: b must be an integer, got '1'",
+    "node-unknown-key": "nodes[0]: unknown key 'lable'",
+    "node-missing-key": "nodes[1]: missing required key 'role'",
+    "link-missing-key": "links[0]: missing required key 'distance_m'",
+    "link-duplicate": "duplicate link 1-0",
+    "ed-capacity-zero": "energy: ed_capacity_mah must be positive",
+    "gateway-capacity-negative": "energy: gateway_capacity_mah must be positive",
 }
 
 
@@ -269,6 +330,7 @@ class TestMalformedScenario:
         assert self.simulate(tmp_path, MALFORMED_SCENARIOS[case]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert err.count("\n") == 1
         assert "runtime error" not in err
         assert NAMED_KEYS.get(case, "") in err
 
@@ -465,6 +527,43 @@ class TestPlan:
         assert rc == 2
         assert "malformed" in capsys.readouterr().err
 
+    # each of these once planned (a uid of true or 1.9 read as 1, a
+    # distance "20" read as 20.0) or, for bytes that are not UTF-8, exited 3
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("node", True, "reports[1]: node must be an integer, got True"),
+            ("uid", 1.9, "reports[1].neighbors[0]: uid must be an integer, got 1.9"),
+            ("distance_m", "20", "reports[1].neighbors[0]: distance_m must be a finite number, got '20'"),
+            ("gateways", [0.5], "gateways entry must be an integer, got 0.5"),
+            ("encoding", None, "cannot read reports file: 'utf-8' codec can't decode"),
+        ],
+        ids=["node-true", "uid-fraction", "distance-string", "gateway-fraction", "not-utf8"],
+    )
+    def test_a_mistyped_reports_value_exits_2_naming_it(self, tmp_path, capsys, field, value, named):
+        reports = {
+            "gateways": [0],
+            "reports": [
+                {"node": 0, "neighbors": [{"uid": 1, "distance_m": 20.0}]},
+                {"node": 1, "neighbors": [{"uid": 0, "distance_m": 20.0}]},
+            ],
+        }
+        path = tmp_path / "reports.json"
+        if field == "encoding":
+            path.write_bytes(b"\xff\xfe\x00\x01")
+        else:
+            if field == "gateways":
+                reports["gateways"] = value
+            elif field == "node":
+                reports["reports"][1]["node"] = value
+            else:
+                reports["reports"][1]["neighbors"][0][field] = value
+            path.write_text(json.dumps(reports))
+        assert main(["plan", "--reports", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert named in err
+
 
 class TestLearn:
     def test_learned_tables_match_offline_planner(self, tmp_path):
@@ -570,6 +669,38 @@ class TestMalformedLists:
         rc = main(["plan", "--reports", str(tmp_path), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {tmp_path}: cannot read reports")
+
+
+class TestOutDir:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--scenario", "standby_recovery"],
+            ["plan", "--reports", "reports.json"],
+            ["learn", "--scenario", "standby_recovery"],
+            ["loadtest", "--scenario", "two_ed_battery"],
+            ["compare", "--scenario", "two_ed_battery"],
+        ],
+        ids=["simulate", "plan", "learn", "loadtest", "compare"],
+    )
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_an_out_dir_that_a_file_blocks_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, argv, below
+    ):
+        def no_run(*_args):
+            raise AssertionError("ran before checking --out-dir")
+
+        monkeypatch.setattr(cli, "_run_once", no_run)
+        monkeypatch.setattr(cli, "plan", no_run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "reports.json").write_text('{"gateways": [0], "reports": []}')
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "sub" if below else blocker
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out-dir {out}: ")
+        assert err.count("\n") == 1
 
 
 class TestConsoleScript:

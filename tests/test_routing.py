@@ -67,21 +67,21 @@ def test_bypass_ignores_off_decade_announcements():
 
 def test_switch_applies_and_points_uplink_at_sender():
     state = observer_state()
-    assert apply_route_switch(state, 45, direction=UP) is True
+    assert apply_route_switch(state, 45) is True
     assert state.upstream_current == 45
     assert state.upstream_original == 60  # planner assignment preserved
 
 
 def test_switch_duplicate_is_idempotent():
     state = observer_state()
-    assert apply_route_switch(state, 45, direction=UP) is True
-    assert apply_route_switch(state, 45, direction=UP) is False
+    assert apply_route_switch(state, 45) is True
+    assert apply_route_switch(state, 45) is False
     assert state.upstream_current == 45
 
 
 def test_switch_from_unknown_sender_ignored():
     state = observer_state()
-    assert apply_route_switch(state, 99, direction=UP) is False
+    assert apply_route_switch(state, 99) is False
     assert state.upstream_current == 60
 
 
@@ -90,17 +90,9 @@ def test_switch_from_unknown_sender_ignored():
 
 def test_revert_restores_planner_upstream():
     state = observer_state()
-    apply_route_switch(state, 45, direction=UP)
+    apply_route_switch(state, 45)
     revert_upstream(state)
     assert state.upstream_current == 60
-
-
-def test_downlink_switch_swaps_set_member():
-    state = observer_state()
-    state.downstream_current = (40, 45)
-    assert apply_route_switch(state, 60, replace=40, direction=DOWN) is True
-    assert set(state.downstream_current) == {45, 60}
-    assert apply_route_switch(state, 60, direction=DOWN) is False  # already present
 
 
 def test_should_arm_uplink_ordering():

@@ -1,10 +1,16 @@
+import copy
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from loramesh.channel import LinkModel
+from loramesh.channel import LinkModel, PathLossModel
+from loramesh.model import EnergyModel, RadioConfig
 from loramesh.scenario import (
+    MacParams,
     NodeSpec,
+    PhaseWindows,
     Scenario,
     ScenarioError,
     Topology,
@@ -14,6 +20,7 @@ from loramesh.scenario import (
     scenario_from_dict,
     topology_from_dict,
 )
+from loramesh.simulation import Simulation
 
 
 def minimal_dict(**overrides):
@@ -175,18 +182,18 @@ def test_bundled_scenarios_present_and_loadable():
 def test_per_role_capacity_overrides():
     scn = load_scenario("two_ed_battery")
     assert scn.energy.battery_capacity_mah == 12.0
-    assert scn.gateway_capacity_mah == 10000.0
-    assert scn.ed_capacity_mah == 10000.0
+    assert scn.energy.gateway_capacity_mah == 10000.0
+    assert scn.energy.ed_capacity_mah == 10000.0
 
 
 def test_malformed_node_and_link_entries():
     data = minimal_dict()
     data["topology"]["nodes"].append({"role": "repeater"})
-    with pytest.raises(ScenarioError, match="malformed node"):
+    with pytest.raises(ScenarioError, match=r"nodes\[3\]: missing required key 'uid'"):
         scenario_from_dict(data)
     data = minimal_dict()
     data["topology"]["links"].append({"a": 0})
-    with pytest.raises(ScenarioError, match="malformed link"):
+    with pytest.raises(ScenarioError, match=r"links\[2\]: missing required key 'b'"):
         scenario_from_dict(data)
 
 
@@ -195,3 +202,76 @@ def test_topology_needs_nodes_and_links_keys():
         topology_from_dict({"links": []})
     with pytest.raises(ScenarioError, match="links"):
         topology_from_dict({"nodes": [{"uid": 0, "role": "gateway"}]})
+
+
+# --- one change to a valid document: a simulation accepts it, or it is refused ---
+
+
+def _names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+# Where a value can go: (path to a JSON object in the document, its key).
+# Keys a section does not hold yet are added; a role capacity is one of
+# the energy keys, a schedule time the first of end device 101's times.
+_SLOTS = (
+    [(("radio",), key) for key in _names(RadioConfig)]
+    + [(("energy",), key) for key in _names(EnergyModel)]
+    + [(("traffic",), key) for key in _names(TrafficSpec)]
+    + [(("mac",), key) for key in _names(MacParams)]
+    + [(("phases",), key) for key in _names(PhaseWindows)]
+    + [(("topology", "path_loss"), key) for key in _names(PathLossModel)]
+    + [(("topology",), key) for key in ("sensitivity_dbm", "capture_threshold_db")]
+    + [((), key) for key in ("name", "protocol", "seed", "horizon_s", "standby_enabled", "learning_phase")]
+    + [((), key) for key in ("radio", "energy", "traffic", "mac", "phases")]
+    + [(("topology", "nodes", i), key) for i in range(3) for key in ("uid", "role", "attach", "label")]
+    + [(("topology", "links", i), key) for i in range(2) for key in ("a", "b", "distance_m")]
+    + [(("traffic", "schedule", "101"), 0)]
+)
+
+# Any JSON value: of another type than a key expects, out of its range,
+# or not finite (Python's JSON reader accepts NaN and Infinity)
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+)
+
+
+def _fuzz_base():
+    data = minimal_dict()
+    data["traffic"] = {"total_packets": 5, "schedule": {"101": [1.0, 2.0]}}
+    for section in ("radio", "energy", "mac", "phases"):
+        data[section] = {}
+    data["topology"]["path_loss"] = {}
+    return data
+
+
+def _holder(data, path):
+    for step in path:
+        data = data[step]
+    return data
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_one_change_to_a_valid_document_loads_or_raises_scenario_error(draw):
+    data = _fuzz_base()
+    path, key = draw.draw(st.sampled_from(_SLOTS))
+    holder = _holder(data, path)
+    if draw.draw(st.booleans()) and isinstance(holder, dict) and key in holder:
+        # misspell the key: a letter dropped or one too many
+        holder[draw.draw(st.sampled_from([key[:-1], key + "s"]))] = holder.pop(key)
+    else:
+        holder[key] = draw.draw(_JSON_VALUES)
+    snapshot = copy.deepcopy(data)
+    try:
+        scenario = scenario_from_dict(data)
+    except ScenarioError:
+        return
+    Simulation(scenario)
+    assert data == snapshot  # the reader leaves the document as it was
