@@ -282,12 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_protocol=True):
+    def add_common(p):
         p.add_argument("--scenario", required=True, help="bundled name or path to a scenario JSON")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--out-dir", default=None, help="directory for output files")
-        if with_protocol:
-            p.add_argument("--protocol", choices=PROTOCOLS, default=None)
+        p.add_argument("--protocol", choices=PROTOCOLS, default=None)
         p.add_argument("--packets", type=int, default=None, help="override the packet budget")
         p.add_argument(
             "--mean-interval-ms",

@@ -2,46 +2,42 @@
 
 A node is in exactly one of three states at any instant: transmitting,
 decoding an audible frame, or idle in low-power channel-activity
-detection. The ledger charges each state's current over explicit time
-intervals; receive intervals arrive as decoded frame windows and merge
-into a union (overlapping arrivals are not double billed), and any gap
-in between is billed as idle. Transmit intervals never overlap decode
-intervals because a radio that transmits over an incoming frame drops
-it entirely.
+detection. Every charge is billed by one rule, in ``_charge``: the idle
+gap since ``charged_until``, then the part of the charged window after
+it at the state's rate. Receive windows that overlap thus merge into a
+union (an overlap is not billed twice). A transmission never overlaps a
+reception its node was billed for, because a radio that transmits over
+an incoming frame drops it unbilled, so transmissions follow the same
+rule. ``finalize`` bills the last idle stretch as a zero-length window
+at the end of the run.
 
-Charges are applied in event order, so replaying the same intervals in
+Charges are applied in event order, so replaying the same windows in
 the same order (for instance from an exported trace) reproduces the
 ledger bit for bit, including the interpolated depletion instant.
 
 The level is floor(100 * remaining / capacity), which never rises as
-charge is spent, so it is recomputed only once the charge reaches a
-bound just above the current level's floor; above that bound the level
-cannot have changed, and the levels, history and death instant are the
-same as when every charge recomputes it.
-
-Receptions are most charges, so ``charge_rx`` bills the common case
-inline: while the charge left after the idle gap and the decoded window
-stays above that bound, no level is crossed and nobody dies, and the
-two subtractions are made in place in ``_consume``'s order, so every
-float is bit-identical. Level crossings and death go through
-``_consume``.
+charge is spent. ``level_floor`` is a bound just above the current
+level's floor: while the charge left after a charge stays above it, the
+level cannot have changed and nobody dies, so the common case is two
+subtractions made in place. Only a charge that reaches the bound goes
+through ``_consume``, which bills the gap and the window in the same
+order, records the level crossings and interpolates death, so every
+float, level and history point is the same as when every charge
+recomputes the level.
 """
 
 from __future__ import annotations
 
 from .model import EnergyModel, quantize_battery
 
-_TX, _RX, _IDLE = 0, 1, 2
-
 
 class EnergyLedger:
     __slots__ = (
         "capacity",
-        "rates",
+        "tx_rate",
+        "rx_rate",
+        "idle_rate",
         "remaining",
-        "tx_s",
-        "rx_s",
-        "idle_s",
         "charged_until",
         "level",
         "level_floor",
@@ -54,12 +50,11 @@ class EnergyLedger:
         self.capacity = model.battery_capacity_mah if capacity_mah is None else capacity_mah
         if self.capacity <= 0:
             raise ValueError("battery capacity must be positive")
-        # mAh per second, indexed by state
-        self.rates = (model.i_tx_ma / 3600.0, model.i_rx_ma / 3600.0, model.i_idle_ma / 3600.0)
+        # mAh per second in each state
+        self.tx_rate = model.i_tx_ma / 3600.0
+        self.rx_rate = model.i_rx_ma / 3600.0
+        self.idle_rate = model.i_idle_ma / 3600.0
         self.remaining = self.capacity
-        self.tx_s = 0.0
-        self.rx_s = 0.0
-        self.idle_s = 0.0
         self.charged_until = 0.0
         self.level = 100
         self.level_floor = self._floor_bound(100)
@@ -67,36 +62,36 @@ class EnergyLedger:
         self.dead = False
         self.death_time: float | None = None
 
-    def _consume(self, state: int, duration: float, t_end: float) -> None:
+    def _charge(self, t0: float, t1: float, rate: float) -> None:
+        """Bill the idle gap since ``charged_until``, then [t0, t1) after it at ``rate``."""
+        until = self.charged_until
+        if self.dead or t1 <= until:
+            return
+        start = t0 if t0 > until else until
+        remaining = self.remaining - self.idle_rate * (start - until) - rate * (t1 - start)
+        if remaining > self.level_floor:
+            self.remaining = remaining
+        else:
+            self._consume(self.idle_rate, start - until, start)
+            self._consume(rate, t1 - start, t1)
+        self.charged_until = t1
+
+    def _consume(self, rate: float, duration: float, t_end: float) -> None:
         if self.dead or duration <= 0.0:
             return
-        rate = self.rates[state]
         used = rate * duration
         start_remaining = self.remaining
         t_start = t_end - duration
         if used >= start_remaining and rate > 0.0:
             # Interpolate the instant the charge crosses zero.
-            alive = start_remaining / used * duration
-            if state == _TX:
-                self.tx_s += alive
-            elif state == _RX:
-                self.rx_s += alive
-            else:
-                self.idle_s += alive
             self._record_crossings(start_remaining, 0.0, t_start, rate)
             self.remaining = 0.0
             self.dead = True
-            self.death_time = t_start + alive
+            self.death_time = t_start + start_remaining / used * duration
             self.level = 0
             self.history.append((self.death_time, 0))
             return
         self.remaining = remaining = start_remaining - used
-        if state == _TX:
-            self.tx_s += duration
-        elif state == _RX:
-            self.rx_s += duration
-        else:
-            self.idle_s += duration
         if remaining <= self.level_floor:
             new_level = quantize_battery(remaining, self.capacity)
             if new_level < self.level:
@@ -127,58 +122,18 @@ class EnergyLedger:
             threshold = (k + 1) * step
             self.history.append((t_start + (r_start - threshold) / rate, k))
 
-    def _fill_idle(self, until: float) -> None:
-        if until > self.charged_until:
-            self._consume(_IDLE, until - self.charged_until, until)
-            self.charged_until = until
-
     def charge_tx(self, t0: float, t1: float) -> None:
         """Bill one own transmission [t0, t1)."""
-        if self.dead:
-            return
-        self._fill_idle(t0)
-        self._consume(_TX, t1 - t0, t1)
-        if t1 > self.charged_until:
-            self.charged_until = t1
+        self._charge(t0, t1, self.tx_rate)
 
     def charge_rx(self, t0: float, t1: float) -> None:
-        """Bill one decoded frame window [t0, t1), merged with prior windows.
-
-        The idle gap and the window are billed inline while the charge
-        left stays above ``level_floor``; otherwise through ``_consume``.
-        """
-        until = self.charged_until
-        if self.dead or t1 <= until:
-            return
-        start = t0 if t0 > until else until
-        idle = start - until
-        window = t1 - start
-        rates = self.rates
-        remaining = self.remaining - rates[_IDLE] * idle - rates[_RX] * window
-        if remaining > self.level_floor and window > 0.0:
-            self.remaining = remaining
-            self.idle_s += idle
-            self.rx_s += window
-        else:
-            self._fill_idle(start)
-            self._consume(_RX, window, t1)
-        self.charged_until = t1
+        """Bill one decoded frame window [t0, t1), merged with prior windows."""
+        self._charge(t0, t1, self.rx_rate)
 
     def finalize(self, t_end: float) -> None:
         """Bill trailing idle time up to the end of the run."""
-        if not self.dead:
-            self._fill_idle(t_end)
+        self._charge(t_end, t_end, self.idle_rate)
 
     @property
     def consumed_mah(self) -> float:
         return self.capacity - self.remaining
-
-    def level_at(self, when: float) -> int:
-        """Announced level in force at ``when`` (step function lookup)."""
-        level = 100
-        for t, lvl in self.history:
-            if t <= when:
-                level = lvl
-            else:
-                break
-        return level

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .channel import PathLossModel
-from .model import FRAME_HEADER, MAX_PAYLOAD_BYTES, REPORT_ENTRY, pack_frames
+from .model import FRAME_HEADER, REPORT_ENTRY, pack_frames
 
 # Fixed-point grid for distances on the wire: 2 bytes at 0.25 m per step
 # covers 0..16383.75 m, far beyond any underground link budget.
@@ -62,8 +62,7 @@ class NeighborTable:
     estimated against.
     """
 
-    def __init__(self, owner: int, model: PathLossModel, tx_power_dbm: float) -> None:
-        self.owner = owner
+    def __init__(self, model: PathLossModel, tx_power_dbm: float) -> None:
         self.model = model
         self.tx_power_dbm = tx_power_dbm
         self.records: dict[int, NeighborRecord] = {}
@@ -88,7 +87,6 @@ class NeighborTable:
 
 def build_report_chunks(
     entries: list[tuple[int, float]],
-    max_payload: int = MAX_PAYLOAD_BYTES,
 ) -> list[tuple[int, list[tuple[int, float]]]]:
     """Pack neighbor entries into reports: (payload bytes, entries) each.
 
@@ -96,7 +94,7 @@ def build_report_chunks(
     neighbors still emits one empty report so the planner can tell
     silence from loss.
     """
-    return pack_frames(entries, lambda _entry: REPORT_ENTRY, max_payload) or [(FRAME_HEADER, [])]
+    return pack_frames(entries, lambda _entry: REPORT_ENTRY) or [(FRAME_HEADER, [])]
 
 
 @dataclass

@@ -145,8 +145,8 @@ def table_row_bytes(downstream_count: int) -> int:
     return 7 + 2 * downstream_count
 
 
-def pack_frames(items, item_bytes, max_payload: int = MAX_PAYLOAD_BYTES) -> list[tuple[int, list]]:
-    """Pack ``items`` greedily, in order, into frames of at most ``max_payload``.
+def pack_frames(items, item_bytes) -> list[tuple[int, list]]:
+    """Pack ``items`` greedily, in order, into frames of at most MAX_PAYLOAD_BYTES.
 
     Each frame spends FRAME_HEADER bytes plus ``item_bytes(item)`` per
     item; returns (payload bytes, items) per frame. An item that fits no
@@ -157,9 +157,9 @@ def pack_frames(items, item_bytes, max_payload: int = MAX_PAYLOAD_BYTES) -> list
     used = FRAME_HEADER
     for item in items:
         size = item_bytes(item)
-        if FRAME_HEADER + size > max_payload:
-            raise ValueError(f"{item!r} cannot fit any {max_payload}-byte frame")
-        if used + size > max_payload and current:
+        if FRAME_HEADER + size > MAX_PAYLOAD_BYTES:
+            raise ValueError(f"{item!r} cannot fit any {MAX_PAYLOAD_BYTES}-byte frame")
+        if used + size > MAX_PAYLOAD_BYTES and current:
             frames.append((used, current))
             current = []
             used = FRAME_HEADER

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 from .learning import quantize_distance
-from .model import MAX_PAYLOAD_BYTES, pack_frames, table_row_bytes
+from .model import pack_frames, table_row_bytes
 from .scenario import _integer, _number
 
 INFINITE = float("inf")
@@ -125,7 +125,7 @@ def compute_distance_values(graph: GlobalGraph) -> None:
             if nbr not in settled:
                 heapq.heappush(heap, (d + w, gw, nbr, uid))
     for uid in graph.vertices:
-        if dist[uid] is INFINITE or dist[uid] == INFINITE:
+        if dist[uid] == INFINITE:
             graph.warnings.append(f"node {uid} unreachable from every gateway")
             root[uid] = None
     graph.distance_value = dist
@@ -293,12 +293,11 @@ def table_rows(graph: GlobalGraph) -> list[tuple[int, float, int | None, tuple[i
 
 def emit_chunks(
     graph: GlobalGraph,
-    max_payload: int = MAX_PAYLOAD_BYTES,
 ) -> list[tuple[int, list[tuple[int, float, int | None, tuple[int, ...]]]]]:
     """Pack table rows into chunks, preserving row order: (payload bytes, rows) each."""
     rows = table_rows(graph)
     try:
-        return pack_frames(rows, lambda row: table_row_bytes(len(row[3])), max_payload)
+        return pack_frames(rows, lambda row: table_row_bytes(len(row[3])))
     except ValueError as exc:
         raise PlannerError(f"table row {exc}") from exc
 

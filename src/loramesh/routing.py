@@ -115,7 +115,7 @@ def arm_monitor(
     direction: str,
     packet,
 ) -> tuple[StandbyMonitor, StandbyMonitor | None]:
-    """Record a monitor; returns (monitor, evicted-or-None)."""
+    """Record a monitor for a packet not monitored yet; returns (monitor, evicted-or-None)."""
     monitor = StandbyMonitor(
         packet_id=packet_id,
         overheard_from=tx_uid,
@@ -126,8 +126,6 @@ def arm_monitor(
     )
     evicted = None
     monitors = state.monitors
-    if packet_id in monitors:
-        del monitors[packet_id]
     monitors[packet_id] = monitor
     if len(monitors) > MONITOR_CAPACITY:
         _pid, evicted = monitors.popitem(last=False)

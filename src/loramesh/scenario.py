@@ -219,9 +219,23 @@ def _text(value, section: str, key: str) -> str:
     raise ScenarioError(f"{section}: {key} must be a string, got {value!r}")
 
 
+def _array(value, section: str, key: str) -> list:
+    if type(value) is list:
+        return value
+    raise ScenarioError(f"{section}: {key} must be a JSON array, got {type(value).__name__}")
+
+
 def _schedule(value, section: str, key: str) -> dict[int, tuple[float, ...]]:
-    """Scripted uplink times per end device; JSON object keys are uid strings."""
-    return {int(uid): tuple(_number(t, section, f"{key} time") for t in times) for uid, times in value.items()}
+    """Scripted uplink times per end device: an object whose keys are uids
+    in canonical decimal form (ASCII digits, no sign, spaces, underscores
+    or leading zeros) and whose values are arrays of times."""
+    schedule = {}
+    for uid, times in _object(value, f"{section}: {key}").items():
+        if not (uid.isascii() and uid.isdigit() and str(int(uid)) == uid):
+            raise ScenarioError(f"{section}: {key} key {uid!r} is not a node uid")
+        times = _array(times, section, f"{key} of {uid}")
+        schedule[int(uid)] = tuple(_number(t, section, f"{key} time") for t in times)
+    return schedule
 
 
 # The conversion for each field annotation a JSON value can set, and the
@@ -318,13 +332,19 @@ def topology_from_dict(data: dict) -> Topology:
         raise ScenarioError(f"topology: missing required key {exc}") from None
     path_loss = _build(PathLossModel, data.pop("path_loss", {}), "path_loss")
     links = _build(LinkModel, data, "topology", path_loss_model=path_loss)
-    # Entries are read by _values alone: NodeSpec raises nothing, add_link's
-    # errors name the link, and a positional add_link call binds faster
-    # than _build's keywords, which a large topology's load time shows.
-    nodes = [NodeSpec(**_values(NodeSpec, item, f"nodes[{i}]")) for i, item in enumerate(node_items)]
-    for i, item in enumerate(link_items):
+    # Entries are read by _values alone: NodeSpec raises nothing, and a
+    # positional add_link call binds faster than _build's keywords, which a
+    # large topology's load time shows. add_link's errors get the entry here.
+    nodes = [
+        NodeSpec(**_values(NodeSpec, item, f"nodes[{i}]"))
+        for i, item in enumerate(_array(node_items, "topology", "nodes"))
+    ]
+    for i, item in enumerate(_array(link_items, "topology", "links")):
         link = _values(LinkModel.add_link, item, f"links[{i}]")
-        links.add_link(link["a"], link["b"], link["distance_m"])
+        try:
+            links.add_link(link["a"], link["b"], link["distance_m"])
+        except ValueError as exc:
+            raise ScenarioError(f"links[{i}]: {exc}") from exc
     return Topology(nodes, links)
 
 

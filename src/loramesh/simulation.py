@@ -155,7 +155,7 @@ class Simulation:
                 TxQueue(scenario.mac.queue_capacity),
                 DedupCache(scenario.mac.dedup_ttl_s, scenario.mac.dedup_capacity),
                 self.builder.ledgers[uid],
-                NeighborTable(uid, links.path_loss_model, self.radio.tx_power_dbm),
+                NeighborTable(links.path_loss_model, self.radio.tx_power_dbm),
             )
 
         # The audibility map, and from it each sender's hearer row: every
@@ -528,7 +528,7 @@ class Simulation:
             return
         r = node.route
         pid = packet.packet_id
-        if pid in r.forwarded_ids or pid in r.monitors:
+        if pid in r.forwarded_ids:
             return
         if direction == rt.UP:
             addressee = packet.next_hop

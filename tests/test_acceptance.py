@@ -459,6 +459,11 @@ def test_ac10_saturation_ordering(ladder_reports, capsys):
     assert not failures, failures
 
 
+def level_at(ledger, when: float) -> int:
+    """The level a ledger announced at ``when``: its last history point at or before it."""
+    return [level for t, level in ledger.history if t <= when][-1]
+
+
 def test_ac11_energy_aware_lifetime(ablation_runs, capsys):
     runs, repeaters = ablation_runs
     failures = []
@@ -475,8 +480,8 @@ def test_ac11_energy_aware_lifetime(ablation_runs, capsys):
         ratios.append(t_en / t_dis)
         if t_en < 1.10 * t_dis:
             failures.append(f"lifetime {t_en:.0f}s vs {t_dis:.0f}s seed {seed}")
-        levels_dis = [disabled["ledgers"][uid].level_at(t_dis) for uid in repeaters]
-        levels_en = [enabled["ledgers"][uid].level_at(t_dis) for uid in repeaters]
+        levels_dis = [level_at(disabled["ledgers"][uid], t_dis) for uid in repeaters]
+        levels_en = [level_at(enabled["ledgers"][uid], t_dis) for uid in repeaters]
         spread_dis = max(levels_dis) - min(levels_dis)
         spread_en = max(levels_en) - min(levels_en)
         spreads.append((spread_dis, spread_en))

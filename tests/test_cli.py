@@ -279,6 +279,24 @@ MALFORMED_SCENARIOS = {
             "links": VALID_SCENARIO["topology"]["links"] + [{"a": 1, "b": 0, "distance_m": 90.0}],
         },
     },
+    "link-self": {
+        **VALID_SCENARIO,
+        "topology": {
+            **VALID_SCENARIO["topology"],
+            "links": VALID_SCENARIO["topology"]["links"] + [{"a": 1, "b": 1, "distance_m": 5.0}],
+        },
+    },
+    "links-object": {
+        **VALID_SCENARIO,
+        "topology": {**VALID_SCENARIO["topology"], "links": {"a": 1}},
+    },
+    # a schedule key is a uid in canonical decimal form; this one once
+    # loaded as end device 101
+    "schedule-key-padded": {**VALID_SCENARIO, "traffic": {"schedule": {" 1_01 ": [5.0]}}},
+    "schedule-key-leading-zero": {**VALID_SCENARIO, "traffic": {"schedule": {"0101": [5.0]}}},
+    "schedule-key-signed": {**VALID_SCENARIO, "traffic": {"schedule": {"+101": [5.0]}}},
+    "schedule-list": {**VALID_SCENARIO, "traffic": {"schedule": [5.0]}},
+    "schedule-times-number": {**VALID_SCENARIO, "traffic": {"schedule": {"101": 5.0}}},
     "ed-capacity-zero": {**VALID_SCENARIO, "energy": {"ed_capacity_mah": 0}},
     "gateway-capacity-negative": {**VALID_SCENARIO, "energy": {"gateway_capacity_mah": -5}},
     # reception follows links, so this end device would lose every packet
@@ -310,7 +328,16 @@ NAMED_KEYS = {
     "node-unknown-key": "nodes[0]: unknown key 'lable'",
     "node-missing-key": "nodes[1]: missing required key 'role'",
     "link-missing-key": "links[0]: missing required key 'distance_m'",
-    "link-duplicate": "duplicate link 1-0",
+    "link-duplicate": "links[2]: duplicate link 1-0",
+    "link-self": "links[2]: node 1 cannot link to itself",
+    "links-object": "topology: links must be a JSON array, got dict",
+    "nodes-not-a-list": "topology: nodes must be a JSON array, got int",
+    "schedule-key": "traffic: schedule key 'abc' is not a node uid",
+    "schedule-key-padded": "traffic: schedule key ' 1_01 ' is not a node uid",
+    "schedule-key-leading-zero": "traffic: schedule key '0101' is not a node uid",
+    "schedule-key-signed": "traffic: schedule key '+101' is not a node uid",
+    "schedule-list": "traffic: schedule: expected a JSON object, got list",
+    "schedule-times-number": "traffic: schedule of 101 must be a JSON array, got float",
     "ed-capacity-zero": "energy: ed_capacity_mah must be positive",
     "gateway-capacity-negative": "energy: gateway_capacity_mah must be positive",
 }

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
-from loramesh.energy import _RX, _TX, EnergyLedger
+from loramesh.energy import EnergyLedger
 from loramesh.model import EnergyModel, quantize_battery
 
 
@@ -18,15 +18,12 @@ def test_single_tx_charge():
     # 14.144 ms at 500 mA
     assert led.consumed_mah == pytest.approx(0.014144 * 500.0 / 3600.0, rel=1e-12)
     assert led.consumed_mah == pytest.approx(0.00196444444, rel=1e-6)
-    assert led.tx_s == pytest.approx(0.014144)
 
 
 def test_idle_fills_gaps():
     led = make_ledger()
     led.charge_tx(10.0, 10.5)
     led.finalize(20.0)
-    assert led.idle_s == pytest.approx(19.5)
-    assert led.tx_s == pytest.approx(0.5)
     expected = (19.5 * 1.0 + 0.5 * 500.0) / 3600.0
     assert led.consumed_mah == pytest.approx(expected, rel=1e-12)
 
@@ -36,7 +33,6 @@ def test_overlapping_rx_windows_union_merge():
     led.charge_rx(1.0, 2.0)
     led.charge_rx(1.5, 2.5)  # overlaps by 0.5
     led.charge_rx(2.5, 3.0)  # back to back
-    assert led.rx_s == pytest.approx(2.0)
     assert led.consumed_mah == pytest.approx(2.0 * 50.0 / 3600.0, rel=1e-12)
 
 
@@ -44,7 +40,14 @@ def test_rx_window_fully_covered_is_free():
     led = make_ledger(i_idle=0.0)
     led.charge_rx(1.0, 3.0)
     led.charge_rx(1.2, 2.8)
-    assert led.rx_s == pytest.approx(2.0)
+    assert led.consumed_mah == pytest.approx(2.0 * 50.0 / 3600.0, rel=1e-12)
+
+
+def test_transmission_follows_the_same_merge_rule():
+    led = make_ledger(i_idle=0.0)
+    led.charge_rx(1.0, 2.0)
+    led.charge_tx(1.5, 2.5)  # only the part after the billed window
+    assert led.consumed_mah == pytest.approx((1.0 * 50.0 + 0.5 * 500.0) / 3600.0, rel=1e-12)
 
 
 def test_level_quantization_and_history():
@@ -81,16 +84,6 @@ def test_dead_ledger_ignores_further_charges():
     assert led.remaining == 0.0
 
 
-def test_level_at_step_lookup():
-    led = make_ledger(capacity=1.0, i_tx=3600.0, i_idle=0.0)
-    led.charge_tx(0.0, 0.025)
-    assert led.level_at(0.0) == 99
-    assert led.level_at(0.0099) == 99
-    assert led.level_at(0.0101) == 98
-    assert led.level_at(0.0201) == 97
-    assert led.level_at(5.0) == 97
-
-
 def test_capacity_override():
     model = EnergyModel(battery_capacity_mah=100.0)
     led = EnergyLedger(model, capacity_mah=12.0)
@@ -110,59 +103,42 @@ def test_replay_reproduces_ledger():
     a, b = ledgers
     assert a.remaining == b.remaining
     assert a.history == b.history
-    assert (a.tx_s, a.rx_s, a.idle_s) == (b.tx_s, b.rx_s, b.idle_s)
+    assert a.charged_until == b.charged_until
 
 
 class EveryChargeLedger(EnergyLedger):
-    """Reference: recomputes the level after every charge, and bills every
-    reception as an idle gap then a window, each through ``_consume``."""
+    """Reference: the naive form of the billing rule. Every charge bills
+    its idle gap and its window through ``_consume``, which recomputes
+    the level after every call."""
 
-    def __init__(self, model):
-        super().__init__(model)
-        self.currents = (model.i_tx_ma, model.i_rx_ma, model.i_idle_ma)
+    def _charge(self, t0, t1, rate):
+        until = self.charged_until
+        if self.dead or t1 <= until:
+            return
+        start = max(t0, until)
+        self._consume(self.idle_rate, start - until, start)
+        self._consume(rate, t1 - start, t1)
+        self.charged_until = t1
 
-    def _consume(self, state, duration, t_end):
+    def _consume(self, rate, duration, t_end):
         if self.dead or duration <= 0.0:
             return
-        current = self.currents[state]
-        rate = current / 3600.0
         used = rate * duration
         start_remaining = self.remaining
         t_start = t_end - duration
-        if used >= start_remaining and current > 0.0:
-            alive = start_remaining / used * duration
-            if state == _TX:
-                self.tx_s += alive
-            elif state == _RX:
-                self.rx_s += alive
-            else:
-                self.idle_s += alive
+        if used >= start_remaining and rate > 0.0:
             self._record_crossings(start_remaining, 0.0, t_start, rate)
             self.remaining = 0.0
             self.dead = True
-            self.death_time = t_start + alive
+            self.death_time = t_start + start_remaining / used * duration
             self.level = 0
             self.history.append((self.death_time, 0))
             return
         self.remaining = start_remaining - used
-        if state == _TX:
-            self.tx_s += duration
-        elif state == _RX:
-            self.rx_s += duration
-        else:
-            self.idle_s += duration
         new_level = quantize_battery(self.remaining, self.capacity)
         if new_level < self.level:
             self._record_crossings(start_remaining, self.remaining, t_start, rate)
             self.level = new_level
-
-    def charge_rx(self, t0, t1):
-        if self.dead or t1 <= self.charged_until:
-            return
-        start = t0 if t0 > self.charged_until else self.charged_until
-        self._fill_idle(start)
-        self._consume(_RX, t1 - start, t1)
-        self.charged_until = t1
 
 
 CHARGES = st.lists(
@@ -213,4 +189,4 @@ def test_level_checked_near_a_boundary_matches_every_charge(charges, capacity, i
         assert (led.remaining, led.level, led.dead) == (ref.remaining, ref.level, ref.dead)
     assert led.history == ref.history
     assert led.death_time == ref.death_time
-    assert (led.tx_s, led.rx_s, led.idle_s) == (ref.tx_s, ref.rx_s, ref.idle_s)
+    assert led.charged_until == ref.charged_until

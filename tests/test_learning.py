@@ -44,7 +44,7 @@ def test_quantize_distance_grid():
 
 
 def test_neighbor_table_running_mean():
-    table = NeighborTable(owner=5, model=MODEL, tx_power_dbm=14.0)
+    table = NeighborTable(model=MODEL, tx_power_dbm=14.0)
     table.record_beacon(2, -70.0)
     table.record_beacon(2, -80.0)
     rec = table.records[2]
@@ -54,7 +54,7 @@ def test_neighbor_table_running_mean():
 
 
 def test_neighbor_table_entries_sorted_and_quantized():
-    table = NeighborTable(owner=5, model=MODEL, tx_power_dbm=14.0)
+    table = NeighborTable(model=MODEL, tx_power_dbm=14.0)
     table.record_beacon(9, -76.0)
     table.record_beacon(2, -51.0)
     entries = table.entries()

@@ -530,6 +530,11 @@ class ScanChecked(Simulation):
 
     def _ev_tx_end(self, trans) -> None:
         uid, ch, t0, t1 = trans.tx_uid, trans.channel, trans.t0, trans.t1
+        # the premise of the one billing rule: a live sender's frame, as it
+        # is billed, starts at or after everything its ledger has billed
+        ledger = self.nodes[uid].ledger
+        if not ledger.dead:
+            assert self.queue.now - (t1 - t0) >= ledger.charged_until
         expected = []
         for node, p in self.linked[uid]:
             if node.ledger.dead:
