@@ -159,7 +159,9 @@ def cmd_loadtest(args) -> int:
     if not intervals or not budgets:
         raise ScenarioError("interval and budget ladders must be nonempty")
     if any(b >= a for a, b in zip(intervals, intervals[1:])):
-        raise ScenarioError("intervals must be strictly descending")
+        raise ScenarioError("--intervals must be strictly descending")
+    if budgets[0] < 1 or any(b <= a for a, b in zip(budgets, budgets[1:])):
+        raise ScenarioError("--budgets must be strictly ascending positive integers")
     out = _out_dir(args)
     report = {"scenario": scenario.name, "protocol": scenario.protocol, "intervals": []}
     n_eds = len(scenario.topology.end_devices)

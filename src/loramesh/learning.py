@@ -102,16 +102,14 @@ class LearnedTable:
     """Routing state a repeater extracts from disseminated table rows.
 
     Only the node's own row and the rows of its audible neighbors are
-    retained; everything else in a chunk is scenery. ``installed`` flips
-    once the own row arrives, and nodes that never see it keep flooding.
+    retained; everything else in a chunk is scenery. ``row`` is the own
+    (distance value, upstream, downstream) row, the shape a planned row
+    has, or None until it arrives; nodes that never see it keep flooding.
     """
 
     owner: int
-    distance_value: float | None = None
-    upstream: int | None = None
-    downstream: tuple[int, ...] = ()
+    row: tuple[float, int | None, tuple[int, ...]] | None = None
     neighbor_values: dict[int, float] = field(default_factory=dict)
-    installed: bool = False
 
     def install_rows(
         self,
@@ -121,9 +119,6 @@ class LearnedTable:
         """Apply one chunk: (uid, distance value, upstream, downstream) rows."""
         for uid, value, upstream, downstream in rows:
             if uid == self.owner:
-                self.distance_value = value
-                self.upstream = upstream
-                self.downstream = tuple(downstream)
-                self.installed = True
+                self.row = (value, upstream, tuple(downstream))
             elif uid in neighbor_uids:
                 self.neighbor_values[uid] = value

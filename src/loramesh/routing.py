@@ -1,18 +1,18 @@
 """Operational-phase repeater state: forwarding, standby recovery, and
 battery-triggered route switching.
 
-All functions here are pure decisions over :class:`RouteState`; the
-simulation loop owns timers, queues and the radio. Keeping the logic
-side-effect free makes the trigger conditions directly unit-testable.
+:class:`RouteState` holds what one repeater knows for next-hop
+decisions. The trigger conditions (``should_arm`` and the two switch
+cases) are pure functions of their arguments; ``arm_monitor``,
+``note_recent_hop``, ``apply_route_switch`` and ``revert_upstream``
+update the state they are given. The simulation loop owns timers,
+queues and the radio, so every rule here is unit-testable without it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-
-UP = "up"
-DOWN = "down"
 
 MONITOR_CAPACITY = 16
 RECENT_HOP_CAPACITY = 64
@@ -23,12 +23,12 @@ UNKNOWN_LEVEL = 100
 
 @dataclass
 class StandbyMonitor:
-    packet_id: int
+    """A hop this node may take over; keyed by packet id in ``RouteState.monitors``."""
+
     overheard_from: int
     intended_next: int
     deadline: float
-    direction: str
-    packet: object = None
+    packet: object
     fired: bool = False
 
 
@@ -72,19 +72,13 @@ class RouteState:
     def level_of(self, uid: int) -> int:
         return self.neighbor_levels.get(uid, UNKNOWN_LEVEL)
 
-    def note_level(self, uid: int, level: int) -> None:
-        self.neighbor_levels[uid] = level
-
-    def value_of(self, uid: int) -> float | None:
-        return self.neighbor_values.get(uid)
-
 
 def should_arm(
     state: RouteState,
     tx_uid: int,
     addressee_uid: int,
     addressee_is_gateway: bool,
-    direction: str = UP,
+    up: bool,
 ) -> bool:
     """Decide whether an overheard addressed forward arms a monitor.
 
@@ -95,11 +89,11 @@ def should_arm(
     """
     if not state.installed or tx_uid == state.uid or addressee_uid == state.uid:
         return False
-    tx_value = state.value_of(tx_uid)
-    addr_value = state.value_of(addressee_uid)
+    tx_value = state.neighbor_values.get(tx_uid)
+    addr_value = state.neighbor_values.get(addressee_uid)
     if tx_value is None or addr_value is None:
         return False
-    if direction == UP:
+    if up:
         if addressee_is_gateway:
             return False
         return tx_value > addr_value and state.distance_value < tx_value
@@ -112,24 +106,17 @@ def arm_monitor(
     tx_uid: int,
     addressee_uid: int,
     deadline: float,
-    direction: str,
     packet,
-) -> tuple[StandbyMonitor, StandbyMonitor | None]:
-    """Record a monitor for a packet not monitored yet; returns (monitor, evicted-or-None)."""
-    monitor = StandbyMonitor(
-        packet_id=packet_id,
-        overheard_from=tx_uid,
-        intended_next=addressee_uid,
-        deadline=deadline,
-        direction=direction,
-        packet=packet,
-    )
-    evicted = None
+) -> int | None:
+    """Record a monitor for a packet not monitored yet; returns the packet
+    id of the oldest monitor when capacity evicts it, else None."""
     monitors = state.monitors
-    monitors[packet_id] = monitor
+    monitors[packet_id] = StandbyMonitor(
+        overheard_from=tx_uid, intended_next=addressee_uid, deadline=deadline, packet=packet
+    )
     if len(monitors) > MONITOR_CAPACITY:
-        _pid, evicted = monitors.popitem(last=False)
-    return monitor, evicted
+        return monitors.popitem(last=False)[0]
+    return None
 
 
 def note_recent_hop(state: RouteState, packet_id: int, tx_uid: int, addressee_uid: int) -> None:
@@ -139,8 +126,8 @@ def note_recent_hop(state: RouteState, packet_id: int, tx_uid: int, addressee_ui
     the later battery check can then fire a switch toward the original
     sender without creating a loop.
     """
-    tx_value = state.value_of(tx_uid)
-    addr_value = state.value_of(addressee_uid)
+    tx_value = state.neighbor_values.get(tx_uid)
+    addr_value = state.neighbor_values.get(addressee_uid)
     if tx_value is None or addr_value is None:
         return
     if not (tx_value > state.distance_value and addr_value > state.distance_value):
@@ -177,7 +164,7 @@ def apply_route_switch(state: RouteState, sender_uid: int) -> bool:
 
     Unknown senders are ignored; repeated instructions are a no-op.
     """
-    if state.value_of(sender_uid) is None or state.upstream_current == sender_uid:
+    if sender_uid not in state.neighbor_values or state.upstream_current == sender_uid:
         return False
     state.upstream_current = sender_uid
     return True

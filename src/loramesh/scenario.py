@@ -228,10 +228,12 @@ def _array(value, section: str, key: str) -> list:
 def _schedule(value, section: str, key: str) -> dict[int, tuple[float, ...]]:
     """Scripted uplink times per end device: an object whose keys are uids
     in canonical decimal form (ASCII digits, no sign, spaces, underscores
-    or leading zeros) and whose values are arrays of times."""
+    or leading zeros) and whose values are arrays of times. A key longer
+    than any uid below ``UID_LIMIT`` is refused before it is converted."""
     schedule = {}
+    digits = len(str(UID_LIMIT))
     for uid, times in _object(value, f"{section}: {key}").items():
-        if not (uid.isascii() and uid.isdigit() and str(int(uid)) == uid):
+        if not (len(uid) <= digits and uid.isascii() and uid.isdigit() and str(int(uid)) == uid):
             raise ScenarioError(f"{section}: {key} key {uid!r} is not a node uid")
         times = _array(times, section, f"{key} of {uid}")
         schedule[int(uid)] = tuple(_number(t, section, f"{key} time") for t in times)

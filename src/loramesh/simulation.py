@@ -424,7 +424,7 @@ class Simulation:
     def _deliver(self, node: Node, packet: Packet, tx_uid: int, prx_dbm: float) -> None:
         kind = packet.kind
         if packet.battery_level is not None:
-            node.route.note_level(tx_uid, packet.battery_level)
+            node.route.neighbor_levels[tx_uid] = packet.battery_level
 
         if kind == BEACON:
             if not node.is_ed:
@@ -463,7 +463,6 @@ class Simulation:
         an overheard hop feeds standby and, on uplink, route switching."""
         pid = packet.packet_id
         up = packet.kind == DATA_UP
-        direction = rt.UP if up else rt.DOWN
         if node.is_gateway:
             if up and pid not in self.delivered_pids:
                 self.delivered_pids.add(pid)
@@ -488,7 +487,7 @@ class Simulation:
             if pid in r.forwarded_ids:
                 self._emit(tr.DUP_SUPPRESSED, node.uid, pkt=pid, peer=tx_uid)
             else:
-                self._forward(node, packet, direction)
+                self._forward(node, packet)
             return
         # Overheard someone else's hop.
         announced = packet.battery_level if up and self.energy_aware else None
@@ -521,29 +520,27 @@ class Simulation:
                     r.switch_acted.add(key)
                     self._originate(node, ROUTE_SWITCH, ROUTE_SWITCH_PAYLOAD, hop[0])
             rt.note_recent_hop(r, pid, tx_uid, next_hop)
-        self._maybe_arm(node, packet, tx_uid, direction)
+        self._maybe_arm(node, packet, tx_uid)
 
-    def _maybe_arm(self, node: Node, packet: Packet, tx_uid: int, direction: str) -> None:
+    def _maybe_arm(self, node: Node, packet: Packet, tx_uid: int) -> None:
         if not self.standby_enabled:
             return
         r = node.route
         pid = packet.packet_id
         if pid in r.forwarded_ids:
             return
-        if direction == rt.UP:
+        if packet.kind == DATA_UP:
+            # an overheard uplink hop names a planned node: one that
+            # names none took the addressed path in _deliver_data
             addressee = packet.next_hop
-            if not isinstance(addressee, int):
-                return
-            addressee_node = self.nodes.get(addressee)
-            if addressee_node is None:
-                return
-            if not rt.should_arm(r, tx_uid, addressee, addressee_node.is_gateway, rt.UP):
+            is_gateway = self.nodes[addressee].is_gateway
+            if not rt.should_arm(r, tx_uid, addressee, is_gateway, up=True):
                 return
         else:
             targets = packet.next_hop if isinstance(packet.next_hop, tuple) else ()
             addressee = None
             for member in targets:
-                if rt.should_arm(r, tx_uid, member, False, rt.DOWN):
+                if rt.should_arm(r, tx_uid, member, False, up=False):
                     addressee = member
                     break
             if addressee is None:
@@ -552,9 +549,9 @@ class Simulation:
         deadline = self.queue.now + self.rng.uniform(
             node.uid, "standby", mac.standby_min_s, mac.standby_max_s
         )
-        _mon, evicted = rt.arm_monitor(r, pid, tx_uid, addressee, deadline, direction, packet)
+        evicted = rt.arm_monitor(r, pid, tx_uid, addressee, deadline, packet)
         if evicted is not None:
-            self._emit(tr.STANDBY_CANCELLED, node.uid, pkt=evicted.packet_id)
+            self._emit(tr.STANDBY_CANCELLED, node.uid, pkt=evicted)
         self._emit(tr.STANDBY_ARMED, node.uid, pkt=pid, peer=tx_uid)
         self.queue.push(deadline, self._ev_standby, (node.uid, pid, deadline))
 
@@ -569,9 +566,9 @@ class Simulation:
         if pid in node.route.forwarded_ids:
             return
         self._emit(tr.STANDBY_FIRED, uid, pkt=pid, peer=mon.overheard_from)
-        self._forward(node, mon.packet, mon.direction)
+        self._forward(node, mon.packet)
 
-    def _forward(self, node: Node, packet: Packet, direction: str) -> None:
+    def _forward(self, node: Node, packet: Packet) -> None:
         r = node.route
         r.forwarded_ids.add(packet.packet_id)
         level = node.ledger.level
@@ -579,7 +576,7 @@ class Simulation:
         if level < r.last_announced_level:
             piggy = level
             r.last_announced_level = level
-        next_hop = r.upstream_current if direction == rt.UP else r.downstream_current
+        next_hop = r.upstream_current if packet.kind == DATA_UP else r.downstream_current
         self._enqueue_mesh(node, packet.rehop(next_hop, piggy))
 
     # ------------------------------------------------------------------
@@ -628,14 +625,8 @@ class Simulation:
     def _ev_switchover(self) -> None:
         for uid in sorted(self.topology.repeaters):
             node = self.nodes[uid]
-            learned = node.learned
-            if learned.installed:
-                node.route.install(
-                    learned.distance_value,
-                    learned.upstream,
-                    learned.downstream,
-                    learned.neighbor_values,
-                )
+            if node.learned.row is not None:
+                node.route.install(*node.learned.row, node.learned.neighbor_values)
         if self.graph is not None:
             self._install_plan(sorted(self.topology.gateways))
 

@@ -295,6 +295,8 @@ MALFORMED_SCENARIOS = {
     "schedule-key-padded": {**VALID_SCENARIO, "traffic": {"schedule": {" 1_01 ": [5.0]}}},
     "schedule-key-leading-zero": {**VALID_SCENARIO, "traffic": {"schedule": {"0101": [5.0]}}},
     "schedule-key-signed": {**VALID_SCENARIO, "traffic": {"schedule": {"+101": [5.0]}}},
+    # longer than Python converts to an int by default
+    "schedule-key-huge": {**VALID_SCENARIO, "traffic": {"schedule": {"1" * 5000: [5.0]}}},
     "schedule-list": {**VALID_SCENARIO, "traffic": {"schedule": [5.0]}},
     "schedule-times-number": {**VALID_SCENARIO, "traffic": {"schedule": {"101": 5.0}}},
     "ed-capacity-zero": {**VALID_SCENARIO, "energy": {"ed_capacity_mah": 0}},
@@ -336,6 +338,7 @@ NAMED_KEYS = {
     "schedule-key-padded": "traffic: schedule key ' 1_01 ' is not a node uid",
     "schedule-key-leading-zero": "traffic: schedule key '0101' is not a node uid",
     "schedule-key-signed": "traffic: schedule key '+101' is not a node uid",
+    "schedule-key-huge": f"traffic: schedule key '{'1' * 5000}' is not a node uid",
     "schedule-list": "traffic: schedule: expected a JSON object, got list",
     "schedule-times-number": "traffic: schedule of 101 must be a JSON array, got float",
     "ed-capacity-zero": "energy: ed_capacity_mah must be positive",
@@ -691,6 +694,27 @@ class TestMalformedLists:
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named} ")
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--intervals", "1.0,2.0"),
+            ("--intervals", "1.0,1.0"),
+            ("--budgets", "50,20"),
+            ("--budgets", "20,20"),
+            ("--budgets", "0,20"),
+        ],
+    )
+    def test_a_ladder_out_of_order_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, flag, text
+    ):
+        def no_run(*_args):
+            raise AssertionError("ran with a ladder out of order")
+
+        monkeypatch.setattr(cli, "_run_once", no_run)
+        argv = ["loadtest", "--scenario", "standby_recovery", flag, text]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be strictly ")
 
     def test_plan_reports_directory_exits_2(self, tmp_path, capsys):
         rc = main(["plan", "--reports", str(tmp_path), "--out-dir", str(tmp_path / "out")])

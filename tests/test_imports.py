@@ -39,3 +39,12 @@ def test_a_third_party_import_is_caught(tmp_path):
     path = tmp_path / "module.py"
     path.write_text("import json\nfrom . import model\nimport numpy.linalg\nfrom yaml import safe_load\n")
     assert list(imported_roots(path)) == ["json", "numpy", "yaml"]
+
+
+def test_package_parses_as_the_oldest_supported_python():
+    # pyproject.toml declares requires-python >=3.10; syntax newer than
+    # that, such as an ``except*`` clause, fails here
+    modules = sorted(PACKAGE_DIR.glob("*.py"))
+    for path in modules:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+    assert len(modules) > 10

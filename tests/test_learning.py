@@ -87,15 +87,12 @@ def test_learned_table_keeps_own_and_neighbor_rows():
         (7, 175.0, 14, ()),
     ]
     table.install_rows(rows, neighbor_uids={2, 12})
-    assert table.installed
-    assert table.distance_value == 170.0
-    assert table.upstream == 2
-    assert table.downstream == (12,)
+    assert table.row == (170.0, 2, (12,))
     assert table.neighbor_values == {2: 85.0}  # 7 is not audible, dropped
 
 
 def test_learned_table_without_own_row_stays_uninstalled():
     table = LearnedTable(owner=4)
     table.install_rows([(2, 85.0, 0, ())], neighbor_uids={2})
-    assert not table.installed
+    assert table.row is None
     assert table.neighbor_values == {2: 85.0}

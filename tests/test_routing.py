@@ -1,8 +1,6 @@
 from loramesh.routing import (
     MONITOR_CAPACITY,
     RECENT_HOP_CAPACITY,
-    UP,
-    DOWN,
     RouteState,
     apply_route_switch,
     arm_monitor,
@@ -98,40 +96,40 @@ def test_revert_restores_planner_upstream():
 def test_should_arm_uplink_ordering():
     state = observer_state()
     # D (200) hands to F (130); we sit at 150, below D: arm
-    assert should_arm(state, 45, 60, addressee_is_gateway=False) is True
+    assert should_arm(state, 45, 60, addressee_is_gateway=False, up=True) is True
     # hop addressed to a gateway is never monitored
-    assert should_arm(state, 45, 60, addressee_is_gateway=True) is False
+    assert should_arm(state, 45, 60, addressee_is_gateway=True, up=True) is False
     # transmitter closer than addressee: nothing to recover
-    assert should_arm(state, 60, 45, addressee_is_gateway=False) is False
+    assert should_arm(state, 60, 45, addressee_is_gateway=False, up=True) is False
     # we sit farther than the transmitter: not our recovery
     state.distance_value = 250.0
-    assert should_arm(state, 45, 60, addressee_is_gateway=False) is False
+    assert should_arm(state, 45, 60, addressee_is_gateway=False, up=True) is False
 
 
 def test_should_arm_requires_known_values_and_other_parties():
     state = observer_state()
-    assert should_arm(state, 99, 60, addressee_is_gateway=False) is False
-    assert should_arm(state, 45, 99, addressee_is_gateway=False) is False
-    assert should_arm(state, state.uid, 60, addressee_is_gateway=False) is False
-    assert should_arm(state, 45, state.uid, addressee_is_gateway=False) is False
+    assert should_arm(state, 99, 60, addressee_is_gateway=False, up=True) is False
+    assert should_arm(state, 45, 99, addressee_is_gateway=False, up=True) is False
+    assert should_arm(state, state.uid, 60, addressee_is_gateway=False, up=True) is False
+    assert should_arm(state, 45, state.uid, addressee_is_gateway=False, up=True) is False
     uninstalled = RouteState(uid=50)
-    assert should_arm(uninstalled, 45, 60, addressee_is_gateway=False) is False
+    assert should_arm(uninstalled, 45, 60, addressee_is_gateway=False, up=True) is False
 
 
 def test_should_arm_downlink_mirrors():
     state = observer_state()
     # downlink: C (120) hands outward to D (200); we sit at 150, beyond C
-    assert should_arm(state, 40, 45, addressee_is_gateway=False, direction=DOWN) is True
-    assert should_arm(state, 45, 40, addressee_is_gateway=False, direction=DOWN) is False
+    assert should_arm(state, 40, 45, addressee_is_gateway=False, up=False) is True
+    assert should_arm(state, 45, 40, addressee_is_gateway=False, up=False) is False
 
 
 def test_monitor_capacity_evicts_oldest():
     state = observer_state()
     evictions = []
     for pid in range(MONITOR_CAPACITY + 2):
-        _, evicted = arm_monitor(state, pid, 45, 60, deadline=1.0, direction=UP, packet=None)
+        evicted = arm_monitor(state, pid, 45, 60, deadline=1.0, packet=None)
         if evicted is not None:
-            evictions.append(evicted.packet_id)
+            evictions.append(evicted)
     assert evictions == [0, 1]
     assert len(state.monitors) == MONITOR_CAPACITY
 
@@ -160,5 +158,5 @@ def test_recent_hops_capacity():
 def test_unknown_neighbor_level_defaults_optimistic():
     state = observer_state()
     assert state.level_of(45) == 100
-    state.note_level(45, 40)
+    state.neighbor_levels[45] = 40
     assert state.level_of(45) == 40

@@ -384,6 +384,52 @@ def test_downlink_coverage_reaches_leaf_repeaters():
     assert tx_nodes.count(2) == 0  # the leaf holds no forwarding duty
 
 
+def test_downlink_standby_fires_along_the_observers_own_set():
+    # gateway 0 sends down 0 -> 1 -> 2 -> 4; observer 3 belongs to
+    # gateway 10's tree (10 -> 3 -> 5 -> 6), hears 1 hand the packet to
+    # 2 and, with 2 dead, takes the hop over along its own set (5,)
+    nodes = [{"uid": uid, "role": "gateway"} for uid in (0, 10)] + [
+        {"uid": uid, "role": "repeater"} for uid in (1, 2, 3, 4, 5, 6)
+    ]
+    pairs = [
+        *[(0, 1, 100.0), (1, 2, 80.0), (2, 4, 80.0)],
+        *[(10, 3, 110.0), (3, 5, 80.0), (5, 6, 80.0)],
+        *[(1, 3, 90.0), (2, 3, 90.0)],
+    ]
+    links = [{"a": a, "b": b, "distance_m": d} for a, b, d in pairs]
+    scn = scenario_from_dict(
+        {
+            "name": "downlink-standby",
+            "topology": {"nodes": nodes, "links": links},
+            "mac": {"wait_min_s": 0.05, "wait_max_s": 0.05},
+            "protocol": "routing",
+        }
+    )
+    buf = io.StringIO()
+    sim = Simulation(scn, trace_writer=tr.TraceWriter(buf))
+    sim.nodes[2].ledger.dead = True
+    sent = []
+    enqueue = sim._enqueue_mesh
+
+    def recording(node, packet):
+        sent.append((node.uid, packet.packet_id, packet.next_hop))
+        enqueue(node, packet)
+
+    sim._enqueue_mesh = recording
+    pid = sim.inject_downlink(0)
+    sim.run()
+    events = decoded(buf)
+    assert sim.nodes[1].route.downstream_current == (2,)
+    assert sim.nodes[3].route.downstream_current == (5,)
+    assert [ev[2] for ev in events_of(events, tr.STANDBY_ARMED, pkt=pid)] == [3]
+    fired = events_of(events, tr.STANDBY_FIRED, pkt=pid)
+    assert [(ev[2], ev[4]) for ev in fired] == [(3, 1)]
+    assert (3, pid, (5,)) in sent
+    # 5 forwards because the takeover named it, and the leaf 6 hears it
+    assert [ev[2] for ev in events_of(events, tr.TX_START, pkt=pid)] == [0, 1, 3, 5]
+    assert 6 in {ev[2] for ev in events_of(events, tr.RX_OK, pkt=pid)}
+
+
 @pytest.mark.parametrize("uid, role", [(101, "end_device"), (1, "repeater")])
 def test_downlink_enters_only_at_a_gateway(uid, role):
     # an end device would otherwise send a mesh-channel frame
