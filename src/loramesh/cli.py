@@ -38,19 +38,23 @@ def _default_seed() -> int | None:
         raise ScenarioError(f"LORAMESH_SEED is not an integer: {env!r}")
 
 
+def _periodic(scenario: Scenario, **traffic_changes) -> Scenario:
+    """``scenario`` with its traffic changed as given and made periodic: a
+    budget or rate given asks for periodic traffic, so a scripted schedule
+    in the file no longer applies."""
+    return replace(scenario, traffic=replace(scenario.traffic, schedule={}, **traffic_changes))
+
+
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if getattr(args, "protocol", None):
         scenario = replace(scenario, protocol=args.protocol)
-    traffic = scenario.traffic
+    traffic_changes = {}
     if getattr(args, "packets", None) is not None:
-        traffic = replace(traffic, total_packets=args.packets)
+        traffic_changes["total_packets"] = args.packets
     if getattr(args, "mean_interval_ms", None) is not None:
-        traffic = replace(traffic, mean_interval_s=args.mean_interval_ms / 1000.0)
-    if traffic is not scenario.traffic:
-        # an explicit budget or rate override asks for periodic traffic,
-        # so a scripted schedule in the file no longer applies
-        traffic = replace(traffic, schedule={})
-        scenario = replace(scenario, traffic=traffic)
+        traffic_changes["mean_interval_s"] = args.mean_interval_ms / 1000.0
+    if traffic_changes:
+        scenario = _periodic(scenario, **traffic_changes)
     if getattr(args, "seed", None) is not None:
         scenario = replace(scenario, seed=args.seed)
     return scenario
@@ -117,13 +121,11 @@ def cmd_plan(args) -> int:
 
 def cmd_learn(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    traffic = replace(scenario.traffic, total_packets=0, schedule={})
+    # the learning phase's control traffic never reads the protocol
     scenario = replace(
-        scenario,
-        traffic=traffic,
+        _periodic(scenario, total_packets=0),
         learning_phase=True,
         horizon_s=scenario.phases.dissemination_end_s,
-        protocol="routing" if scenario.protocol == "flooding" else scenario.protocol,
     )
     out = _out_dir(args)
     _metrics, sim = _run_once(scenario)
@@ -163,19 +165,17 @@ def cmd_loadtest(args) -> int:
     if budgets[0] < 1 or any(b <= a for a, b in zip(budgets, budgets[1:])):
         raise ScenarioError("--budgets must be strictly ascending positive integers")
     out = _out_dir(args)
+    # every rung is built, and so checked, before the first run
+    ladder = [
+        [_periodic(scenario, mean_interval_s=interval, total_packets=budget) for budget in budgets]
+        for interval in intervals
+    ]
     report = {"scenario": scenario.name, "protocol": scenario.protocol, "intervals": []}
     n_eds = len(scenario.topology.end_devices)
     knee = None
-    for interval in intervals:
+    for interval, rungs in zip(intervals, ladder):
         points = []
-        for budget in budgets:
-            traffic = replace(
-                scenario.traffic,
-                mean_interval_s=interval,
-                total_packets=budget,
-                schedule={},
-            )
-            run_scenario = replace(scenario, traffic=traffic)
+        for budget, run_scenario in zip(budgets, rungs):
             metrics, _sim = _run_once(run_scenario)
             lat = metrics["latency_ms"]
             points.append(

@@ -18,7 +18,8 @@ from .channel import PathLossModel
 from .model import FRAME_HEADER, REPORT_ENTRY, pack_frames
 
 # Fixed-point grid for distances on the wire: 2 bytes at 0.25 m per step
-# covers 0..16383.75 m, far beyond any underground link budget.
+# covers 0..16383.75 m, far beyond any underground link budget; a
+# planned path sums links, and the planner refuses one beyond it.
 DISTANCE_STEP_M = 0.25
 MAX_WIRE_DISTANCE_M = 65535 * DISTANCE_STEP_M
 

@@ -27,24 +27,6 @@ from . import trace as tr
 from .energy import EnergyLedger
 from .scenario import END_DEVICE, GATEWAY, REPEATER, Scenario
 
-_COUNT_KEYS = (
-    "generated",
-    "tx_start",
-    "tx_end",
-    "rx_ok",
-    "rx_collided",
-    "rx_below_sensitivity",
-    "dropped_busy_tx",
-    "queue_dropped",
-    "standby_armed",
-    "standby_fired",
-    "standby_cancelled",
-    "route_switched",
-    "delivered",
-    "dup_suppressed",
-)
-
-
 class MetricsBuilder:
     def __init__(self, scenario: Scenario, seed: int) -> None:
         self.scenario = scenario
@@ -64,7 +46,7 @@ class MetricsBuilder:
         self.delivered: dict[int, float] = {}
         self.ingress_heard: set[int] = set()
         self.tx_s = {uid: 0.0 for uid in self.ledgers}
-        self.counts = [0] * len(_COUNT_KEYS)
+        self.counts = [0] * len(tr.COUNT_KEYS)
 
     def account(self, events) -> None:
         """Count a batch of events, in emission order; bills nothing."""
@@ -157,7 +139,7 @@ class MetricsBuilder:
                 "offered_pkt_per_s": len(self.generated) / span,
                 "delivered_pkt_per_s": len(self.delivered) / span,
             },
-            "counts": dict(zip(_COUNT_KEYS, self.counts)),
+            "counts": dict(zip(tr.COUNT_KEYS, self.counts)),
         }
         if trace_digest is not None:
             metrics["trace_sha256"] = trace_digest

@@ -14,7 +14,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 
-from .learning import quantize_distance
+from .learning import MAX_WIRE_DISTANCE_M, quantize_distance
 from .model import pack_frames, table_row_bytes
 from .scenario import _integer, _number
 
@@ -23,6 +23,15 @@ INFINITE = float("inf")
 
 class PlannerError(ValueError):
     pass
+
+
+def _on_wire(distance_m: float, what: str) -> float:
+    """``distance_m`` on the wire grid; a plan cannot carry a longer one."""
+    if distance_m > MAX_WIRE_DISTANCE_M:
+        raise PlannerError(
+            f"{what} is {distance_m} m; the distance field holds at most {MAX_WIRE_DISTANCE_M} m"
+        )
+    return quantize_distance(distance_m)
 
 
 @dataclass
@@ -147,10 +156,9 @@ def assign_upstream(graph: GlobalGraph) -> None:
             upstream[uid] = None
             continue
         best: tuple[float, int] | None = None
+        # the graph is undirected, so a reachable node's neighbors are reachable
         for nbr, _w in graph.neighbors_of(uid):
-            value = graph.distance_value.get(nbr, INFINITE)
-            if value == INFINITE:
-                continue
+            value = graph.distance_value[nbr]
             if best is None or (value, nbr) < best:
                 best = (value, nbr)
         if best is None or best[0] >= graph.distance_value[uid]:
@@ -212,9 +220,9 @@ def compute_downlink_sets(graph: GlobalGraph) -> None:
                 for cand in candidates:
                     if cand in selected:
                         continue
+                    # a candidate, a tree child of the gateway or of a selected
+                    # forwarder, is covered already
                     gain = {n for n in neighborhood[cand] if n not in covered}
-                    if cand not in covered:
-                        gain.add(cand)
                     if gain and (best is None or (-len(gain), cand) < best):
                         best = (-len(gain), cand)
                         best_gain = gain
@@ -268,9 +276,10 @@ def route_rows(
     graph: GlobalGraph,
 ) -> dict[int, tuple[float, int | None, tuple[int, ...], dict[int, float]]]:
     """Per reachable node, in uid order: (distance value, upstream,
-    downstream, neighbor values), every value quantized as on the wire."""
+    downstream, neighbor values), every value quantized as on the wire.
+    Raises ``PlannerError`` naming a node whose value the wire cannot hold."""
     wire = {
-        uid: quantize_distance(value)
+        uid: _on_wire(value, f"node {uid}'s path to its nearest gateway")
         for uid, value in graph.distance_value.items()
         if value != INFINITE
     }
@@ -310,17 +319,19 @@ def plan_from_topology(topology, heard) -> GlobalGraph:
     node reports the mesh peers it hears, at their true distance passed
     through the wire quantization, and the reports feed the normal
     pipeline. An inaudible link is never quantized, so its length may
-    exceed the wire range. With zero shadowing and no control frame
-    lost, the in-simulator learning phase converges to exactly this
-    plan; with shadowing its RSSI distance estimates carry the shadow
-    term, while this plan keeps the true distances.
+    exceed the wire range; an audible one that does raises
+    ``PlannerError``, as a longer planned path does in ``route_rows``.
+    With zero shadowing and no control frame lost, the in-simulator
+    learning phase converges to exactly this plan; with shadowing its
+    RSSI distance estimates carry the shadow term, while this plan keeps
+    the true distances.
     """
     links = topology.links
     mesh = topology.gateways | topology.repeaters
     reports: dict[int, list[tuple[int, float]]] = {uid: [] for uid in sorted(mesh)}
     for a, b, prx in heard:
         if prx is not None and a in mesh and b in mesh:
-            dist = quantize_distance(links.distance(a, b))
+            dist = _on_wire(links.distance(a, b), f"link {a}-{b}")
             reports[a].append((b, dist))
             reports[b].append((a, dist))
     return plan(reports, sorted(topology.gateways))

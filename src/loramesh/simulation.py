@@ -2,8 +2,9 @@
 
 One Simulation instance owns the event queue, every node's radio and
 protocol state, and the trace writer. The flow per transmission: the
-sender's MAC chain draws a wait, senses, and begins the transmission,
-which schedules one end-of-air event; at that event reception is
+sender's MAC chain (``_send_next``) begins the frame at once on an end
+device, or draws a wait and senses the mesh channel first on a mesh
+node; the frame schedules one end-of-air event, at which reception is
 arbitrated for every live peer straight from the sender's hearer row
 (each linked peer in uid order with the power it receives, or None when
 it cannot hear the sender: audibility, then own-transmit exclusion,
@@ -207,16 +208,14 @@ class Simulation:
         if next_hop is None:
             # a flood: its origin must not relay its own packet back
             node.dedup.seen(pid, self.queue.now)
-        self._enqueue_mesh(
-            node, Packet(pid, kind, node.uid, next_hop, payload_bytes, None, body)
-        )
+        self._enqueue(node, Packet(pid, kind, node.uid, next_hop, payload_bytes, None, body))
         return pid
 
     def _relay(self, node: Node, packet: Packet) -> bool:
         """Rebroadcast a flood the first time ``node`` decodes it."""
         if node.dedup.seen(packet.packet_id, self.queue.now):
             return False
-        self._enqueue_mesh(node, packet.rehop())
+        self._enqueue(node, packet.rehop())
         return True
 
     # ------------------------------------------------------------------
@@ -243,76 +242,86 @@ class Simulation:
 
     def _schedule_learning(self) -> None:
         ph = self.scenario.phases
-        spacing = ph.beacon_end_s / ph.beacon_rounds
-        for gw in sorted(self.topology.gateways):
-            for r in range(ph.beacon_rounds):
-                jitter = self.rng.uniform(gw, "traffic", 0.0, min(1.0, spacing / 2.0))
-                self.queue.push(r * spacing + jitter, self._ev_send_beacon, (gw,))
+        self._schedule_rounds(0.0, ph.beacon_end_s, ph.beacon_rounds, self._ev_send_beacon)
         window = 0.6 * (ph.report_end_s - ph.beacon_end_s)
         for rp in sorted(self.topology.repeaters):
             t = ph.beacon_end_s + self.rng.uniform(rp, "report", 0.0, window)
             self.queue.push(t, self._ev_send_report, (rp,))
         self.queue.push(ph.report_end_s, self._ev_server_plan, ())
+        self._schedule_rounds(
+            ph.report_end_s, ph.dissemination_end_s, ph.chunk_rounds, self._ev_send_chunks
+        )
         self.queue.push(ph.dissemination_end_s, self._ev_switchover, ())
 
-    def _traffic_start(self) -> float:
-        base = self.scenario.traffic.start_s
-        if self.scenario.learning_phase:
-            return self.scenario.phases.dissemination_end_s + base
-        return base
+    def _schedule_rounds(self, start: float, end: float, rounds: int, event) -> None:
+        """Every gateway's ``rounds`` calls of ``event``, evenly spaced from
+        ``start`` to ``end``, each jittered by U(0, min(1, spacing / 2))
+        from the gateway's traffic stream."""
+        spacing = (end - start) / rounds
+        for gw in sorted(self.topology.gateways):
+            for r in range(rounds):
+                jitter = self.rng.uniform(gw, "traffic", 0.0, min(1.0, spacing / 2.0))
+                self.queue.push(start + r * spacing + jitter, event, (gw,))
 
     def _schedule_traffic(self) -> None:
         traffic = self.scenario.traffic
         if traffic.schedule:
             for ed in sorted(traffic.schedule):
                 for t in traffic.schedule[ed]:
-                    self.queue.push(t, self._ev_generate, (ed, False))
+                    self.queue.push(t, self._ev_generate, (ed,))
             return
         if traffic.total_packets <= 0:
             return
-        start = self._traffic_start()
+        start = traffic.start_s
+        if self.scenario.learning_phase:
+            start += self.scenario.phases.dissemination_end_s
         for ed in sorted(self.topology.end_devices):
             gap = self.rng.uniform(ed, "traffic", 0.0, 2.0 * traffic.mean_interval_s)
-            self.queue.push(start + gap, self._ev_generate, (ed, True))
+            self.queue.push(start + gap, self._ev_generate, (ed,))
 
     # ------------------------------------------------------------------
     # traffic
 
-    def _ev_generate(self, ed_uid: int, reschedule: bool) -> None:
-        node = self.nodes[ed_uid]
+    def _ev_generate(self, ed_uid: int) -> None:
+        """One uplink packet; periodic traffic (no schedule) spends the
+        budget and draws the device's next generation time."""
         traffic = self.scenario.traffic
-        if not traffic.schedule:
+        periodic = not traffic.schedule
+        if periodic:
             if self.budget_left <= 0:
                 return
             self.budget_left -= 1
+        node = self.nodes[ed_uid]
         if node.ledger.dead:
             return
         pid = self._new_pid()
-        packet = Packet(pid, DATA_UP, ed_uid, None, traffic.payload_bytes)
         self._emit(tr.GENERATED, ed_uid, pkt=pid)
-        self._push(node, packet)
-        if not node.chain_active:
-            node.chain_active = True
-            self._begin_tx(node, node.queue.pop(), ED_CHANNEL)
-        if reschedule and self.budget_left > 0:
+        self._enqueue(node, Packet(pid, DATA_UP, ed_uid, None, traffic.payload_bytes))
+        if periodic and self.budget_left > 0:
             gap = self.rng.uniform(ed_uid, "traffic", 0.0, 2.0 * traffic.mean_interval_s)
-            self.queue.push(self.queue.now + gap, self._ev_generate, (ed_uid, True))
+            self.queue.push(self.queue.now + gap, self._ev_generate, (ed_uid,))
 
     # ------------------------------------------------------------------
     # MAC
 
-    def _push(self, node: Node, packet: Packet) -> None:
-        """Queue ``packet`` at ``node``; a full queue drops its oldest, on record."""
+    def _enqueue(self, node: Node, packet: Packet) -> None:
+        """Queue ``packet`` at a live ``node``, whose MAC chain starts if it
+        is idle; a full queue drops its oldest, on record."""
+        if node.ledger.dead:
+            return
         evicted = node.queue.push(packet)
         if evicted is not None:
             self._emit(tr.QUEUE_DROPPED, node.uid, pkt=evicted.packet_id)
-
-    def _enqueue_mesh(self, node: Node, packet: Packet) -> None:
-        if node.ledger.dead:
-            return
-        self._push(node, packet)
         if not node.chain_active:
             node.chain_active = True
+            self._send_next(node)
+
+    def _send_next(self, node: Node) -> None:
+        """The next step of a chain with a frame queued: an end device
+        begins it at once on its channel; a mesh node senses after a wait."""
+        if node.is_ed:
+            self._begin_tx(node, node.queue.pop(), ED_CHANNEL)
+        else:
             self.queue.push(self.queue.now + self._wait(node.uid), self._ev_sense, (node.uid,))
 
     def _mesh_busy(self, node: Node) -> bool:
@@ -329,7 +338,7 @@ class Simulation:
             node.chain_active = False
             return
         if self._mesh_busy(node):
-            self.queue.push(self.queue.now + self._wait(uid), self._ev_sense, (uid,))
+            self._send_next(node)
             return
         self._begin_tx(node, node.queue.pop(), MESH_CHANNEL)
 
@@ -404,10 +413,7 @@ class Simulation:
             self._kill(sender)
             return
         if sender.queue:
-            if sender.is_ed:
-                self._begin_tx(sender, sender.queue.pop(), ED_CHANNEL)
-            else:
-                self.queue.push(now + self._wait(uid), self._ev_sense, (uid,))
+            self._send_next(sender)
         else:
             sender.chain_active = False
 
@@ -577,7 +583,7 @@ class Simulation:
             piggy = level
             r.last_announced_level = level
         next_hop = r.upstream_current if packet.kind == DATA_UP else r.downstream_current
-        self._enqueue_mesh(node, packet.rehop(next_hop, piggy))
+        self._enqueue(node, packet.rehop(next_hop, piggy))
 
     # ------------------------------------------------------------------
     # learning phase
@@ -604,16 +610,8 @@ class Simulation:
             self.graph = plan(reports, sorted(self.topology.gateways))
             self.chunks = emit_chunks(self.graph)
         except PlannerError:
+            # no chunks to send: the chunk rounds send nothing
             self.graph = None
-            return
-        ph = self.scenario.phases
-        spacing = (ph.dissemination_end_s - ph.report_end_s) / ph.chunk_rounds
-        for gw in sorted(self.topology.gateways):
-            for r in range(ph.chunk_rounds):
-                jitter = self.rng.uniform(gw, "traffic", 0.0, min(1.0, spacing / 2.0))
-                self.queue.push(
-                    ph.report_end_s + r * spacing + jitter, self._ev_send_chunks, (gw,)
-                )
 
     def _ev_send_chunks(self, gw_uid: int) -> None:
         node = self.nodes[gw_uid]

@@ -1,7 +1,9 @@
 """Run trace: the complete, replayable record of what happened on air.
 
 Events are fixed-arity tuples (time, kind, node, packet, peer, duration,
-channel) with None in unused slots; time and duration are floats.
+channel) with None in unused slots; time and duration are floats. A
+kind is an index into ``KINDS``, the one table of event kinds, which
+gives each its NDJSON name and its ``metrics.json`` count key.
 
 Wire form, version 2. A trace is ASCII text. Its first line is the
 constant JSON ``HEADER`` (format name, version, record layout). Every
@@ -30,37 +32,42 @@ import json
 import os
 import struct
 
-GENERATED = 0
-TX_START = 1
-TX_END = 2
-RX_OK = 3
-RX_COLLIDED = 4
-RX_BELOW_SENS = 5
-DROPPED_BUSY_TX = 6
-QUEUE_DROPPED = 7
-STANDBY_ARMED = 8
-STANDBY_FIRED = 9
-STANDBY_CANCELLED = 10
-ROUTE_SWITCHED = 11
-DELIVERED = 12
-DUP_SUPPRESSED = 13
-
-EVENT_NAMES = (
-    "Generated",
-    "TxStart",
-    "TxEnd",
-    "RxOk",
-    "RxCollided",
-    "RxBelowSens",
-    "DroppedBusyTx",
-    "QueueDropped",
-    "StandbyArmed",
-    "StandbyFired",
-    "StandbyCancelled",
-    "RouteSwitched",
-    "DeliveredToGateway",
-    "DuplicateSuppressed",
+# Every event kind, as (NDJSON name, ``metrics.json`` count key); a
+# kind's number is its index here, the byte a trace record stores.
+KINDS = (
+    ("Generated", "generated"),
+    ("TxStart", "tx_start"),
+    ("TxEnd", "tx_end"),
+    ("RxOk", "rx_ok"),
+    ("RxCollided", "rx_collided"),
+    ("RxBelowSens", "rx_below_sensitivity"),
+    ("DroppedBusyTx", "dropped_busy_tx"),
+    ("QueueDropped", "queue_dropped"),
+    ("StandbyArmed", "standby_armed"),
+    ("StandbyFired", "standby_fired"),
+    ("StandbyCancelled", "standby_cancelled"),
+    ("RouteSwitched", "route_switched"),
+    ("DeliveredToGateway", "delivered"),
+    ("DuplicateSuppressed", "dup_suppressed"),
 )
+EVENT_NAMES = tuple(name for name, _key in KINDS)
+COUNT_KEYS = tuple(key for _name, key in KINDS)
+(
+    GENERATED,
+    TX_START,
+    TX_END,
+    RX_OK,
+    RX_COLLIDED,
+    RX_BELOW_SENS,
+    DROPPED_BUSY_TX,
+    QUEUE_DROPPED,
+    STANDBY_ARMED,
+    STANDBY_FIRED,
+    STANDBY_CANCELLED,
+    ROUTE_SWITCHED,
+    DELIVERED,
+    DUP_SUPPRESSED,
+) = range(len(KINDS))
 
 # Tuple slots.
 T, KIND, NODE, PKT, PEER, DUR, CH = range(7)

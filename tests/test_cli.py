@@ -95,6 +95,14 @@ class TestSimulate:
         assert metrics["pdr"] is None
         assert metrics["latency_ms"] is None
 
+    def test_budget_and_rate_overrides_are_checked_together(self, tmp_path):
+        # a file with no budget may hold any interval; the override fixes both
+        path = tmp_path / "idle.json"
+        path.write_text(json.dumps({**VALID_SCENARIO, "traffic": {"mean_interval_s": 0}}))
+        argv = ["simulate", "--scenario", str(path), "--packets", "5", "--mean-interval-ms", "1000"]
+        assert main(argv + ["--no-trace", "--out-dir", str(tmp_path / "run")]) == 0
+        assert read_json(tmp_path / "run" / "metrics.json")["generated"] == 5
+
     def test_missing_scenario_exits_2(self, tmp_path, capsys):
         rc = main(
             [
@@ -608,6 +616,16 @@ class TestLearn:
         assert parsed["gateways"] == [0, 18]
         assert len(parsed["tables"]) == 19
 
+    def test_the_protocol_does_not_change_the_learned_tables(self, tmp_path):
+        # the learning phase's control traffic never reads the protocol
+        tables = []
+        for protocol in ("flooding", "routing"):
+            out = tmp_path / protocol
+            argv = ["learn", "--scenario", "representative", "--protocol", protocol]
+            assert main(argv + ["--out-dir", str(out)]) == 0
+            tables.append(read_bytes(out / "routing_tables.json"))
+        assert tables[0] == tables[1]
+
 
 class TestLoadtest:
     def test_small_ladder_structure(self, tmp_path):
@@ -696,17 +714,23 @@ class TestMalformedLists:
         assert err.startswith(f"error: {named} ")
 
     @pytest.mark.parametrize(
-        "flag, text",
+        "flag, text, prefix",
         [
-            ("--intervals", "1.0,2.0"),
-            ("--intervals", "1.0,1.0"),
-            ("--budgets", "50,20"),
-            ("--budgets", "20,20"),
-            ("--budgets", "0,20"),
+            pytest.param(flag, text, prefix, id=f"{flag}-{text}")
+            for flag, text, prefix in [
+                ("--intervals", "1.0,2.0", "--intervals must be strictly "),
+                ("--intervals", "1.0,1.0", "--intervals must be strictly "),
+                # in order, but a rung no traffic can have
+                ("--intervals", "1.0,0", "mean interval must be positive"),
+                ("--intervals", "1.0,-1", "mean interval must be positive"),
+                ("--budgets", "50,20", "--budgets must be strictly "),
+                ("--budgets", "20,20", "--budgets must be strictly "),
+                ("--budgets", "0,20", "--budgets must be strictly "),
+            ]
         ],
     )
     def test_a_ladder_out_of_order_exits_2_before_any_run(
-        self, tmp_path, capsys, monkeypatch, flag, text
+        self, tmp_path, capsys, monkeypatch, flag, text, prefix
     ):
         def no_run(*_args):
             raise AssertionError("ran with a ladder out of order")
@@ -714,7 +738,7 @@ class TestMalformedLists:
         monkeypatch.setattr(cli, "_run_once", no_run)
         argv = ["loadtest", "--scenario", "standby_recovery", flag, text]
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {flag} must be strictly ")
+        assert capsys.readouterr().err.startswith(f"error: {prefix}")
 
     def test_plan_reports_directory_exits_2(self, tmp_path, capsys):
         rc = main(["plan", "--reports", str(tmp_path), "--out-dir", str(tmp_path / "out")])

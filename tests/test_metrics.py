@@ -189,6 +189,24 @@ def test_recompute_from_trace_matches_live_run(tmp_path):
     assert again["trace_sha256"] == live["trace_sha256"]
 
 
+def test_recompute_from_trace_matches_a_run_cut_by_its_horizon(tmp_path):
+    base = load_scenario("representative")
+    traffic = replace(base.traffic, total_packets=200, schedule={})
+    scn = replace(base, protocol="routing", traffic=traffic, horizon_s=10.0)
+    trace_path = tmp_path / "trace.ndjson"
+    with open(trace_path, "w", encoding="ascii") as fh:
+        sim = Simulation(scn, trace_writer=tr.TraceWriter(fh))
+        live = sim.run().metrics
+    # the run ends at the horizon, not at its last event, with work left over
+    assert live["end_time_s"] == 10.0
+    assert sim.queue
+    assert 0 < live["generated"] < 200
+    events = list(tr.read_trace(trace_path))
+    assert max(ev[tr.T] for ev in events) <= 10.0
+    again = recompute_from_trace(scn, scn.seed, trace_path, live["end_time_s"])
+    assert json.dumps(again, sort_keys=True) == json.dumps(live, sort_keys=True)
+
+
 def test_single_ledger_matches_trace_through_battery_deaths(tmp_path):
     base = load_scenario("two_ed_battery")
     scn = replace(base, traffic=replace(base.traffic, total_packets=10000, schedule={}))

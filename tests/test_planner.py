@@ -9,10 +9,12 @@ from loramesh.planner import (
     aggregate_reports,
     emit_chunks,
     plan,
+    plan_from_topology,
     plan_to_dict,
     reports_from_dict,
     table_rows,
 )
+from loramesh.scenario import scenario_from_dict
 
 
 def floyd_warshall_values(vertices, edges, gateways):
@@ -205,6 +207,32 @@ def test_planner_input_validation():
         plan({}, [0])
     with pytest.raises(PlannerError):
         plan({0: [(1, -5.0)]}, [0])
+
+
+def test_a_plan_longer_than_the_distance_field_names_what_is_too_long():
+    # two hops of 9 000 m fit the field one by one, not as a path
+    graph = plan({0: [(1, 9000.0)], 1: [(0, 9000.0), (2, 9000.0)], 2: [(1, 9000.0)]}, [0])
+    with pytest.raises(
+        PlannerError,
+        match=r"^node 2's path to its nearest gateway is 18000\.0 m; "
+        r"the distance field holds at most 16383\.75 m$",
+    ):
+        table_rows(graph)
+    # an audible link at path-loss exponent 2.0
+    scenario = scenario_from_dict(
+        {
+            "name": "far",
+            "topology": {
+                "path_loss": {"exponent": 2.0},
+                "nodes": [{"uid": 0, "role": "gateway"}, {"uid": 1, "role": "repeater"}],
+                "links": [{"a": 0, "b": 1, "distance_m": 20000.0}],
+            },
+        }
+    )
+    heard = scenario.topology.links.hearing(scenario.radio.tx_power_dbm, scenario.seed)
+    assert heard[0][2] is not None
+    with pytest.raises(PlannerError, match=r"^link 0-1 is 20000\.0 m; the distance field"):
+        plan_from_topology(scenario.topology, heard)
 
 
 def test_emit_chunks_respects_payload_budget():

@@ -11,7 +11,7 @@ from loramesh import trace as tr
 from loramesh.channel import captures, received_power
 from loramesh.engine import RngStreams
 from loramesh.model import BEACON, MESH_CHANNEL, Packet, RadioConfig, airtime
-from loramesh.planner import plan_from_topology
+from loramesh.planner import PlannerError, plan_from_topology
 from loramesh.scenario import load_scenario, scenario_from_dict
 from loramesh.simulation import Simulation, run
 
@@ -334,6 +334,31 @@ def test_learning_phase_converges_to_ideal_plan():
     assert res.metrics["delivered"] == 1
 
 
+def deep_chain(**extra):
+    """Gateway 0 and repeaters 1-5 on audible 3 500 m links, so node 5's
+    17 500 m path is longer than the wire's distance field; five packets
+    from end device 105 at node 5."""
+    nodes = [{"uid": 0, "role": "gateway"}]
+    nodes += [{"uid": uid, "role": "repeater"} for uid in range(1, 6)]
+    nodes += [{"uid": 105, "role": "end_device", "attach": 5}]
+    links = [{"a": uid, "b": uid + 1, "distance_m": 3500.0} for uid in range(5)]
+    links += [{"a": 105, "b": 5, "distance_m": 10.0}]
+    return build(nodes, links, {}, traffic={"total_packets": 5}, **extra)
+
+
+def test_a_plan_beyond_the_distance_field_is_a_configuration_error():
+    with pytest.raises(PlannerError, match=r"^node 5's path to its nearest gateway is 17500\.0 m"):
+        run(deep_chain())
+
+
+def test_a_learned_plan_beyond_the_distance_field_leaves_the_mesh_flooding():
+    sim = Simulation(deep_chain(learning_phase=True))
+    metrics = sim.run().metrics
+    assert sim.graph is None
+    assert not any(sim.nodes[uid].route.installed for uid in range(1, 6))
+    assert (metrics["generated"], metrics["delivered"]) == (5, 5)
+
+
 @pytest.mark.parametrize("name", ["representative", "standby_recovery", "two_ed_battery"])
 def test_learning_control_floods_sent_at_most_once_per_node(name):
     scn = load_scenario(name)
@@ -409,13 +434,13 @@ def test_downlink_standby_fires_along_the_observers_own_set():
     sim = Simulation(scn, trace_writer=tr.TraceWriter(buf))
     sim.nodes[2].ledger.dead = True
     sent = []
-    enqueue = sim._enqueue_mesh
+    enqueue = sim._enqueue
 
     def recording(node, packet):
         sent.append((node.uid, packet.packet_id, packet.next_hop))
         enqueue(node, packet)
 
-    sim._enqueue_mesh = recording
+    sim._enqueue = recording
     pid = sim.inject_downlink(0)
     sim.run()
     events = decoded(buf)
