@@ -12,7 +12,7 @@ from (scenario, seed) alone.
 from .channel import LinkModel, PathLossModel, captures
 from .energy import EnergyLedger
 from .engine import EventQueue, RngStreams
-from .learning import LearnedTable, NeighborTable, estimate_distance
+from .learning import NeighborTable, estimate_distance
 from .model import EnergyModel, Packet, RadioConfig, airtime
 from .planner import GlobalGraph, PlannerError, plan, plan_from_topology
 from .scenario import Scenario, ScenarioError, Topology, bundled_scenario_names, load_scenario
@@ -25,7 +25,6 @@ __all__ = [
     "EnergyModel",
     "EventQueue",
     "GlobalGraph",
-    "LearnedTable",
     "LinkModel",
     "NeighborTable",
     "Packet",

@@ -130,13 +130,11 @@ def cmd_learn(args) -> int:
     out = _out_dir(args)
     _metrics, sim = _run_once(scenario)
     if sim.graph is None:
-        print("error: discovery produced no usable plan", file=sys.stderr)
+        print(f"error: discovery produced no usable plan: {sim.plan_error}", file=sys.stderr)
         return 3
     for line in sim.graph.warnings:
         print(f"warning: {line}", file=sys.stderr)
-    installed = sum(
-        1 for uid in sim.topology.repeaters if sim.nodes[uid].route.installed
-    )
+    installed = sum(sim.nodes[uid].route.installed for uid in sim.topology.repeaters)
     path = os.path.join(out, "routing_tables.json")
     with open(path, "w") as fh:
         fh.write(plan_to_json(sim.graph))

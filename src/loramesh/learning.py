@@ -6,20 +6,21 @@ law on each mean to estimate link distances, once per read rather than
 once per beacon: the estimate is a pure function of the mean, so it is
 the same float either way. The estimates travel to the planner inside
 neighbor reports whose wire entries quantize distances to a 0.25 m
-fixed-point grid, and the planner's answer comes back as table rows
-installed here.
+fixed-point grid; a neighbor estimated beyond that grid's range is left
+out of the report, since its distance cannot be sent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .channel import PathLossModel
 from .model import FRAME_HEADER, REPORT_ENTRY, pack_frames
 
 # Fixed-point grid for distances on the wire: 2 bytes at 0.25 m per step
-# covers 0..16383.75 m, far beyond any underground link budget; a
-# planned path sums links, and the planner refuses one beyond it.
+# covers 0..16383.75 m, far beyond any underground link budget.
+# quantize_distance alone checks that range: a report leaves out a
+# neighbor estimated beyond it, and the planner refuses a path beyond it.
 DISTANCE_STEP_M = 0.25
 MAX_WIRE_DISTANCE_M = 65535 * DISTANCE_STEP_M
 
@@ -38,12 +39,13 @@ def estimate_distance(tx_power_dbm: float, prx_dbm: float, model: PathLossModel)
     return model.ref_distance_m * 10.0 ** (excess / (10.0 * model.exponent))
 
 
-def quantize_distance(distance_m: float) -> float:
-    """Snap a distance onto the wire grid (nearest 0.25 m step)."""
+def quantize_distance(distance_m: float) -> float | None:
+    """Snap a distance onto the wire grid (nearest 0.25 m step); None when
+    it is beyond MAX_WIRE_DISTANCE_M, which the 2-byte field cannot hold."""
     if distance_m < 0:
         raise ValueError("distance cannot be negative")
     if distance_m > MAX_WIRE_DISTANCE_M:
-        raise ValueError(f"distance {distance_m} exceeds the wire format range")
+        return None
     steps = round(distance_m / DISTANCE_STEP_M)
     return steps * DISTANCE_STEP_M
 
@@ -82,8 +84,10 @@ class NeighborTable:
         return estimate_distance(self.tx_power_dbm, self.records[uid].avg_prx_dbm, self.model)
 
     def entries(self) -> list[tuple[int, float]]:
-        """Quantized (uid, distance) pairs in uid order, ready to send."""
-        return [(uid, quantize_distance(self.distance(uid))) for uid in sorted(self.records)]
+        """Quantized (uid, distance) pairs in uid order, ready to send; a
+        neighbor estimated beyond the distance field is left out."""
+        wire = ((uid, quantize_distance(self.distance(uid))) for uid in sorted(self.records))
+        return [(uid, dist) for uid, dist in wire if dist is not None]
 
 
 def build_report_chunks(
@@ -96,30 +100,3 @@ def build_report_chunks(
     silence from loss.
     """
     return pack_frames(entries, lambda _entry: REPORT_ENTRY) or [(FRAME_HEADER, [])]
-
-
-@dataclass
-class LearnedTable:
-    """Routing state a repeater extracts from disseminated table rows.
-
-    Only the node's own row and the rows of its audible neighbors are
-    retained; everything else in a chunk is scenery. ``row`` is the own
-    (distance value, upstream, downstream) row, the shape a planned row
-    has, or None until it arrives; nodes that never see it keep flooding.
-    """
-
-    owner: int
-    row: tuple[float, int | None, tuple[int, ...]] | None = None
-    neighbor_values: dict[int, float] = field(default_factory=dict)
-
-    def install_rows(
-        self,
-        rows: list[tuple[int, float, int | None, tuple[int, ...]]],
-        neighbor_uids,
-    ) -> None:
-        """Apply one chunk: (uid, distance value, upstream, downstream) rows."""
-        for uid, value, upstream, downstream in rows:
-            if uid == self.owner:
-                self.row = (value, upstream, tuple(downstream))
-            elif uid in neighbor_uids:
-                self.neighbor_values[uid] = value

@@ -6,19 +6,25 @@ things per repeater: its distance value (path length in meters to the
 nearest gateway), its upstream next hop (the audible neighbor with the
 lowest distance value), and a downlink forwarding set that covers its
 subgraph with as few rebroadcasts as the shortest-path tree allows.
+``plan`` then makes, once, each reachable node's row as it goes on the
+wire; table chunks, the exported tables and every installed route read
+those rows.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .learning import MAX_WIRE_DISTANCE_M, quantize_distance
 from .model import pack_frames, table_row_bytes
 from .scenario import _integer, _number
 
 INFINITE = float("inf")
+
+# vertex -> its (neighbor, weight) pairs, every vertex a key in uid order
+Adjacency = dict[int, list[tuple[int, float]]]
 
 
 class PlannerError(ValueError):
@@ -27,11 +33,12 @@ class PlannerError(ValueError):
 
 def _on_wire(distance_m: float, what: str) -> float:
     """``distance_m`` on the wire grid; a plan cannot carry a longer one."""
-    if distance_m > MAX_WIRE_DISTANCE_M:
+    wire = quantize_distance(distance_m)
+    if wire is None:
         raise PlannerError(
             f"{what} is {distance_m} m; the distance field holds at most {MAX_WIRE_DISTANCE_M} m"
         )
-    return quantize_distance(distance_m)
+    return wire
 
 
 @dataclass
@@ -40,14 +47,16 @@ class GlobalGraph:
 
     gateways: tuple[int, ...]
     vertices: tuple[int, ...]
-    edges: dict[tuple[int, int], float]
-    adjacency: dict[int, list[tuple[int, float]]]
-    warnings: list[str] = field(default_factory=list)
-    distance_value: dict[int, float] = field(default_factory=dict)
-    predecessor: dict[int, int | None] = field(default_factory=dict)
-    nearest_gateway: dict[int, int | None] = field(default_factory=dict)
-    upstream: dict[int, int | None] = field(default_factory=dict)
-    downstream: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    adjacency: Adjacency
+    warnings: list[str]
+    distance_value: dict[int, float]
+    predecessor: dict[int, int | None]
+    nearest_gateway: dict[int, int | None]
+    upstream: dict[int, int | None]
+    downstream: dict[int, tuple[int, ...]]
+    # per reachable node in uid order: (distance value, upstream, downstream,
+    # neighbor values), every value quantized as on the wire
+    rows: dict[int, tuple[float, int | None, tuple[int, ...], dict[int, float]]]
 
     def neighbors_of(self, uid: int) -> list[tuple[int, float]]:
         return self.adjacency.get(uid, [])
@@ -56,8 +65,9 @@ class GlobalGraph:
 def aggregate_reports(
     reports: dict[int, list[tuple[int, float]]],
     gateways: list[int],
-) -> GlobalGraph:
-    """Merge per-node observations into one undirected weighted graph.
+) -> tuple[Adjacency, list[str]]:
+    """Merge per-node observations into one undirected weighted graph:
+    its adjacency, each neighbor list sorted, and the merge's warnings.
 
     ``reports`` maps an observer uid to its (heard uid, estimated
     distance) pairs; gateway self-observations belong in there too. When
@@ -90,34 +100,31 @@ def aggregate_reports(
             edges[key] = d_ab
         else:
             edges[key] = (d_ab + d_ba) / 2.0
-    adjacency: dict[int, list[tuple[int, float]]] = {uid: [] for uid in sorted(vertices)}
+    adjacency: Adjacency = {uid: [] for uid in sorted(vertices)}
     for (a, b), w in sorted(edges.items()):
         adjacency[a].append((b, w))
         adjacency[b].append((a, w))
     for uid in adjacency:
         adjacency[uid].sort()
-    return GlobalGraph(
-        gateways=tuple(sorted(gateways)),
-        vertices=tuple(sorted(vertices)),
-        edges=edges,
-        adjacency=adjacency,
-        warnings=warnings,
-    )
+    return adjacency, warnings
 
 
-def compute_distance_values(graph: GlobalGraph) -> None:
-    """Multi-source Dijkstra from every gateway at distance zero.
+def compute_distance_values(
+    adjacency: Adjacency, gateways: tuple[int, ...], warnings: list[str]
+) -> tuple[dict[int, float], dict[int, int | None], dict[int, int | None]]:
+    """Multi-source Dijkstra from every gateway at distance zero; returns
+    (distance value, predecessor, nearest gateway) per vertex.
 
     Ties break toward the lower gateway uid and then the lower
     predecessor uid, so the tree is reproducible across runs. Vertices
     no gateway can reach keep an infinite distance value and are
     reported; they fall back to flooding.
     """
-    dist: dict[int, float] = {uid: INFINITE for uid in graph.vertices}
-    pred: dict[int, int | None] = {uid: None for uid in graph.vertices}
-    root: dict[int, int | None] = {uid: None for uid in graph.vertices}
+    dist: dict[int, float] = {uid: INFINITE for uid in adjacency}
+    pred: dict[int, int | None] = {uid: None for uid in adjacency}
+    root: dict[int, int | None] = {uid: None for uid in adjacency}
     heap: list[tuple[float, int, int, int | None]] = []
-    for gw in graph.gateways:
+    for gw in gateways:
         dist[gw] = 0.0
         root[gw] = gw
         heapq.heappush(heap, (0.0, gw, gw, None))
@@ -130,20 +137,24 @@ def compute_distance_values(graph: GlobalGraph) -> None:
         dist[uid] = d
         pred[uid] = via
         root[uid] = gw
-        for nbr, w in graph.neighbors_of(uid):
+        for nbr, w in adjacency[uid]:
             if nbr not in settled:
                 heapq.heappush(heap, (d + w, gw, nbr, uid))
-    for uid in graph.vertices:
+    for uid in adjacency:
         if dist[uid] == INFINITE:
-            graph.warnings.append(f"node {uid} unreachable from every gateway")
+            warnings.append(f"node {uid} unreachable from every gateway")
             root[uid] = None
-    graph.distance_value = dist
-    graph.predecessor = pred
-    graph.nearest_gateway = root
+    return dist, pred, root
 
 
-def assign_upstream(graph: GlobalGraph) -> None:
-    """Point every reachable non-gateway at its best audible neighbor.
+def assign_upstream(
+    adjacency: Adjacency,
+    gateways: tuple[int, ...],
+    distance_value: dict[int, float],
+    warnings: list[str],
+) -> dict[int, int | None]:
+    """Point every reachable non-gateway at its best audible neighbor;
+    returns the upstream hop per vertex, None where there is none.
 
     The upstream hop is the neighbor with the lowest distance value
     (ties to the lower uid). On a shortest-path metric that neighbor's
@@ -151,28 +162,27 @@ def assign_upstream(graph: GlobalGraph) -> None:
     sequences strictly decreasing and therefore loop free.
     """
     upstream: dict[int, int | None] = {}
-    for uid in graph.vertices:
-        if uid in graph.gateways or graph.distance_value.get(uid, INFINITE) == INFINITE:
+    for uid in adjacency:
+        if uid in gateways or distance_value[uid] == INFINITE:
             upstream[uid] = None
             continue
         best: tuple[float, int] | None = None
         # the graph is undirected, so a reachable node's neighbors are reachable
-        for nbr, _w in graph.neighbors_of(uid):
-            value = graph.distance_value[nbr]
+        for nbr, _w in adjacency[uid]:
+            value = distance_value[nbr]
             if best is None or (value, nbr) < best:
                 best = (value, nbr)
-        if best is None or best[0] >= graph.distance_value[uid]:
+        if best is None or best[0] >= distance_value[uid]:
             upstream[uid] = None
-            graph.warnings.append(f"node {uid} has no neighbor closer to a gateway")
+            warnings.append(f"node {uid} has no neighbor closer to a gateway")
         else:
             upstream[uid] = best[1]
-    graph.upstream = upstream
+    return upstream
 
 
-def _tree_children(graph: GlobalGraph) -> dict[int, list[int]]:
-    children: dict[int, list[int]] = {uid: [] for uid in graph.vertices}
-    for uid in graph.vertices:
-        parent = graph.predecessor.get(uid)
+def _tree_children(predecessor: dict[int, int | None]) -> dict[int, list[int]]:
+    children: dict[int, list[int]] = {uid: [] for uid in predecessor}
+    for uid, parent in predecessor.items():
         if parent is not None:
             children[parent].append(uid)
     for uid in children:
@@ -180,8 +190,15 @@ def _tree_children(graph: GlobalGraph) -> dict[int, list[int]]:
     return children
 
 
-def compute_downlink_sets(graph: GlobalGraph) -> None:
-    """Choose, per node, which shortest-path-tree children rebroadcast.
+def compute_downlink_sets(
+    adjacency: Adjacency,
+    gateways: tuple[int, ...],
+    predecessor: dict[int, int | None],
+    nearest_gateway: dict[int, int | None],
+    warnings: list[str],
+) -> dict[int, tuple[int, ...]]:
+    """Choose, per node, which shortest-path-tree children rebroadcast;
+    returns each vertex's forwarding set in uid order.
 
     Within each gateway's subgraph the selection walks the tree from the
     root. Candidate forwarders are internal tree children only (a leaf
@@ -192,20 +209,15 @@ def compute_downlink_sets(graph: GlobalGraph) -> None:
     one hop of the root or a selected forwarder, and the forwarder count
     never exceeds the internal node count of the tree.
     """
-    children = _tree_children(graph)
-    downstream: dict[int, set[int]] = {uid: set() for uid in graph.vertices}
-    for gw in graph.gateways:
-        members = [
-            uid
-            for uid in graph.vertices
-            if graph.nearest_gateway.get(uid) == gw and uid != gw
-        ]
+    children = _tree_children(predecessor)
+    downstream: dict[int, set[int]] = {uid: set() for uid in adjacency}
+    for gw in gateways:
+        members = [uid for uid in adjacency if nearest_gateway[uid] == gw and uid != gw]
         if not members:
             continue
         member_set = set(members) | {gw}
         neighborhood = {
-            uid: [n for n, _w in graph.neighbors_of(uid) if n in member_set]
-            for uid in member_set
+            uid: [n for n, _w in adjacency[uid] if n in member_set] for uid in member_set
         }
         internal = {uid for uid in member_set if children[uid]}
         covered = {gw} | set(neighborhood[gw])
@@ -243,7 +255,7 @@ def compute_downlink_sets(graph: GlobalGraph) -> None:
             chain: list[int] = []
             node = uid
             while node != gw and node not in selected:
-                parent = graph.predecessor[node]
+                parent = predecessor[node]
                 chain.append(node)
                 node = parent
             transmitter = node
@@ -257,54 +269,54 @@ def compute_downlink_sets(graph: GlobalGraph) -> None:
                 transmitter = link
             newly = sorted(member_set - covered)
             if newly == remaining:
-                graph.warnings.append(f"downlink coverage failed for node {uid}")
+                warnings.append(f"downlink coverage failed for node {uid}")
                 break
             remaining = newly
-    graph.downstream = {uid: tuple(sorted(members)) for uid, members in downstream.items()}
+    return {uid: tuple(sorted(members)) for uid, members in downstream.items()}
 
 
 def plan(reports: dict[int, list[tuple[int, float]]], gateways: list[int]) -> GlobalGraph:
-    """Full pipeline: aggregate, distance values, upstream, downlink sets."""
-    graph = aggregate_reports(reports, gateways)
-    compute_distance_values(graph)
-    assign_upstream(graph)
-    compute_downlink_sets(graph)
-    return graph
-
-
-def route_rows(
-    graph: GlobalGraph,
-) -> dict[int, tuple[float, int | None, tuple[int, ...], dict[int, float]]]:
-    """Per reachable node, in uid order: (distance value, upstream,
-    downstream, neighbor values), every value quantized as on the wire.
-    Raises ``PlannerError`` naming a node whose value the wire cannot hold."""
+    """Full pipeline: aggregate, distance values, upstream, downlink sets,
+    then every reachable node's row as it goes on the wire. Raises
+    ``PlannerError`` on unusable reports, or naming a node whose path to
+    its nearest gateway the distance field cannot hold."""
+    adjacency, warnings = aggregate_reports(reports, gateways)
+    gateways = tuple(sorted(gateways))
+    dist, pred, root = compute_distance_values(adjacency, gateways, warnings)
+    upstream = assign_upstream(adjacency, gateways, dist, warnings)
+    downstream = compute_downlink_sets(adjacency, gateways, pred, root, warnings)
     wire = {
         uid: _on_wire(value, f"node {uid}'s path to its nearest gateway")
-        for uid, value in graph.distance_value.items()
+        for uid, value in dist.items()
         if value != INFINITE
     }
-    return {
+    rows = {
         uid: (
-            wire[uid],
-            graph.upstream.get(uid),
-            graph.downstream.get(uid, ()),
-            {nbr: wire[nbr] for nbr, _w in graph.neighbors_of(uid) if nbr in wire},
+            value,
+            upstream[uid],
+            downstream[uid],
+            {nbr: wire[nbr] for nbr, _w in adjacency[uid] if nbr in wire},
         )
-        for uid in graph.vertices
-        if uid in wire
+        for uid, value in wire.items()
     }
+    return GlobalGraph(
+        gateways=gateways,
+        vertices=tuple(adjacency),
+        adjacency=adjacency,
+        warnings=warnings,
+        distance_value=dist,
+        predecessor=pred,
+        nearest_gateway=root,
+        upstream=upstream,
+        downstream=downstream,
+        rows=rows,
+    )
 
 
-def table_rows(graph: GlobalGraph) -> list[tuple[int, float, int | None, tuple[int, ...]]]:
-    """Disseminated rows: (uid, distance value, upstream, downstream)."""
-    return [(uid, row[0], row[1], row[2]) for uid, row in route_rows(graph).items()]
-
-
-def emit_chunks(
-    graph: GlobalGraph,
-) -> list[tuple[int, list[tuple[int, float, int | None, tuple[int, ...]]]]]:
-    """Pack table rows into chunks, preserving row order: (payload bytes, rows) each."""
-    rows = table_rows(graph)
+def emit_chunks(graph: GlobalGraph) -> list[tuple[int, list[tuple]]]:
+    """Pack the disseminated rows, (uid, distance value, upstream,
+    downstream) in uid order, into chunks: (payload bytes, rows) each."""
+    rows = [(uid, *row[:3]) for uid, row in graph.rows.items()]
     try:
         return pack_frames(rows, lambda row: table_row_bytes(len(row[3])))
     except ValueError as exc:
@@ -320,7 +332,7 @@ def plan_from_topology(topology, heard) -> GlobalGraph:
     through the wire quantization, and the reports feed the normal
     pipeline. An inaudible link is never quantized, so its length may
     exceed the wire range; an audible one that does raises
-    ``PlannerError``, as a longer planned path does in ``route_rows``.
+    ``PlannerError``, as a longer planned path does in ``plan``.
     With zero shadowing and no control frame lost, the in-simulator
     learning phase converges to exactly this plan; with shadowing its
     RSSI distance estimates carry the shadow term, while this plan keeps
@@ -341,12 +353,12 @@ def plan_to_dict(graph: GlobalGraph) -> dict:
     tables = {
         str(uid): {
             "distance_value": value,
-            "nearest_gateway": graph.nearest_gateway.get(uid),
+            "nearest_gateway": graph.nearest_gateway[uid],
             "upstream": upstream,
             "downstream": list(downstream),
             "neighbor_values": {str(nbr): v for nbr, v in neighbor_values.items()},
         }
-        for uid, (value, upstream, downstream, neighbor_values) in route_rows(graph).items()
+        for uid, (value, upstream, downstream, neighbor_values) in graph.rows.items()
     }
     return {
         "gateways": list(graph.gateways),

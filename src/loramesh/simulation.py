@@ -40,6 +40,13 @@ metrics builder's ``account`` and then to the writer, which packs each
 event into one fixed-size trace record and hashes it (see ``trace``).
 Neither the accounting nor the trace bytes depend on where a batch ends.
 
+Routes are the rows ``planner.plan`` makes. Without the learning phase
+every node installs its row from the oracle plan before the first event;
+with it, each repeater keeps the rows that table chunks bring for itself
+and its beacon-heard neighbors, and installs them at switchover by the
+same ``RouteState.install``. A failed plan leaves its reason in
+``plan_error`` and the mesh flooding.
+
 Determinism: all randomness comes from named per-node streams, every
 iteration over node or link collections is sorted, and simultaneous
 events pop in insertion order.
@@ -54,7 +61,7 @@ from . import trace as tr
 from .channel import captures
 from .energy import EnergyLedger
 from .engine import EventQueue, RngStreams
-from .learning import LearnedTable, NeighborTable, build_report_chunks
+from .learning import NeighborTable, build_report_chunks
 from .mac import DedupCache, TxQueue
 from .metrics import MetricsBuilder
 from .model import (
@@ -71,7 +78,7 @@ from .model import (
     Packet,
     airtime,
 )
-from .planner import PlannerError, emit_chunks, plan, plan_from_topology, route_rows
+from .planner import PlannerError, emit_chunks, plan, plan_from_topology
 from .scenario import Scenario
 
 
@@ -111,7 +118,8 @@ class Node:
         self.ledger = ledger
         self.route = rt.RouteState(uid)
         self.ntable = ntable
-        self.learned = LearnedTable(uid)
+        # uid -> latest chunk row for this node or a beacon-heard neighbor
+        self.learned: dict[int, tuple[int, float, int | None, tuple[int, ...]]] = {}
         self.chain_active = False
         # this node's latest frame and the one before it: all that
         # interference and carrier sense read (see the module docstring)
@@ -125,13 +133,10 @@ class RunResult:
 
 
 class Simulation:
-    def __init__(
-        self, scenario: Scenario, seed: int | None = None, trace_writer: tr.TraceWriter | None = None
-    ) -> None:
+    def __init__(self, scenario: Scenario, trace_writer: tr.TraceWriter | None = None) -> None:
         self.scenario = scenario
-        self.seed = scenario.seed if seed is None else seed
         self.queue = EventQueue()
-        self.rng = RngStreams(self.seed)
+        self.rng = RngStreams(scenario.seed)
         self.radio = scenario.radio
         topo = scenario.topology
         self.topology = topo
@@ -145,7 +150,7 @@ class Simulation:
         # The metrics builder owns the one energy ledger per node; the
         # simulation bills it, and the protocol reads the same ledger that
         # the metrics report.
-        self.builder = MetricsBuilder(scenario, self.seed)
+        self.builder = MetricsBuilder(scenario, scenario.seed)
         self.nodes: dict[int, Node] = {}
         for uid in sorted(topo.nodes):
             role = topo.nodes[uid].role
@@ -164,7 +169,7 @@ class Simulation:
         # or None when it cannot hear the sender). Links come sorted with
         # a < b, so a row gets its lower peers in order, then its higher
         # ones: it is built in uid order.
-        self.heard = links.hearing(self.radio.tx_power_dbm, self.seed)
+        self.heard = links.hearing(self.radio.tx_power_dbm, scenario.seed)
         nodes = self.nodes
         linked: dict[int, list[tuple[Node, float | None]]] = {uid: [] for uid in topo.nodes}
         for a, b, prx in self.heard:
@@ -177,6 +182,7 @@ class Simulation:
         self.delivered_pids: set[int] = set()
         self.report_rows: dict[int, dict[int, float]] = {}
         self.graph = None
+        self.plan_error: PlannerError | None = None
         self.chunks: list = []
         self._airtimes: dict[int, float] = {}
         self.trace = trace_writer or tr.TraceWriter()
@@ -223,7 +229,7 @@ class Simulation:
 
     def _install_plan(self, uids) -> None:
         """Install the planned row of every node in ``uids`` the plan reaches."""
-        rows = route_rows(self.graph)
+        rows = self.graph.rows
         for uid in uids:
             if uid in rows:
                 self.nodes[uid].route.install(*rows[uid])
@@ -451,7 +457,11 @@ class Simulation:
 
         if kind == ROUTE_TABLE_CHUNK:
             if node.is_repeater:
-                node.learned.install_rows(packet.body, node.ntable.records)
+                own, heard, learned = node.uid, node.ntable.records, node.learned
+                for row in packet.body:
+                    uid = row[0]
+                    if uid == own or uid in heard:
+                        learned[uid] = row
                 self._relay(node, packet)
             return
 
@@ -609,9 +619,10 @@ class Simulation:
         try:
             self.graph = plan(reports, sorted(self.topology.gateways))
             self.chunks = emit_chunks(self.graph)
-        except PlannerError:
+        except PlannerError as exc:
             # no chunks to send: the chunk rounds send nothing
             self.graph = None
+            self.plan_error = exc
 
     def _ev_send_chunks(self, gw_uid: int) -> None:
         node = self.nodes[gw_uid]
@@ -623,8 +634,10 @@ class Simulation:
     def _ev_switchover(self) -> None:
         for uid in sorted(self.topology.repeaters):
             node = self.nodes[uid]
-            if node.learned.row is not None:
-                node.route.install(*node.learned.row, node.learned.neighbor_values)
+            own = node.learned.get(uid)
+            if own is not None:
+                values = {n: row[1] for n, row in node.learned.items() if n != uid}
+                node.route.install(*own[1:], values)
         if self.graph is not None:
             self._install_plan(sorted(self.topology.gateways))
 
@@ -673,7 +686,7 @@ class Simulation:
         return RunResult(self.builder.finalize(end, self.trace.hexdigest()))
 
 
-def run(scenario: Scenario, seed: int | None = None, **kwargs) -> RunResult:
-    """Build and execute one simulation of ``scenario``; ``trace_writer=``
-    (a ``trace.TraceWriter``) keeps the trace."""
-    return Simulation(scenario, seed, **kwargs).run()
+def run(scenario: Scenario, trace_writer: tr.TraceWriter | None = None) -> RunResult:
+    """Build and execute one simulation of ``scenario``; a ``trace_writer``
+    keeps the trace."""
+    return Simulation(scenario, trace_writer).run()

@@ -626,6 +626,48 @@ class TestLearn:
             tables.append(read_bytes(out / "routing_tables.json"))
         assert tables[0] == tables[1]
 
+    def test_a_neighbor_beyond_the_distance_field_is_left_out_of_the_report(
+        self, tmp_path, capsys
+    ):
+        # an audible 20 000 m link at path-loss exponent 2.0: the estimate
+        # does not fit the 2-byte distance field, so neither end reports it
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(FAR_LINK))
+        assert main(["learn", "--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        captured = capsys.readouterr()
+        assert "warning: node 1 unreachable from every gateway\n" in captured.err
+        assert captured.out.endswith("(0/1 repeaters installed their row)\n")
+
+    def test_a_failed_plan_names_its_cause(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(DEEP_CHAIN))
+        assert main(["learn", "--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "error: discovery produced no usable plan: node 5's path to its nearest gateway "
+            "is 17500.0 m; the distance field holds at most 16383.75 m\n"
+        )
+
+
+FAR_LINK = {
+    "name": "far-link",
+    "topology": {
+        "path_loss": {"exponent": 2.0},
+        "nodes": [{"uid": 0, "role": "gateway"}, {"uid": 1, "role": "repeater"}],
+        "links": [{"a": 0, "b": 1, "distance_m": 20000.0}],
+    },
+}
+
+# Gateway 0 and repeaters 1-5 on audible 3 500 m links: node 5's 17 500 m
+# path is longer than the distance field.
+DEEP_CHAIN = {
+    "name": "deep-chain",
+    "topology": {
+        "nodes": [{"uid": 0, "role": "gateway"}]
+        + [{"uid": uid, "role": "repeater"} for uid in range(1, 6)],
+        "links": [{"a": uid, "b": uid + 1, "distance_m": 3500.0} for uid in range(5)],
+    },
+}
+
 
 class TestLoadtest:
     def test_small_ladder_structure(self, tmp_path):

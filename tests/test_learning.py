@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from loramesh.channel import PathLossModel, received_power
 from loramesh.learning import (
     DISTANCE_STEP_M,
-    LearnedTable,
     NeighborTable,
     build_report_chunks,
     estimate_distance,
@@ -39,6 +38,8 @@ def test_quantize_distance_grid():
     assert quantize_distance(100.1) == 100.0
     assert quantize_distance(100.2) == 100.25
     assert quantize_distance(99.87) == 99.75
+    assert quantize_distance(16383.75) == 16383.75
+    assert quantize_distance(16383.9) is None  # beyond the 2-byte field
     with pytest.raises(ValueError):
         quantize_distance(-1.0)
 
@@ -77,22 +78,3 @@ def test_report_chunks_fit_max_payload():
 
 def test_report_chunks_empty_still_reports():
     assert build_report_chunks([]) == [(4, [])]
-
-
-def test_learned_table_keeps_own_and_neighbor_rows():
-    table = LearnedTable(owner=4)
-    rows = [
-        (4, 170.0, 2, (12,)),
-        (2, 85.0, 0, (4,)),
-        (7, 175.0, 14, ()),
-    ]
-    table.install_rows(rows, neighbor_uids={2, 12})
-    assert table.row == (170.0, 2, (12,))
-    assert table.neighbor_values == {2: 85.0}  # 7 is not audible, dropped
-
-
-def test_learned_table_without_own_row_stays_uninstalled():
-    table = LearnedTable(owner=4)
-    table.install_rows([(2, 85.0, 0, ())], neighbor_uids={2})
-    assert table.row is None
-    assert table.neighbor_values == {2: 85.0}

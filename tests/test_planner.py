@@ -4,15 +4,12 @@ import random
 import pytest
 
 from loramesh.planner import (
-    GlobalGraph,
     PlannerError,
-    aggregate_reports,
     emit_chunks,
     plan,
     plan_from_topology,
     plan_to_dict,
     reports_from_dict,
-    table_rows,
 )
 from loramesh.scenario import scenario_from_dict
 
@@ -180,15 +177,16 @@ def test_two_gateways_partition_by_proximity():
 
 def test_directed_reports_average_into_one_weight():
     reports = {0: [(1, 10.0)], 1: [(0, 20.0)]}
-    graph = aggregate_reports(reports, [0])
-    assert graph.edges[(0, 1)] == 15.0
+    graph = plan(reports, [0])
+    assert graph.neighbors_of(0) == [(1, 15.0)]
+    assert graph.neighbors_of(1) == [(0, 15.0)]
     assert graph.warnings == []
 
 
 def test_one_sided_report_kept_with_warning():
     reports = {0: [(1, 10.0)], 1: []}
-    graph = aggregate_reports(reports, [0])
-    assert graph.edges[(0, 1)] == 10.0
+    graph = plan(reports, [0])
+    assert graph.neighbors_of(0) == [(1, 10.0)]
     assert any("one side only" in w for w in graph.warnings)
 
 
@@ -197,7 +195,7 @@ def test_unreachable_node_flagged_and_left_out_of_tables():
     graph = plan(reports, [0])
     assert graph.distance_value[5] == math.inf
     assert any("unreachable" in w for w in graph.warnings)
-    assert 5 not in [row[0] for row in table_rows(graph)]
+    assert 5 not in graph.rows
 
 
 def test_planner_input_validation():
@@ -211,13 +209,12 @@ def test_planner_input_validation():
 
 def test_a_plan_longer_than_the_distance_field_names_what_is_too_long():
     # two hops of 9 000 m fit the field one by one, not as a path
-    graph = plan({0: [(1, 9000.0)], 1: [(0, 9000.0), (2, 9000.0)], 2: [(1, 9000.0)]}, [0])
     with pytest.raises(
         PlannerError,
         match=r"^node 2's path to its nearest gateway is 18000\.0 m; "
         r"the distance field holds at most 16383\.75 m$",
     ):
-        table_rows(graph)
+        plan({0: [(1, 9000.0)], 1: [(0, 9000.0), (2, 9000.0)], 2: [(1, 9000.0)]}, [0])
     # an audible link at path-loss exponent 2.0
     scenario = scenario_from_dict(
         {
@@ -245,7 +242,8 @@ def test_emit_chunks_respects_payload_budget():
         assert size <= 255
         assert size == 4 + sum(7 + 2 * len(row[3]) for row in chunk)
     flattened = [row for _size, chunk in chunks for row in chunk]
-    assert flattened == table_rows(graph)
+    assert [row[0] for row in flattened] == list(graph.rows) == list(range(91))
+    assert all(row[1:] == graph.rows[row[0]][:3] for row in flattened)
 
 
 def test_reports_round_trip_from_disk_format():

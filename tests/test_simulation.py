@@ -323,15 +323,41 @@ def test_learning_phase_converges_to_ideal_plan():
     )
     sim = Simulation(scn)
     res = sim.run()
+    assert installed_rows_are_the_oracles(sim) == [1, 2]
     ideal = plan_from_topology(scn.topology, sim.heard)
-    for uid in (1, 2):
-        route = sim.nodes[uid].route
-        assert route.installed
-        assert route.distance_value == ideal.distance_value[uid]
-        assert route.upstream_original == ideal.upstream[uid]
     assert sim.nodes[0].route.downstream_current == ideal.downstream[0]
     # data sent after switchover rides the learned routes to the gateway
     assert res.metrics["delivered"] == 1
+
+
+def installed_rows_are_the_oracles(sim):
+    """Check that every repeater that installed a row holds the oracle
+    plan's full row; returns those repeaters in uid order."""
+    ideal = plan_from_topology(sim.topology, sim.heard).rows
+    installed = [uid for uid in sorted(sim.topology.repeaters) if sim.nodes[uid].route.installed]
+    for uid in installed:
+        r = sim.nodes[uid].route
+        row = (r.distance_value, r.upstream_original, r.downstream_current, r.neighbor_values)
+        assert row == ideal[uid], uid
+    return installed
+
+
+def learning_only(name):
+    """Bundled scenario ``name`` cut to its learning phase, as ``learn`` runs it."""
+    scn = load_scenario(name)
+    return replace(
+        scn,
+        learning_phase=True,
+        traffic=replace(scn.traffic, total_packets=0, schedule={}),
+        horizon_s=scn.phases.dissemination_end_s,
+    )
+
+
+@pytest.mark.parametrize("name", ["representative", "standby_recovery", "two_ed_battery"])
+def test_every_repeater_learns_the_oracles_row(name):
+    sim = Simulation(learning_only(name))
+    sim.run()
+    assert installed_rows_are_the_oracles(sim) == sorted(sim.topology.repeaters)
 
 
 def deep_chain(**extra):
@@ -355,21 +381,15 @@ def test_a_learned_plan_beyond_the_distance_field_leaves_the_mesh_flooding():
     sim = Simulation(deep_chain(learning_phase=True))
     metrics = sim.run().metrics
     assert sim.graph is None
+    assert str(sim.plan_error).startswith("node 5's path to its nearest gateway is 17500.0 m")
     assert not any(sim.nodes[uid].route.installed for uid in range(1, 6))
     assert (metrics["generated"], metrics["delivered"]) == (5, 5)
 
 
 @pytest.mark.parametrize("name", ["representative", "standby_recovery", "two_ed_battery"])
 def test_learning_control_floods_sent_at_most_once_per_node(name):
-    scn = load_scenario(name)
-    scn = replace(
-        scn,
-        learning_phase=True,
-        traffic=replace(scn.traffic, total_packets=0, schedule={}),
-        horizon_s=scn.phases.dissemination_end_s,
-    )
     buf = io.StringIO()
-    sim = Simulation(scn, trace_writer=tr.TraceWriter(buf))
+    sim = Simulation(learning_only(name), trace_writer=tr.TraceWriter(buf))
     sim.run()
     sends = Counter((ev[2], ev[3]) for ev in events_of(decoded(buf), tr.TX_START))
     # beacons, reports and table chunks: each node sends each flood once
@@ -519,7 +539,7 @@ def test_identical_runs_are_identical():
     b = run(scn)
     assert a.metrics["trace_sha256"] == b.metrics["trace_sha256"]
     assert json.dumps(a.metrics, sort_keys=True) == json.dumps(b.metrics, sort_keys=True)
-    c = run(scn, seed=99)
+    c = run(replace(scn, seed=99))
     assert c.metrics["trace_sha256"] != a.metrics["trace_sha256"]
 
 
@@ -790,7 +810,7 @@ def test_shadowed_hearing_is_the_simulators_map(seed):
         expected.append((a, b, prx if prx >= links.sensitivity_dbm else None))
     heard = links.hearing(tx, seed)
     assert heard == expected
-    sim = Simulation(scn, seed)
+    sim = Simulation(replace(scn, seed=seed))
     rows = {
         (min(tx_uid, node.uid), max(tx_uid, node.uid)): p
         for tx_uid, row in sim.linked.items()
