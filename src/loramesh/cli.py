@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import sys
@@ -162,6 +163,9 @@ def cmd_loadtest(args) -> int:
         raise ScenarioError("--intervals must be strictly descending")
     if budgets[0] < 1 or any(b <= a for a, b in zip(budgets, budgets[1:])):
         raise ScenarioError("--budgets must be strictly ascending positive integers")
+    if not math.isfinite(args.threshold):
+        # every comparison with NaN is false, so no rung could saturate
+        raise ScenarioError(f"--threshold must be a finite number, got {args.threshold}")
     out = _out_dir(args)
     # every rung is built, and so checked, before the first run
     ladder = [

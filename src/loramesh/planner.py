@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .learning import MAX_WIRE_DISTANCE_M, quantize_distance
 from .model import pack_frames, table_row_bytes
-from .scenario import _integer, _number
+from .scenario import ScenarioError, _array, _integer, _number, _object
 
 INFINITE = float("inf")
 
@@ -84,13 +84,14 @@ def aggregate_reports(
     for observer, entries in reports.items():
         vertices.add(observer)
         for heard, dist in entries:
-            if dist <= 0:
-                raise PlannerError(f"non-positive distance reported by {observer} for {heard}")
             vertices.add(heard)
             directed[(observer, heard)] = dist
     warnings: list[str] = []
     edges: dict[tuple[int, int], float] = {}
+    # in sorted order, so that no outcome depends on the order of the reports
     for (a, b), d_ab in sorted(directed.items()):
+        if d_ab <= 0:
+            raise PlannerError(f"non-positive distance reported by {a} for {b}")
         key = (a, b) if a < b else (b, a)
         if key in edges:
             continue
@@ -371,22 +372,39 @@ def plan_to_json(graph: GlobalGraph) -> str:
     return json.dumps(plan_to_dict(graph), indent=2, sort_keys=True) + "\n"
 
 
-def reports_from_dict(data: dict) -> tuple[dict[int, list[tuple[int, float]]], list[int]]:
+def reports_from_dict(data) -> tuple[dict[int, list[tuple[int, float]]], list[int]]:
     """Parse the on-disk reports format; see the README for the layout.
 
-    Uids follow the scenario file's integer rule, distances its finite-number rule.
+    Uids follow the scenario file's integer rule, distances its
+    finite-number rule. Each node is reported once and does not list
+    itself among its neighbors; a neighbor is listed once per report.
     """
     try:
-        gateways = [_integer(uid, "reports file", "gateways entry") for uid in data["gateways"]]
+        data = _object(data, "reports file")
+        gateways = [
+            _integer(uid, "reports file", "gateways entry")
+            for uid in _array(data["gateways"], "reports file", "gateways")
+        ]
         reports: dict[int, list[tuple[int, float]]] = {}
-        for i, item in enumerate(data["reports"]):
+        for i, item in enumerate(_array(data["reports"], "reports file", "reports")):
+            item = _object(item, f"reports[{i}]")
             observer = _integer(item["node"], f"reports[{i}]", "node")
-            entries = []
-            for j, entry in enumerate(item["neighbors"]):
+            if observer in reports:
+                raise PlannerError(f"reports[{i}]: node {observer} is reported twice")
+            entries = {}
+            for j, entry in enumerate(_array(item["neighbors"], f"reports[{i}]", "neighbors")):
                 where = f"reports[{i}].neighbors[{j}]"
+                entry = _object(entry, where)
                 uid = _integer(entry["uid"], where, "uid")
-                entries.append((uid, _number(entry["distance_m"], where, "distance_m")))
-            reports[observer] = entries
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PlannerError(f"malformed reports file: {exc}") from exc
+                if uid == observer:
+                    raise PlannerError(f"{where}: node {uid} cannot be its own neighbor")
+                if uid in entries:
+                    raise PlannerError(f"{where}: node {uid} is listed twice")
+                entries[uid] = _number(entry["distance_m"], where, "distance_m")
+            reports[observer] = list(entries.items())
+    except ScenarioError as exc:
+        # the message names the entry already
+        raise PlannerError(str(exc)) from exc
+    except KeyError as exc:
+        raise PlannerError(f"malformed reports file: missing key {exc}") from exc
     return reports, gateways

@@ -3,9 +3,10 @@ battery-triggered route switching.
 
 :class:`RouteState` holds what one repeater knows for next-hop
 decisions. The trigger conditions (``should_arm`` and the two switch
-cases) are pure functions of their arguments; ``arm_monitor``,
-``note_recent_hop``, ``apply_route_switch`` and ``revert_upstream``
-update the state they are given. The simulation loop owns timers,
+cases) are pure functions of their arguments; the simulation asks
+``should_arm`` only about addressees that forward, never a gateway.
+``arm_monitor``, ``note_recent_hop``, ``apply_route_switch`` and
+``revert_upstream`` update the state they are given. The simulation loop owns timers,
 queues and the radio, so every rule here is unit-testable without it.
 """
 
@@ -73,19 +74,14 @@ class RouteState:
         return self.neighbor_levels.get(uid, UNKNOWN_LEVEL)
 
 
-def should_arm(
-    state: RouteState,
-    tx_uid: int,
-    addressee_uid: int,
-    addressee_is_gateway: bool,
-    up: bool,
-) -> bool:
+def should_arm(state: RouteState, tx_uid: int, addressee_uid: int, up: bool) -> bool:
     """Decide whether an overheard addressed forward arms a monitor.
 
     Uplink: the transmitter must sit farther from the gateways than both
     the addressee and this node, all values known from the learning
-    phase. Gateways never forward, so hops addressed to one are not
-    monitored. Downlink mirrors the ordering.
+    phase. Downlink mirrors the ordering. The caller passes only
+    addressees that forward: gateways never do, so a hop addressed to
+    one is not monitored.
     """
     if not state.installed or tx_uid == state.uid or addressee_uid == state.uid:
         return False
@@ -94,8 +90,6 @@ def should_arm(
     if tx_value is None or addr_value is None:
         return False
     if up:
-        if addressee_is_gateway:
-            return False
         return tx_value > addr_value and state.distance_value < tx_value
     return tx_value < addr_value and state.distance_value > tx_value
 

@@ -201,9 +201,12 @@ def _number(value, section: str, key: str) -> float:
 
 
 def _integer(value, section: str, key: str) -> int:
-    """A JSON integer; an integral float such as ``6.0`` is accepted too."""
+    """A JSON integer; an integral float such as ``6.0`` is accepted too. As
+    ``_number`` does, it refuses an integer too large for a float."""
     if type(value) is int or type(value) is float and value.is_integer():
-        return int(value)
+        if -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            return int(value)
+        raise ScenarioError(f"{section}: {key} must be a finite number, got {value!r}")
     raise ScenarioError(f"{section}: {key} must be an integer, got {value!r}")
 
 
@@ -241,11 +244,11 @@ def _schedule(value, section: str, key: str) -> dict[int, tuple[float, ...]]:
 
 
 # The conversion for each field annotation a JSON value can set, and the
-# one JSON type that conversion passes unchanged. Every module here
+# one JSON type, if any, that conversion passes unchanged. Every module here
 # postpones annotations, so an annotation is its source text.
 _CONVERSIONS = {
     "float": (_number, None),
-    "int": (_integer, int),
+    "int": (_integer, None),
     "bool": (_flag, bool),
     "str": (_text, str),
     "dict[int, tuple[float, ...]]": (_schedule, None),
@@ -324,6 +327,9 @@ def _read_json(path: Path, what: str):
         raise ScenarioError(f"{path}: cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: {what} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # json refuses an integer literal longer than Python converts
+        raise ScenarioError(f"{path}: {what} holds an integer too long to read: {exc}") from exc
 
 
 def topology_from_dict(data: dict) -> Topology:

@@ -47,6 +47,13 @@ and its beacon-heard neighbors, and installs them at switchover by the
 same ``RouteState.install``. A failed plan leaves its reason in
 ``plan_error`` and the mesh flooding.
 
+The learning phase's sends are one event, ``_ev_send_control``, which a
+live node runs with a packet kind: a gateway's beacon and chunk rounds,
+a repeater's neighbor reports. A decoded control flood gets its kind's
+intake (a beacon into the neighbor table, a report into the gateway's
+rows, a chunk into the repeater's learned rows), and then one rule:
+repeaters relay control floods.
+
 Determinism: all randomness comes from named per-node streams, every
 iteration over node or link collections is sorted, and simultaneous
 events pop in insertion order.
@@ -248,26 +255,26 @@ class Simulation:
 
     def _schedule_learning(self) -> None:
         ph = self.scenario.phases
-        self._schedule_rounds(0.0, ph.beacon_end_s, ph.beacon_rounds, self._ev_send_beacon)
+        self._schedule_rounds(0.0, ph.beacon_end_s, ph.beacon_rounds, BEACON)
         window = 0.6 * (ph.report_end_s - ph.beacon_end_s)
         for rp in sorted(self.topology.repeaters):
             t = ph.beacon_end_s + self.rng.uniform(rp, "report", 0.0, window)
-            self.queue.push(t, self._ev_send_report, (rp,))
+            self.queue.push(t, self._ev_send_control, (rp, NEIGHBOR_REPORT))
         self.queue.push(ph.report_end_s, self._ev_server_plan, ())
         self._schedule_rounds(
-            ph.report_end_s, ph.dissemination_end_s, ph.chunk_rounds, self._ev_send_chunks
+            ph.report_end_s, ph.dissemination_end_s, ph.chunk_rounds, ROUTE_TABLE_CHUNK
         )
         self.queue.push(ph.dissemination_end_s, self._ev_switchover, ())
 
-    def _schedule_rounds(self, start: float, end: float, rounds: int, event) -> None:
-        """Every gateway's ``rounds`` calls of ``event``, evenly spaced from
-        ``start`` to ``end``, each jittered by U(0, min(1, spacing / 2))
-        from the gateway's traffic stream."""
+    def _schedule_rounds(self, start: float, end: float, rounds: int, kind: int) -> None:
+        """Every gateway's ``rounds`` sends of control floods of ``kind``,
+        evenly spaced from ``start`` to ``end``, each jittered by
+        U(0, min(1, spacing / 2)) from the gateway's traffic stream."""
         spacing = (end - start) / rounds
         for gw in sorted(self.topology.gateways):
             for r in range(rounds):
                 jitter = self.rng.uniform(gw, "traffic", 0.0, min(1.0, spacing / 2.0))
-                self.queue.push(start + r * spacing + jitter, event, (gw,))
+                self.queue.push(start + r * spacing + jitter, self._ev_send_control, (gw, kind))
 
     def _schedule_traffic(self) -> None:
         traffic = self.scenario.traffic
@@ -438,31 +445,8 @@ class Simulation:
         if packet.battery_level is not None:
             node.route.neighbor_levels[tx_uid] = packet.battery_level
 
-        if kind == BEACON:
-            if not node.is_ed:
-                node.ntable.record_beacon(tx_uid, prx_dbm)
-                if node.is_repeater:
-                    self._relay(node, packet)
-            return
-
-        if kind == NEIGHBOR_REPORT:
-            if node.is_gateway:
-                if not node.dedup.seen(packet.packet_id, self.queue.now):
-                    rows = self.report_rows.setdefault(packet.origin, {})
-                    for heard, dist in packet.body:
-                        rows[heard] = dist
-            elif node.is_repeater:
-                self._relay(node, packet)
-            return
-
-        if kind == ROUTE_TABLE_CHUNK:
-            if node.is_repeater:
-                own, heard, learned = node.uid, node.ntable.records, node.learned
-                for row in packet.body:
-                    uid = row[0]
-                    if uid == own or uid in heard:
-                        learned[uid] = row
-                self._relay(node, packet)
+        if kind == DATA_UP or kind == DATA_DOWN:
+            self._deliver_data(node, packet, tx_uid)
             return
 
         if kind == ROUTE_SWITCH:
@@ -471,7 +455,25 @@ class Simulation:
                     self._emit(tr.ROUTE_SWITCHED, node.uid, pkt=packet.packet_id, peer=tx_uid)
             return
 
-        self._deliver_data(node, packet, tx_uid)
+        # The learning phase's control floods: each kind's intake, then
+        # repeaters relay every one of them.
+        if kind == BEACON:
+            if not node.is_ed:
+                node.ntable.record_beacon(tx_uid, prx_dbm)
+        elif kind == NEIGHBOR_REPORT:
+            if node.is_gateway and not node.dedup.seen(packet.packet_id, self.queue.now):
+                rows = self.report_rows.setdefault(packet.origin, {})
+                for heard, dist in packet.body:
+                    rows[heard] = dist
+        elif node.is_repeater:
+            # a table chunk: keep the rows for this node and its beacon-heard neighbors
+            own, heard, learned = node.uid, node.ntable.records, node.learned
+            for row in packet.body:
+                uid = row[0]
+                if uid == own or uid in heard:
+                    learned[uid] = row
+        if node.is_repeater:
+            self._relay(node, packet)
 
     def _deliver_data(self, node: Node, packet: Packet, tx_uid: int) -> None:
         """Uplink and downlink alike: a gateway delivers an uplink once; a
@@ -505,19 +507,22 @@ class Simulation:
             else:
                 self._forward(node, packet)
             return
-        # Overheard someone else's hop.
+        # Overheard someone else's hop. An uplink hop's announced level
+        # that this observer has not acted on brings at most one switch
+        # offer: case 1 to a monitor's sender, else case 2 around a relay.
         announced = packet.battery_level if up and self.energy_aware else None
         key = (tx_uid, announced)
+        offer = announced is not None and key not in r.switch_acted
         mon = r.monitors.get(pid)
         if mon is not None:
             if (
-                announced is not None
+                offer
                 and tx_uid == mon.intended_next
-                and key not in r.switch_acted
                 and rt.case1_should_switch(
                     node.ledger.level, r.level_of(r.upstream_original), announced
                 )
             ):
+                offer = False
                 r.switch_acted.add(key)
                 self._originate(node, ROUTE_SWITCH, ROUTE_SWITCH_PAYLOAD, mon.overheard_from)
                 rt.revert_upstream(r)
@@ -528,39 +533,33 @@ class Simulation:
             hop = r.recent_hops.get(pid)
             if hop is not None and tx_uid == hop[1]:
                 del r.recent_hops[pid]
-                if (
-                    announced is not None
-                    and key not in r.switch_acted
-                    and rt.case2_should_switch(node.ledger.level, announced)
-                ):
+                if offer and rt.case2_should_switch(node.ledger.level, announced):
                     r.switch_acted.add(key)
                     self._originate(node, ROUTE_SWITCH, ROUTE_SWITCH_PAYLOAD, hop[0])
             rt.note_recent_hop(r, pid, tx_uid, next_hop)
-        self._maybe_arm(node, packet, tx_uid)
+        self._maybe_arm(node, packet, tx_uid, up)
 
-    def _maybe_arm(self, node: Node, packet: Packet, tx_uid: int) -> None:
+    def _maybe_arm(self, node: Node, packet: Packet, tx_uid: int, up: bool) -> None:
         if not self.standby_enabled:
             return
         r = node.route
         pid = packet.packet_id
         if pid in r.forwarded_ids:
             return
-        if packet.kind == DATA_UP:
-            # an overheard uplink hop names a planned node: one that
-            # names none took the addressed path in _deliver_data
-            addressee = packet.next_hop
-            is_gateway = self.nodes[addressee].is_gateway
-            if not rt.should_arm(r, tx_uid, addressee, is_gateway, up=True):
-                return
+        # The addressees that would forward: an overheard uplink hop names
+        # a planned node (one that names none took the addressed path in
+        # _deliver_data), and a gateway never forwards; a downlink hop
+        # names its set, or nothing when it was flooded.
+        next_hop = packet.next_hop
+        if up:
+            candidates = () if self.nodes[next_hop].is_gateway else (next_hop,)
         else:
-            targets = packet.next_hop if isinstance(packet.next_hop, tuple) else ()
-            addressee = None
-            for member in targets:
-                if rt.should_arm(r, tx_uid, member, False, up=False):
-                    addressee = member
-                    break
-            if addressee is None:
-                return
+            candidates = next_hop if isinstance(next_hop, tuple) else ()
+        for addressee in candidates:
+            if rt.should_arm(r, tx_uid, addressee, up):
+                break
+        else:
+            return
         mac = self.scenario.mac
         deadline = self.queue.now + self.rng.uniform(
             node.uid, "standby", mac.standby_min_s, mac.standby_max_s
@@ -598,22 +597,24 @@ class Simulation:
     # ------------------------------------------------------------------
     # learning phase
 
-    def _ev_send_beacon(self, gw_uid: int) -> None:
-        node = self.nodes[gw_uid]
-        if not node.ledger.dead:
-            self._originate(node, BEACON, BEACON_PAYLOAD)
-
-    def _ev_send_report(self, rp_uid: int) -> None:
-        node = self.nodes[rp_uid]
+    def _ev_send_control(self, uid: int, kind: int) -> None:
+        """A live node originates its control flood of ``kind``: a beacon,
+        its neighbor reports, or the planned table chunks."""
+        node = self.nodes[uid]
         if node.ledger.dead:
             return
-        for payload_bytes, entries in build_report_chunks(node.ntable.entries()):
-            self._originate(node, NEIGHBOR_REPORT, payload_bytes, body=tuple(entries))
+        if kind == BEACON:
+            frames = ((BEACON_PAYLOAD, ()),)
+        elif kind == NEIGHBOR_REPORT:
+            frames = build_report_chunks(node.ntable.entries())
+        else:
+            frames = self.chunks
+        for payload_bytes, body in frames:
+            self._originate(node, kind, payload_bytes, body=tuple(body))
 
     def _ev_server_plan(self) -> None:
-        reports: dict[int, list[tuple[int, float]]] = {}
-        for origin in sorted(self.report_rows):
-            reports[origin] = sorted(self.report_rows[origin].items())
+        # in arrival order: aggregate_reports sorts what it merges
+        reports = {origin: list(rows.items()) for origin, rows in self.report_rows.items()}
         for gw in sorted(self.topology.gateways):
             reports[gw] = self.nodes[gw].ntable.entries()
         try:
@@ -623,13 +624,6 @@ class Simulation:
             # no chunks to send: the chunk rounds send nothing
             self.graph = None
             self.plan_error = exc
-
-    def _ev_send_chunks(self, gw_uid: int) -> None:
-        node = self.nodes[gw_uid]
-        if node.ledger.dead:
-            return
-        for payload_bytes, rows in self.chunks:
-            self._originate(node, ROUTE_TABLE_CHUNK, payload_bytes, body=tuple(rows))
 
     def _ev_switchover(self) -> None:
         for uid in sorted(self.topology.repeaters):

@@ -309,6 +309,15 @@ MALFORMED_SCENARIOS = {
     "schedule-times-number": {**VALID_SCENARIO, "traffic": {"schedule": {"101": 5.0}}},
     "ed-capacity-zero": {**VALID_SCENARIO, "energy": {"ed_capacity_mah": 0}},
     "gateway-capacity-negative": {**VALID_SCENARIO, "energy": {"gateway_capacity_mah": -5}},
+    # integers too large for a float; each of these once exited 3
+    "bandwidth-huge": {**VALID_SCENARIO, "radio": {"bandwidth_hz": 10**400}},
+    "preamble-huge": {**VALID_SCENARIO, "radio": {"preamble_symbols": 10**400}},
+    "chunk-rounds-huge": {**VALID_SCENARIO, "phases": {"chunk_rounds": 10**400}},
+    # longer than json reads an integer literal; written as text, since
+    # json cannot write it either
+    "integer-literal-huge": json.dumps(VALID_SCENARIO).replace(
+        '"total_packets": 2', '"total_packets": ' + "1" * 5000
+    ),
     # reception follows links, so this end device would lose every packet
     "attach-unlinked": {
         **VALID_SCENARIO,
@@ -351,13 +360,17 @@ NAMED_KEYS = {
     "schedule-times-number": "traffic: schedule of 101 must be a JSON array, got float",
     "ed-capacity-zero": "energy: ed_capacity_mah must be positive",
     "gateway-capacity-negative": "energy: gateway_capacity_mah must be positive",
+    "bandwidth-huge": "radio: bandwidth_hz must be a finite number, got 1000",
+    "preamble-huge": "radio: preamble_symbols must be a finite number, got 1000",
+    "chunk-rounds-huge": "phases: chunk_rounds must be a finite number, got 1000",
+    "integer-literal-huge": "scenario.json: scenario holds an integer too long to read",
 }
 
 
 class TestMalformedScenario:
     def simulate(self, tmp_path, document):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(document))
+        path.write_text(document if isinstance(document, str) else json.dumps(document))
         return main(["simulate", "--scenario", str(path), "--out-dir", str(tmp_path / "run")])
 
     def test_valid_base_document_runs(self, tmp_path):
@@ -602,6 +615,37 @@ class TestPlan:
         assert err.startswith("error:") and err.count("\n") == 1
         assert named in err
 
+    # each of these once planned (a report lost, a self-link kept) or
+    # printed a message that did not name the entry
+    @pytest.mark.parametrize(
+        "document, named",
+        [
+            (
+                {"gateways": [0], "reports": [{"node": 1, "neighbors": []}] * 2},
+                "reports[1]: node 1 is reported twice",
+            ),
+            (
+                {"gateways": [0], "reports": [{"node": 1, "neighbors": [{"uid": 1, "distance_m": 5.0}]}]},
+                "reports[0].neighbors[0]: node 1 cannot be its own neighbor",
+            ),
+            (
+                {"gateways": [0], "reports": [{"node": 1, "neighbors": [{"uid": 0, "distance_m": 5.0}] * 2}]},
+                "reports[0].neighbors[1]: node 0 is listed twice",
+            ),
+            ({"gateways": [True], "reports": []}, "reports file: gateways entry must be an integer, got True"),
+            ({"gateways": [0], "reports": {"a": 1}}, "reports file: reports must be a JSON array, got dict"),
+            ({"gateways": [0], "reports": ["a"]}, "reports[0]: expected a JSON object, got str"),
+            ([], "reports file: expected a JSON object, got list"),
+        ],
+        ids=["node-twice", "own-neighbor", "neighbor-twice", "gateway-true", "reports-object",
+             "report-string", "top-level-list"],
+    )
+    def test_a_malformed_reports_entry_exits_2_naming_it(self, tmp_path, capsys, document, named):
+        path = tmp_path / "reports.json"
+        path.write_text(json.dumps(document))
+        assert main(["plan", "--reports", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+
 
 class TestLearn:
     def test_learned_tables_match_offline_planner(self, tmp_path):
@@ -781,6 +825,18 @@ class TestMalformedLists:
         argv = ["loadtest", "--scenario", "standby_recovery", flag, text]
         assert main(argv + ["--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {prefix}")
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_a_threshold_that_is_not_finite_exits_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, threshold
+    ):
+        def no_run(*_args):
+            raise AssertionError("ran with a threshold no growth can be compared with")
+
+        monkeypatch.setattr(cli, "_run_once", no_run)
+        argv = ["loadtest", "--scenario", "standby_recovery", f"--threshold={threshold}"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: --threshold must be a finite number, got {threshold}\n"
 
     def test_plan_reports_directory_exits_2(self, tmp_path, capsys):
         rc = main(["plan", "--reports", str(tmp_path), "--out-dir", str(tmp_path / "out")])

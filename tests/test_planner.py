@@ -207,6 +207,17 @@ def test_planner_input_validation():
         plan({0: [(1, -5.0)]}, [0])
 
 
+def test_the_order_of_the_reports_changes_nothing():
+    # the simulation hands reports over in arrival order
+    reports = {2: [(1, 5.0), (0, 9.0)], 0: [(2, 9.0), (1, 4.0)], 1: [(2, 5.0)]}
+    shuffled = {uid: list(reversed(entries)) for uid, entries in reversed(reports.items())}
+    assert plan_to_dict(plan(shuffled, [0])) == plan_to_dict(plan(reports, [0]))
+    bad = {2: [(1, 0.0)], 1: [(2, 0.0)]}
+    for given in (bad, dict(reversed(bad.items()))):
+        with pytest.raises(PlannerError, match=r"^non-positive distance reported by 1 for 2$"):
+            plan(given, [0])
+
+
 def test_a_plan_longer_than_the_distance_field_names_what_is_too_long():
     # two hops of 9 000 m fit the field one by one, not as a path
     with pytest.raises(

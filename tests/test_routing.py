@@ -96,31 +96,29 @@ def test_revert_restores_planner_upstream():
 def test_should_arm_uplink_ordering():
     state = observer_state()
     # D (200) hands to F (130); we sit at 150, below D: arm
-    assert should_arm(state, 45, 60, addressee_is_gateway=False, up=True) is True
-    # hop addressed to a gateway is never monitored
-    assert should_arm(state, 45, 60, addressee_is_gateway=True, up=True) is False
+    assert should_arm(state, 45, 60, up=True) is True
     # transmitter closer than addressee: nothing to recover
-    assert should_arm(state, 60, 45, addressee_is_gateway=False, up=True) is False
+    assert should_arm(state, 60, 45, up=True) is False
     # we sit farther than the transmitter: not our recovery
     state.distance_value = 250.0
-    assert should_arm(state, 45, 60, addressee_is_gateway=False, up=True) is False
+    assert should_arm(state, 45, 60, up=True) is False
 
 
 def test_should_arm_requires_known_values_and_other_parties():
     state = observer_state()
-    assert should_arm(state, 99, 60, addressee_is_gateway=False, up=True) is False
-    assert should_arm(state, 45, 99, addressee_is_gateway=False, up=True) is False
-    assert should_arm(state, state.uid, 60, addressee_is_gateway=False, up=True) is False
-    assert should_arm(state, 45, state.uid, addressee_is_gateway=False, up=True) is False
+    assert should_arm(state, 99, 60, up=True) is False
+    assert should_arm(state, 45, 99, up=True) is False
+    assert should_arm(state, state.uid, 60, up=True) is False
+    assert should_arm(state, 45, state.uid, up=True) is False
     uninstalled = RouteState(uid=50)
-    assert should_arm(uninstalled, 45, 60, addressee_is_gateway=False, up=True) is False
+    assert should_arm(uninstalled, 45, 60, up=True) is False
 
 
 def test_should_arm_downlink_mirrors():
     state = observer_state()
     # downlink: C (120) hands outward to D (200); we sit at 150, beyond C
-    assert should_arm(state, 40, 45, addressee_is_gateway=False, up=False) is True
-    assert should_arm(state, 45, 40, addressee_is_gateway=False, up=False) is False
+    assert should_arm(state, 40, 45, up=False) is True
+    assert should_arm(state, 45, 40, up=False) is False
 
 
 def test_monitor_capacity_evicts_oldest():

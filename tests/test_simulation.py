@@ -397,6 +397,18 @@ def test_learning_control_floods_sent_at_most_once_per_node(name):
     assert sim.graph is not None
 
 
+def test_a_node_dead_before_the_learning_phase_originates_nothing():
+    buf = io.StringIO()
+    sim = Simulation(learning_only("representative"), trace_writer=tr.TraceWriter(buf))
+    # gateway 18 would send beacons and chunks, repeater 9 its reports
+    sim.nodes[18].ledger.dead = True
+    sim.nodes[9].ledger.dead = True
+    sim.run()
+    # a packet id taken by a dead node would never go on air
+    on_air = {ev[3] for ev in events_of(decoded(buf), tr.TX_START)}
+    assert on_air and on_air == set(range(sim._next_pid))
+
+
 def test_downlink_coverage_reaches_leaf_repeaters():
     nodes = [
         {"uid": 0, "role": "gateway"},
