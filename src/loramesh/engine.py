@@ -11,11 +11,13 @@ class EventQueue:
     """Min-heap of (time, seq, fn, args) with insertion-order tie breaks.
 
     Two events at the same timestamp pop in the order they were pushed,
-    which pins the whole simulation to a single replayable order.
+    which pins the whole simulation to a single replayable order. A run
+    loop may read ``heap`` (its first entry is the next event) but
+    changes it only through ``push`` and ``pop``.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, object, tuple]] = []
+        self.heap: list[tuple[float, int, object, tuple]] = []
         self._seq = 0
         self.now = 0.0
 
@@ -23,18 +25,18 @@ class EventQueue:
         if when < self.now:
             raise ValueError(f"cannot schedule at {when} before current time {self.now}")
         self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, fn, args))
+        heapq.heappush(self.heap, (when, self._seq, fn, args))
 
     def pop(self):
-        when, _seq, fn, args = heapq.heappop(self._heap)
+        when, _seq, fn, args = heapq.heappop(self.heap)
         self.now = when
         return fn, args
 
     def peek_time(self) -> float | None:
-        return self._heap[0][0] if self._heap else None
+        return self.heap[0][0] if self.heap else None
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self.heap)
 
 
 class RngStreams:

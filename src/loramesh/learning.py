@@ -40,13 +40,17 @@ def estimate_distance(tx_power_dbm: float, prx_dbm: float, model: PathLossModel)
 
 
 def quantize_distance(distance_m: float) -> float | None:
-    """Snap a distance onto the wire grid (nearest 0.25 m step); None when
-    it is beyond MAX_WIRE_DISTANCE_M, which the 2-byte field cannot hold."""
+    """Snap a distance onto the wire grid (nearest 0.25 m step, and at
+    least one step when positive, since the planner refuses a zero-length
+    hop); None when it is beyond MAX_WIRE_DISTANCE_M, which the 2-byte
+    field cannot hold."""
     if distance_m < 0:
         raise ValueError("distance cannot be negative")
     if distance_m > MAX_WIRE_DISTANCE_M:
         return None
     steps = round(distance_m / DISTANCE_STEP_M)
+    if steps == 0 and distance_m > 0:
+        steps = 1
     return steps * DISTANCE_STEP_M
 
 

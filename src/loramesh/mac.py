@@ -44,24 +44,32 @@ class DedupCache:
         return False
 
 
-class TxQueue:
-    """FIFO transmit queue that drops the oldest entry when full."""
+class TxQueue(deque):
+    """FIFO transmit queue that drops the oldest entry when full; a
+    ``deque``, so its length and truthiness are the deque's own."""
 
-    __slots__ = ("capacity", "_items")
+    __slots__ = ("capacity",)
 
     def __init__(self, capacity: int) -> None:
+        super().__init__()
         self.capacity = capacity
-        self._items: deque = deque()
 
     def push(self, item) -> object | None:
         """Append; returns the evicted entry when capacity was exceeded."""
-        self._items.append(item)
-        if len(self._items) > self.capacity:
-            return self._items.popleft()
+        self.append(item)
+        if len(self) > self.capacity:
+            return self.popleft()
         return None
 
-    def pop(self):
-        return self._items.popleft()
+    # the oldest entry leaves first
+    pop = deque.popleft
 
-    def __bool__(self) -> bool:
-        return bool(self._items)
+    # deque's own copy and reduce hand the items to __init__, which takes
+    # the capacity
+    def __reduce__(self):
+        return type(self), (self.capacity,), None, iter(self)
+
+    def __copy__(self):
+        copied = type(self)(self.capacity)
+        copied.extend(self)
+        return copied

@@ -155,7 +155,7 @@ def recompute_from_trace(scenario: Scenario, seed: int, trace_path, end_time: fl
     """
     builder = MetricsBuilder(scenario, seed)
     digest = tr.TraceWriter()
-    for ev in tr.read_trace(trace_path):
+    for ev in tr.read_records(trace_path):
         builder.feed(ev)
         digest.add(ev)
     return builder.finalize(end_time, digest.hexdigest())

@@ -314,14 +314,16 @@ def plan(reports: dict[int, list[tuple[int, float]]], gateways: list[int]) -> Gl
     )
 
 
-def emit_chunks(graph: GlobalGraph) -> list[tuple[int, list[tuple]]]:
+def emit_chunks(graph: GlobalGraph) -> list[tuple[int, dict[int, tuple]]]:
     """Pack the disseminated rows, (uid, distance value, upstream,
-    downstream) in uid order, into chunks: (payload bytes, rows) each."""
+    downstream) in uid order, into chunks: (payload bytes, rows by uid)
+    each, so a receiver looks up the rows it keeps."""
     rows = [(uid, *row[:3]) for uid, row in graph.rows.items()]
     try:
-        return pack_frames(rows, lambda row: table_row_bytes(len(row[3])))
+        frames = pack_frames(rows, lambda row: table_row_bytes(len(row[3])))
     except ValueError as exc:
         raise PlannerError(f"table row {exc}") from exc
+    return [(size, {row[0]: row for row in chunk}) for size, chunk in frames]
 
 
 def plan_from_topology(topology, heard) -> GlobalGraph:

@@ -330,6 +330,8 @@ def _read_json(path: Path, what: str):
     except ValueError as exc:
         # json refuses an integer literal longer than Python converts
         raise ScenarioError(f"{path}: {what} holds an integer too long to read: {exc}") from exc
+    except RecursionError:
+        raise ScenarioError(f"{path}: {what} nests arrays or objects too deeply to read") from None
 
 
 def topology_from_dict(data: dict) -> Topology:

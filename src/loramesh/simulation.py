@@ -9,9 +9,10 @@ arbitrated for every live peer straight from the sender's hearer row
 (each linked peer in uid order with the power it receives, or None when
 it cannot hear the sender: audibility, then own-transmit exclusion,
 then capture margin over the overlapping frames the peer hears), then
-the sender is billed; decoded frames are handed to the protocol
-dispatch, which is where flooding, routing, standby recovery, and the
-battery-triggered switches live.
+the sender is billed; frames a mesh node decodes are handed to the
+protocol dispatch, which is where flooding, routing, standby recovery,
+and the battery-triggered switches live. An end device acts on nothing
+it decodes: it is billed for the frame, and nothing more.
 
 The hearer rows come from the channel's audibility map
 (``LinkModel.hearing``), drawn once per run; the oracle planner plans
@@ -19,33 +20,38 @@ over the same map, so a routed hop is always a link the run hears.
 Links are symmetric, so a receiver's own row also names every sender it
 hears, with the power it receives.
 
-Interference is read from those rows and from each node's two latest
-frames; no scan covers the whole network. A node runs one MAC chain on
-one channel (end devices on the end-device channel, the others on the
-mesh channel), so its frames never overlap and begin in order. Of its
-frames that overlap a frame ending at t1, the latest begun before t1 is
-then its last or, when the last began at exactly t1 before that end was
-arbitrated, the one before. Carrier sense asks whether a sender in the
-node's row has its last frame on the mesh channel still on air; a
-frame's strongest rival at a peer is the loudest other sender in the
-peer's row with a frame on that channel overlapping it.
+Interference is read from each node's two latest frames and a rival
+list per sender; no scan covers the whole network. A node runs one MAC
+chain on one channel (end devices on the end-device channel, the others
+on the mesh channel), so its frames never overlap and begin in order.
+Of its frames that overlap a frame ending at t1, the latest begun
+before t1 is then its last or, when the last began at exactly t1 before
+that end was arbitrated, the one before. Carrier sense asks whether a
+sender in the node's row has its last frame on the mesh channel still
+on air. A sender's rivals, built from the rows on its first frame end,
+are the other nodes on its channel that any peer hearing it hears, each
+with the power it reaches each of those peers with. At a frame end each
+rival's frames are read once; when none overlaps, every peer decodes
+with no rival, and otherwise a peer's strongest rival is the loudest of
+the overlapping ones it hears.
 
 Energy is billed where it is spent: each decoded or collided frame is
 charged to the peer's ledger at its end, and each transmission to the
 sender's just before its ``TX_END``. Events are appended to the trace
-writer's batch, by ``_emit`` or, on the per-frame path, directly; the
-run loop checks the batch once per dispatched event, and ``_flush``
-hands a full batch (and, at the end of ``run``, the last one) to the
-metrics builder's ``account`` and then to the writer, which packs each
-event into one fixed-size trace record and hashes it (see ``trace``).
+writer's batch in their stored form (see ``trace``), by ``_emit`` or,
+on the per-frame path, directly; the run loop checks the batch once per
+dispatched event, and ``_flush`` hands a full batch (and, at the end of
+``run``, the last one) to the metrics builder's ``account`` and then to
+the writer, which packs each event into one fixed-size trace record and
+hashes it.
 Neither the accounting nor the trace bytes depend on where a batch ends.
 
 Routes are the rows ``planner.plan`` makes. Without the learning phase
 every node installs its row from the oracle plan before the first event;
 with it, each repeater keeps the rows that table chunks bring for itself
-and its beacon-heard neighbors, and installs them at switchover by the
-same ``RouteState.install``. A failed plan leaves its reason in
-``plan_error`` and the mesh flooding.
+and its beacon-heard neighbors, looking each up in the chunk's rows by
+uid, and installs them at switchover by the same ``RouteState.install``.
+A failed plan leaves its reason in ``plan_error`` and the mesh flooding.
 
 The learning phase's sends are one event, ``_ev_send_control``, which a
 live node runs with a packet kind: a gateway's beacon and chunk rounds,
@@ -62,6 +68,7 @@ events pop in insertion order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import routing as rt
 from . import trace as tr
@@ -87,6 +94,9 @@ from .model import (
 )
 from .planner import PlannerError, emit_chunks, plan, plan_from_topology
 from .scenario import Scenario
+
+# the loudest rival at every peer of a frame that no rival overlaps
+NO_RIVALS = repeat(None)
 
 
 class Transmission:
@@ -115,6 +125,7 @@ class Node:
         "chain_active",
         "last",
         "prev",
+        "rivals",
     )
 
     def __init__(self, uid: int, role_flags: tuple[bool, bool, bool], queue: TxQueue, dedup: DedupCache, ledger: EnergyLedger, ntable: NeighborTable) -> None:
@@ -132,6 +143,9 @@ class Node:
         # interference and carrier sense read (see the module docstring)
         self.last: Transmission | None = None
         self.prev: Transmission | None = None
+        # (node, power at each peer of this node's hearer row) for every
+        # node that could interfere with this one's frames; see _rivals
+        self.rivals: tuple | None = None
 
 
 @dataclass
@@ -198,8 +212,8 @@ class Simulation:
     # ------------------------------------------------------------------
     # plumbing
 
-    def _emit(self, kind: int, node: int, pkt=None, peer=None, dur=None, ch=None) -> None:
-        self._batch.append((self.queue.now, kind, node, pkt, peer, dur, ch))
+    def _emit(self, kind: int, node: int, pkt: int = tr.NONE_INT, peer: int = tr.NONE_INT) -> None:
+        self._batch.append((self.queue.now, kind, node, pkt, peer, tr.NONE_DUR, tr.NONE_INT))
 
     def _flush(self) -> None:
         """Account the waiting events, then let the trace writer encode them."""
@@ -366,8 +380,26 @@ class Simulation:
         trans = Transmission(uid, channel, now, t1, packet)
         node.prev = node.last
         node.last = trans
-        self._batch.append((now, tr.TX_START, uid, packet.packet_id, None, dur, channel))
+        self._batch.append((now, tr.TX_START, uid, packet.packet_id, tr.NONE_INT, dur, channel))
         self.queue.push(t1, self._ev_tx_end, (trans,))
+
+    def _rivals(self, sender: Node) -> tuple:
+        """The senders that could interfere with ``sender``'s frames: every
+        other node on its channel that a peer hearing ``sender`` hears, in
+        uid order, each with the power it reaches each peer of ``sender``'s
+        hearer row with (None where that peer does not hear it). Built on
+        first use; the rows never change."""
+        row = self.linked[sender.uid]
+        powers: dict[int, list] = {}
+        for i, (node, p) in enumerate(row):
+            if p is None:
+                continue
+            for other, ip in self.linked[node.uid]:
+                if ip is not None and other is not sender and other.is_ed == sender.is_ed:
+                    powers.setdefault(other.uid, [None] * len(row))[i] = ip
+        nodes = self.nodes
+        sender.rivals = tuple((nodes[uid], tuple(powers[uid])) for uid in sorted(powers))
+        return sender.rivals
 
     def _ev_tx_end(self, trans: Transmission) -> None:
         uid = trans.tx_uid
@@ -380,48 +412,57 @@ class Simulation:
         ch = trans.channel
         append = self._batch.append
         sender = self.nodes[uid]
+        # The rivals' frames overlapping [t0, t1) on its channel, each read
+        # once: a node's frame overlapping [t0, t1) is its last or, when
+        # that began at t1, the one before (see the module docstring). The
+        # loudest per peer is kept; with none, no peer has a rival.
+        rivals = sender.rivals
+        if rivals is None:
+            rivals = self._rivals(sender)
+        loudest = None
+        for other, powers in rivals:
+            t = other.last
+            if t is not None and t.t0 >= t1:
+                t = other.prev
+            if t is not None and t.t1 > t0 and t.channel == ch:
+                if loudest is None:
+                    loudest = powers
+                else:
+                    loudest = [
+                        a if b is None or (a is not None and a >= b) else b
+                        for a, b in zip(loudest, powers)
+                    ]
         # Reception at each live peer, in the order RxBelowSens (the
-        # audibility map) -> DroppedBusyTx -> capture over the overlapping
-        # frames the peer hears. Peers decode, and are billed, before the
-        # sender is billed: a sender that dies during its last frame is
-        # still heard.
+        # audibility map) -> DroppedBusyTx -> capture over the loudest
+        # rival. Peers decode, and are billed, before the sender is
+        # billed: a sender that dies during its last frame is still heard.
         # Reception only queues work, so no frame begins inside the loop.
-        for node, p in self.linked[uid]:
+        for (node, p), strongest in zip(self.linked[uid], loudest or NO_RIVALS):
             ledger = node.ledger
             if ledger.dead:
                 continue
             peer = node.uid
             if p is None:
-                append((now, tr.RX_BELOW_SENS, peer, pid, uid, None, ch))
+                append((now, tr.RX_BELOW_SENS, peer, pid, uid, tr.NONE_DUR, ch))
                 continue
-            # A node's frame overlapping [t0, t1) is its last or, when that
-            # began at t1, the one before (see the module docstring).
             t = node.last
             if t is not None and t.t0 >= t1:
                 t = node.prev
             if t is not None and t.t1 > t0:
-                append((now, tr.DROPPED_BUSY_TX, peer, pid, uid, None, ch))
+                append((now, tr.DROPPED_BUSY_TX, peer, pid, uid, tr.NONE_DUR, ch))
                 continue
-            strongest = None
-            for other, ip in self.linked[peer]:
-                t = other.last
-                if t is not None and t.t0 >= t1:
-                    t = other.prev
-                if t is None or t.t1 <= t0 or ip is None or other is sender:
-                    continue
-                if t.channel == ch and (strongest is None or ip > strongest):
-                    strongest = ip
             ok = captures(p, strongest, self.capture)
             ledger.charge_rx(start, now)
             append((now, tr.RX_OK if ok else tr.RX_COLLIDED, peer, pid, uid, dur, ch))
             if ledger.dead:
                 self._kill(node)
-            elif ok:
+            elif ok and not node.is_ed:
+                # an end device acts on nothing it decodes
                 self._deliver(node, trans.packet, uid, p)
         ledger = sender.ledger
         if not ledger.dead:
             ledger.charge_tx(start, now)
-            append((now, tr.TX_END, uid, pid, None, dur, ch))
+            append((now, tr.TX_END, uid, pid, tr.NONE_INT, dur, ch))
         if ledger.dead:
             self._kill(sender)
             return
@@ -432,8 +473,7 @@ class Simulation:
 
     def _kill(self, node: Node) -> None:
         node.chain_active = False
-        while node.queue:
-            node.queue.pop()
+        node.queue.clear()
         node.route.monitors.clear()
         node.route.recent_hops.clear()
 
@@ -450,7 +490,7 @@ class Simulation:
             return
 
         if kind == ROUTE_SWITCH:
-            if packet.next_hop == node.uid and not node.is_ed:
+            if packet.next_hop == node.uid:
                 if rt.apply_route_switch(node.route, tx_uid):
                     self._emit(tr.ROUTE_SWITCHED, node.uid, pkt=packet.packet_id, peer=tx_uid)
             return
@@ -458,8 +498,7 @@ class Simulation:
         # The learning phase's control floods: each kind's intake, then
         # repeaters relay every one of them.
         if kind == BEACON:
-            if not node.is_ed:
-                node.ntable.record_beacon(tx_uid, prx_dbm)
+            node.ntable.record_beacon(tx_uid, prx_dbm)
         elif kind == NEIGHBOR_REPORT:
             if node.is_gateway and not node.dedup.seen(packet.packet_id, self.queue.now):
                 rows = self.report_rows.setdefault(packet.origin, {})
@@ -467,10 +506,13 @@ class Simulation:
                     rows[heard] = dist
         elif node.is_repeater:
             # a table chunk: keep the rows for this node and its beacon-heard neighbors
-            own, heard, learned = node.uid, node.ntable.records, node.learned
-            for row in packet.body:
-                uid = row[0]
-                if uid == own or uid in heard:
+            rows, learned = packet.body, node.learned
+            row = rows.get(node.uid)
+            if row is not None:
+                learned[node.uid] = row
+            for uid in node.ntable.records:
+                row = rows.get(uid)
+                if row is not None:
                     learned[uid] = row
         if node.is_repeater:
             self._relay(node, packet)
@@ -485,8 +527,6 @@ class Simulation:
             if up and pid not in self.delivered_pids:
                 self.delivered_pids.add(pid)
                 self._emit(tr.DELIVERED, node.uid, pkt=pid)
-            return
-        if node.is_ed:
             return
         r = node.route
         if self.protocol == "flooding" or not r.installed:
@@ -610,7 +650,7 @@ class Simulation:
         else:
             frames = self.chunks
         for payload_bytes, body in frames:
-            self._originate(node, kind, payload_bytes, body=tuple(body))
+            self._originate(node, kind, payload_bytes, body=body)
 
     def _ev_server_plan(self) -> None:
         # in arrival order: aggregate_reports sorts what it merges
@@ -661,11 +701,13 @@ class Simulation:
         self._bootstrap()
         horizon = self.scenario.horizon_s
         queue = self.queue
+        heap = queue.heap
         batch = self._batch
         limit = tr.BATCH_EVENTS
         hit_horizon = False
         try:
-            while queue:
+            # pop is looked up per event: a hook on the instance may replace it
+            while heap:
                 if horizon is not None and queue.peek_time() > horizon:
                     hit_horizon = True
                     break

@@ -1,9 +1,16 @@
 """Run trace: the complete, replayable record of what happened on air.
 
 Events are fixed-arity tuples (time, kind, node, packet, peer, duration,
-channel) with None in unused slots; time and duration are floats. A
-kind is an index into ``KINDS``, the one table of event kinds, which
-gives each its NDJSON name and its ``metrics.json`` count key.
+channel); time and duration are floats. A kind is an index into
+``KINDS``, the one table of event kinds, which gives each its NDJSON
+name and its ``metrics.json`` count key.
+
+An event has two forms. In memory (what the simulator appends to a
+writer's batch, and what ``read_records`` yields) an unused slot holds
+its stored value, ``NONE_INT`` (-1) for pkt, peer and ch and
+``NONE_DUR`` (NaN) for dur, so ``pack_events`` packs each tuple as it
+is, in C. Readers of a trace (``read_trace``, ``ndjson_line``) use None
+in unused slots instead.
 
 Wire form, version 2. A trace is ASCII text. Its first line is the
 constant JSON ``HEADER`` (format name, version, record layout). Every
@@ -15,8 +22,9 @@ raises, and never wraps, on a value its slot cannot hold, such as a node
 or packet id beyond 2**31 - 1 or a channel beyond 127; the scenario
 loader keeps node uids in range. The run's fingerprint ``trace_sha256``
 is the sha256 of exactly these bytes, header included, whether or not a
-file is written. Both float slots round-trip exactly, so ``read_trace``
-gives back equal tuples and packing them again gives the same digest.
+file is written. Both float slots round-trip exactly, so ``read_records``
+gives back the stored values and packing them again gives the same
+digest.
 
 One event per line keeps the bytes independent of where batches split
 and leaves every emitted event in the file when a run raises. NDJSON is
@@ -31,6 +39,7 @@ import hashlib
 import json
 import os
 import struct
+from itertools import starmap
 
 # Every event kind, as (NDJSON name, ``metrics.json`` count key); a
 # kind's number is its index here, the byte a trace record stores.
@@ -95,31 +104,18 @@ HEADER = (
     )
     + "\n"
 )
-_NAN = float("nan")
 _HEADER_HASH = hashlib.sha256(HEADER.encode("ascii"))
+
+# The stored form of a None slot: an event held in memory (a writer's
+# batch, ``read_records``) carries these, so records pack as they are.
+NONE_INT = -1
+NONE_DUR = float("nan")
 
 
 def pack_events(events) -> bytes:
-    """One trace line per event: the base64 of its record and a newline."""
-    pack = RECORD.pack
-    line = binascii.b2a_base64
-    nan = _NAN
-    return b"".join(
-        [
-            line(
-                pack(
-                    t,
-                    kind,
-                    node,
-                    -1 if pkt is None else pkt,
-                    -1 if peer is None else peer,
-                    nan if dur is None else dur,
-                    -1 if ch is None else ch,
-                )
-            )
-            for t, kind, node, pkt, peer, dur, ch in events
-        ]
-    )
+    """One trace line per event held in memory: the base64 of its record
+    and a newline."""
+    return b"".join(map(binascii.b2a_base64, starmap(RECORD.pack, events)))
 
 
 class TraceWriter:
@@ -138,7 +134,8 @@ class TraceWriter:
     def __init__(self, fh=None) -> None:
         self._fh = fh
         self._hash = _HEADER_HASH.copy()
-        # the events waiting to be packed; emptied in place, never replaced
+        # the events waiting to be packed, None slots in their stored
+        # form; emptied in place, never replaced
         self.batch: list[tuple] = []
         if fh is not None:
             fh.write(HEADER)
@@ -194,26 +191,19 @@ def _records(fh, name: str):
             if len(line) != RECORD_CHARS + 1 or line[-1] != "\n":
                 raise ValueError
             # a non-base64 character is skipped, so the record comes out short
-            t, kind, node, pkt, peer, dur, ch = unpack(decode(line[:-1]))
+            record = unpack(decode(line[:-1]))
         except (ValueError, struct.error):
             raise TraceFormatError(
                 f"{name}:{lineno}: not one {RECORD_CHARS}-character base64 record"
             ) from None
-        if kind >= kinds:
-            raise TraceFormatError(f"{name}:{lineno}: unknown event kind {kind}")
-        yield (
-            t,
-            kind,
-            node,
-            None if pkt == -1 else pkt,
-            None if peer == -1 else peer,
-            None if dur != dur else dur,
-            None if ch == -1 else ch,
-        )
+        if record[KIND] >= kinds:
+            raise TraceFormatError(f"{name}:{lineno}: unknown event kind {record[KIND]}")
+        yield record
 
 
-def read_trace(source):
-    """Yield the event tuples of a trace: a path, or a text file open for reading.
+def read_records(source):
+    """Yield the events of a trace as they are held in memory, None slots
+    in their stored form: a path, or a text file open for reading.
 
     Raises ``TraceFormatError``, naming the file and the line, at a
     missing or unknown header (a version 1 NDJSON trace among them) and
@@ -231,6 +221,21 @@ def read_trace(source):
             yield from _records(fh, name)
     else:
         yield from _records(source, getattr(source, "name", "<trace>"))
+
+
+def read_trace(source):
+    """Yield the event tuples of a trace, None in every unset slot; reads
+    and raises as ``read_records`` does."""
+    for t, kind, node, pkt, peer, dur, ch in read_records(source):
+        yield (
+            t,
+            kind,
+            node,
+            None if pkt == NONE_INT else pkt,
+            None if peer == NONE_INT else peer,
+            None if dur != dur else dur,
+            None if ch == NONE_INT else ch,
+        )
 
 
 def ndjson_line(ev: tuple) -> str:

@@ -318,6 +318,8 @@ MALFORMED_SCENARIOS = {
     "integer-literal-huge": json.dumps(VALID_SCENARIO).replace(
         '"total_packets": 2', '"total_packets": ' + "1" * 5000
     ),
+    # json's reader recurses once per level
+    "nesting-deep": "[" * 100_000,
     # reception follows links, so this end device would lose every packet
     "attach-unlinked": {
         **VALID_SCENARIO,
@@ -364,6 +366,7 @@ NAMED_KEYS = {
     "preamble-huge": "radio: preamble_symbols must be a finite number, got 1000",
     "chunk-rounds-huge": "phases: chunk_rounds must be a finite number, got 1000",
     "integer-literal-huge": "scenario.json: scenario holds an integer too long to read",
+    "nesting-deep": "scenario.json: scenario nests arrays or objects too deeply to read",
 }
 
 
@@ -578,6 +581,15 @@ class TestPlan:
         assert rc == 2
         assert "malformed" in capsys.readouterr().err
 
+    def test_a_reports_file_nested_too_deeply_exits_2(self, tmp_path, capsys):
+        # this once exited 3 with json's RecursionError
+        path = tmp_path / "reports.json"
+        path.write_text("[" * 100_000)
+        assert main(["plan", "--reports", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: reports file nests arrays or objects too deeply to read\n"
+        )
+
     # each of these once planned (a uid of true or 1.9 read as 1, a
     # distance "20" read as 20.0) or, for bytes that are not UTF-8, exited 3
     @pytest.mark.parametrize(
@@ -691,6 +703,41 @@ class TestLearn:
             "is 17500.0 m; the distance field holds at most 16383.75 m\n"
         )
 
+
+    @pytest.mark.parametrize("command", ["simulate", "learn"])
+    def test_a_link_shorter_than_one_distance_step_is_routed(self, tmp_path, command):
+        # 0.05 m once rounded to a 0.0 m wire distance, which the planner
+        # refuses; with a 0.1 m reference distance the learning phase's
+        # estimate is that short too
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(SHORT_LINK))
+        out = tmp_path / "out"
+        argv = [command, "--scenario", str(path), "--protocol", "routing", "--out-dir", str(out)]
+        assert main(argv) == 0
+        if command == "learn":
+            tables = read_json(out / "routing_tables.json")["tables"]
+            assert tables["1"]["distance_value"] == 0.25
+        else:
+            assert read_json(out / "metrics.json")["pdr"] == 1.0
+
+
+# gateway 0 and repeater 1 a few centimetres apart
+SHORT_LINK = {
+    "name": "short-link",
+    "topology": {
+        "path_loss": {"ref_distance_m": 0.1},
+        "nodes": [
+            {"uid": 0, "role": "gateway"},
+            {"uid": 1, "role": "repeater"},
+            {"uid": 101, "role": "end_device", "attach": 1},
+        ],
+        "links": [
+            {"a": 0, "b": 1, "distance_m": 0.05},
+            {"a": 1, "b": 101, "distance_m": 10.0},
+        ],
+    },
+    "traffic": {"total_packets": 3},
+}
 
 FAR_LINK = {
     "name": "far-link",

@@ -34,6 +34,9 @@ def test_estimate_round_trips_the_law(distance):
 
 def test_quantize_distance_grid():
     assert quantize_distance(0.0) == 0.0
+    # a positive distance is never sent as zero, which the planner refuses
+    assert quantize_distance(0.05) == 0.25
+    assert quantize_distance(0.125) == 0.25
     assert quantize_distance(100.0) == 100.0
     assert quantize_distance(100.1) == 100.0
     assert quantize_distance(100.2) == 100.25

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import OrderedDict
 
 from hypothesis import example, given, strategies as st
@@ -61,6 +63,15 @@ def test_txqueue_fifo():
     assert q.pop() == "a"
     assert q.pop() == "b"
     assert not q
+
+
+def test_txqueue_copies_keep_capacity_and_entries():
+    q = TxQueue(capacity=2)
+    q.push("a")
+    for copied in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        assert type(copied) is TxQueue and copied.capacity == 2 and list(copied) == ["a"]
+        copied.push("b")
+        assert copied.push("c") == "a" and list(q) == ["a"]
 
 
 def test_txqueue_drops_oldest_when_full():

@@ -251,8 +251,9 @@ def test_emit_chunks_respects_payload_budget():
     assert len(chunks) > 1
     for size, chunk in chunks:
         assert size <= 255
-        assert size == 4 + sum(7 + 2 * len(row[3]) for row in chunk)
-    flattened = [row for _size, chunk in chunks for row in chunk]
+        assert size == 4 + sum(7 + 2 * len(row[3]) for row in chunk.values())
+        assert all(row[0] == uid for uid, row in chunk.items())
+    flattened = [row for _size, chunk in chunks for row in chunk.values()]
     assert [row[0] for row in flattened] == list(graph.rows) == list(range(91))
     assert all(row[1:] == graph.rows[row[0]][:3] for row in flattened)
 

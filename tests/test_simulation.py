@@ -639,6 +639,7 @@ class ScanChecked(Simulation):
         if not ledger.dead:
             assert self.queue.now - (t1 - t0) >= ledger.charged_until
         expected = []
+        rival = False
         for node, p in self.linked[uid]:
             if node.ledger.dead:
                 continue
@@ -655,6 +656,7 @@ class ScanChecked(Simulation):
                     if c == ch and a < t1 and b > t0 and (tx, a) != (uid, t0) and tx in heard
                 ]
                 strongest = max(rivals) if rivals else None
+                rival = rival or strongest is not None
                 ok = captures(p, strongest, self.capture)
                 kind = tr.RX_OK if ok else tr.RX_COLLIDED
             expected.append((kind, peer))
@@ -669,16 +671,23 @@ class ScanChecked(Simulation):
         ]
         assert got == expected
         self.seen.update(kind for kind, _peer in got)
+        # whether some decoding peer had an overlapping rival
+        self.seen["rival" if rival else "clear"] += 1
 
 
 DISTANCES = st.sampled_from([8.0, 30.0, 60.0, 120.0, 400.0, 1500.0, 3500.0, 6000.0])
 
 
+# the default learning phase hands over to the learned routes here
+SWITCHOVER_S = 180.0
+
+
 @st.composite
 def small_networks(draw):
     """A gateway, one to four repeaters and one to three end devices, with
-    random links (some below sensitivity), shadowing on or off, and bursts
-    of scripted uplinks close enough to collide."""
+    random links (some below sensitivity), shadowing on or off, the
+    learning phase's control floods on or off, and bursts of scripted
+    uplinks close enough to collide (after switchover when learning)."""
     repeaters = list(range(1, draw(st.integers(min_value=1, max_value=4)) + 1))
     devices = list(range(101, 101 + draw(st.integers(min_value=1, max_value=3))))
     nodes = [{"uid": 0, "role": "gateway"}] + [{"uid": r, "role": "repeater"} for r in repeaters]
@@ -704,6 +713,9 @@ def small_networks(draw):
             )
         )
     sigma = draw(st.sampled_from([0.0, 6.0]))
+    learning = draw(st.booleans())
+    if learning:
+        schedule = {ed: [SWITCHOVER_S + t for t in ts] for ed, ts in schedule.items()}
     topology = {
         "nodes": nodes,
         "links": [{"a": a, "b": b, "distance_m": d} for (a, b), d in sorted(links.items())],
@@ -718,6 +730,7 @@ def small_networks(draw):
         },
         "mac": {"wait_min_s": 0.0, "wait_max_s": draw(st.sampled_from([0.005, 0.05]))},
         "protocol": draw(st.sampled_from(["flooding", "routing", "routing_no_energy"])),
+        "learning_phase": learning,
         "seed": draw(st.integers(min_value=0, max_value=50)),
     }
 
@@ -746,17 +759,30 @@ HIDDEN_PAIR = {
 }
 
 
+# the hidden pair with its uplinks after the learning phase's floods
+LEARNED_HIDDEN_PAIR = {
+    **HIDDEN_PAIR,
+    "traffic": {"schedule": {"101": [SWITCHOVER_S + 1.0], "102": [SWITCHOVER_S + 1.005]}},
+    "learning_phase": True,
+}
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_networks())
 @example(HIDDEN_PAIR)
-def test_hearing_lists_match_the_network_wide_scan(data):
+@example(LEARNED_HIDDEN_PAIR)
+def test_reception_and_sense_match_the_network_wide_scan(data):
     sim = ScanChecked(scenario_from_dict(data))
     m = sim.run().metrics
     assert sim.seen[tr.RX_OK] + sim.seen[tr.RX_COLLIDED] == (
         m["counts"]["rx_ok"] + m["counts"]["rx_collided"]
     )
+    if data in (HIDDEN_PAIR, LEARNED_HIDDEN_PAIR):
+        # frames that no rival overlaps, and the two forwards that collide
+        assert sim.seen["clear"] > 0 and sim.seen["rival"] > 0
+        assert sim.seen[tr.RX_COLLIDED] >= 2 and sim.seen["idle"] > 0
     if data == HIDDEN_PAIR:
-        assert sim.seen[tr.RX_COLLIDED] == 2 and sim.seen["idle"] > 0
+        assert sim.seen[tr.RX_COLLIDED] == 2
 
 
 def hears(sim):
@@ -767,7 +793,7 @@ def hears(sim):
 @settings(max_examples=60, deadline=None)
 @given(small_networks(), st.sampled_from(["routing", "routing_no_energy"]))
 def test_oracle_plan_uses_only_links_the_run_hears(data, protocol):
-    sim = Simulation(scenario_from_dict({**data, "protocol": protocol}))
+    sim = Simulation(scenario_from_dict({**data, "protocol": protocol, "learning_phase": False}))
     sim.run()
     audible = hears(sim)
     for uid, upstream in sim.graph.upstream.items():

@@ -67,12 +67,28 @@ ROUND_TRIPS = [
 ]
 
 
+def stored(ev):
+    """An event as the simulator holds it: each None slot in its stored form."""
+    t, kind, node, pkt, peer, dur, ch = ev
+    none, nan = tr.NONE_INT, tr.NONE_DUR
+    return (
+        t,
+        kind,
+        node,
+        none if pkt is None else pkt,
+        none if peer is None else peer,
+        nan if dur is None else dur,
+        none if ch is None else ch,
+    )
+
+
 def written(events, cuts=()):
-    """The file a writer leaves when it is flushed after each index in ``cuts``."""
+    """The file a writer leaves when it is flushed after each index in
+    ``cuts``; ``events`` have None in unused slots."""
     buf = io.StringIO()
     writer = tr.TraceWriter(buf)
     for i, ev in enumerate(events):
-        writer.batch.append(ev)
+        writer.batch.append(stored(ev))
         if i in cuts:
             writer.flush()
     digest = writer.hexdigest()
@@ -83,7 +99,7 @@ def written(events, cuts=()):
 @example(ROUND_TRIPS, {0, 2})
 def test_writer_output_spans_batches_unchanged(events, cuts):
     text, digest = written(events, cuts)
-    whole = tr.HEADER + tr.pack_events(events).decode("ascii")
+    whole = tr.HEADER + tr.pack_events(map(stored, events)).decode("ascii")
     assert (text, digest) == (whole, hashlib.sha256(whole.encode("ascii")).hexdigest())
     lines = text.splitlines(keepends=True)
     assert lines[0] == tr.HEADER
@@ -92,6 +108,10 @@ def test_writer_output_spans_batches_unchanged(events, cuts):
     # repr tells 0.0 from -0.0 and keeps every last bit
     assert [list(map(repr, ev)) for ev in again] == [list(map(repr, ev)) for ev in events]
     assert written(again)[1] == digest
+    records = list(tr.read_records(io.StringIO(text)))
+    assert [list(map(repr, ev)) for ev in records] == [
+        list(map(repr, stored(ev))) for ev in events
+    ]
 
 
 def test_an_empty_trace_is_its_header():
@@ -106,7 +126,7 @@ def test_record_layout():
     ev = (1.5, tr.RX_OK, 7, 9, 3, 0.25, 1)
     (line,) = tr.pack_events([ev]).splitlines()
     assert struct.unpack("<dBiiidb", base64.b64decode(line)) == ev
-    (line,) = tr.pack_events([(1.5, tr.GENERATED, 7, None, None, None, None)]).splitlines()
+    (line,) = tr.pack_events([stored((1.5, tr.GENERATED, 7, None, None, None, None))]).splitlines()
     t, kind, node, pkt, peer, dur, ch = struct.unpack("<dBiiidb", base64.b64decode(line))
     assert (t, kind, node, pkt, peer, ch) == (1.5, tr.GENERATED, 7, -1, -1, -1)
     assert dur != dur
@@ -114,7 +134,7 @@ def test_record_layout():
 
 @pytest.mark.parametrize("slot, value", [(tr.NODE, 2**31), (tr.PKT, 2**31), (tr.CH, 128)])
 def test_a_value_beyond_its_slot_raises_and_never_wraps(slot, value):
-    ev = [1.0, tr.TX_START, 1, 2, None, 0.5, 0]
+    ev = [1.0, tr.TX_START, 1, 2, tr.NONE_INT, 0.5, 0]
     ev[slot] = value
     with pytest.raises(struct.error):
         tr.pack_events([tuple(ev)])
@@ -128,7 +148,7 @@ def trace_file(tmp_path, text):
 
 # a version 1 trace line, a missing header and an unknown one, a bad record
 V1_LINE = '{"t":0.0,"ev":"Generated","node":101,"pkt":0}\n'
-RECORD = tr.pack_events([(0.0, tr.GENERATED, 101, 0, None, None, None)]).decode("ascii")
+RECORD = tr.pack_events([stored((0.0, tr.GENERATED, 101, 0, None, None, None))]).decode("ascii")
 WRONG_FILES = {
     "v1-ndjson": (V1_LINE * 2, 1, "version 1 NDJSON trace"),
     "empty": ("", 1, "no trace header"),
@@ -142,7 +162,7 @@ WRONG_FILES = {
     "no-newline": (tr.HEADER + RECORD[:-1], 2, "base64 record"),
     "non-ascii": (tr.HEADER + "é" * 40 + "\n", 2, "base64 record"),
     "unknown-kind": (
-        tr.HEADER + tr.pack_events([(0.0, 200, 1, 0, None, None, None)]).decode("ascii"),
+        tr.HEADER + tr.pack_events([stored((0.0, 200, 1, 0, None, None, None))]).decode("ascii"),
         2,
         "unknown event kind 200",
     ),
