@@ -2,14 +2,15 @@
 
 A node is in exactly one of three states at any instant: transmitting,
 decoding an audible frame, or idle in low-power channel-activity
-detection. Every charge is billed by one rule, in ``_charge``: the idle
-gap since ``charged_until``, then the part of the charged window after
-it at the state's rate. Receive windows that overlap thus merge into a
-union (an overlap is not billed twice). A transmission never overlaps a
-reception its node was billed for, because a radio that transmits over
-an incoming frame drops it unbilled, so transmissions follow the same
-rule. ``finalize`` bills the last idle stretch as a zero-length window
-at the end of the run.
+detection. Every charge is billed by one rule, ``charge``: the idle gap
+since ``charged_until``, then the part of the charged window after it
+at the state's rate (``tx_rate`` or ``rx_rate``; ``charge_tx`` and
+``charge_rx`` name the rate for a trace replay). Receive windows that
+overlap thus merge into a union (an overlap is not billed twice). A
+transmission never overlaps a reception its node was billed for,
+because a radio that transmits over an incoming frame drops it
+unbilled, so transmissions follow the same rule. ``finalize`` bills the
+last idle stretch as a zero-length window at the end of the run.
 
 Charges are applied in event order, so replaying the same windows in
 the same order (for instance from an exported trace) reproduces the
@@ -62,7 +63,7 @@ class EnergyLedger:
         self.dead = False
         self.death_time: float | None = None
 
-    def _charge(self, t0: float, t1: float, rate: float) -> None:
+    def charge(self, t0: float, t1: float, rate: float) -> None:
         """Bill the idle gap since ``charged_until``, then [t0, t1) after it at ``rate``."""
         until = self.charged_until
         if self.dead or t1 <= until:
@@ -124,15 +125,15 @@ class EnergyLedger:
 
     def charge_tx(self, t0: float, t1: float) -> None:
         """Bill one own transmission [t0, t1)."""
-        self._charge(t0, t1, self.tx_rate)
+        self.charge(t0, t1, self.tx_rate)
 
     def charge_rx(self, t0: float, t1: float) -> None:
         """Bill one decoded frame window [t0, t1), merged with prior windows."""
-        self._charge(t0, t1, self.rx_rate)
+        self.charge(t0, t1, self.rx_rate)
 
     def finalize(self, t_end: float) -> None:
         """Bill trailing idle time up to the end of the run."""
-        self._charge(t_end, t_end, self.idle_rate)
+        self.charge(t_end, t_end, self.idle_rate)
 
     @property
     def consumed_mah(self) -> float:

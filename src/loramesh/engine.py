@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
+from heapq import heappop, heappush
 
 
 class EventQueue:
@@ -22,13 +22,14 @@ class EventQueue:
         self.now = 0.0
 
     def push(self, when: float, fn, args: tuple = ()) -> None:
-        if when < self.now:
+        # written so that a NaN time fails too: it compares false both ways
+        if not when >= self.now:
             raise ValueError(f"cannot schedule at {when} before current time {self.now}")
-        self._seq += 1
-        heapq.heappush(self.heap, (when, self._seq, fn, args))
+        seq = self._seq = self._seq + 1
+        heappush(self.heap, (when, seq, fn, args))
 
     def pop(self):
-        when, _seq, fn, args = heapq.heappop(self.heap)
+        when, _seq, fn, args = heappop(self.heap)
         self.now = when
         return fn, args
 

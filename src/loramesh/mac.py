@@ -15,32 +15,33 @@ class DedupCache:
     """Packet-id memory with a time-to-live and a hard capacity.
 
     Entries expire lazily: a lookup first drops anything older than the
-    ttl, then answers. When full, inserting evicts the oldest entry. One
-    plain dict maps each cached id to its insertion time; a dict iterates
-    in insertion order, so its first key is the oldest entry.
+    ttl, then answers. When full, inserting evicts the oldest entry. A
+    dict maps each cached id to its insertion time, and a ``deque``
+    holds the ids oldest first. Nothing iterates the dict, whose deleted
+    slots a walk from its front would have to skip.
     """
 
-    __slots__ = ("ttl_s", "capacity", "_stamps")
+    __slots__ = ("ttl_s", "capacity", "_stamps", "_order")
 
     def __init__(self, ttl_s: float, capacity: int) -> None:
         self.ttl_s = ttl_s
         self.capacity = capacity
         self._stamps: dict[int, float] = {}
+        self._order: deque[int] = deque()
 
     def seen(self, packet_id: int, now: float) -> bool:
         """True if the id is already cached; caches it otherwise."""
         stamps = self._stamps
+        order = self._order
         cutoff = now - self.ttl_s
-        while stamps:
-            oldest = next(iter(stamps))
-            if stamps[oldest] > cutoff:
-                break
-            del stamps[oldest]
+        while order and stamps[order[0]] <= cutoff:
+            del stamps[order.popleft()]
         if packet_id in stamps:
             return True
         stamps[packet_id] = now
-        if len(stamps) > self.capacity:
-            del stamps[next(iter(stamps))]
+        order.append(packet_id)
+        if len(order) > self.capacity:
+            del stamps[order.popleft()]
         return False
 
 

@@ -173,9 +173,11 @@ def pack_frames(items, item_bytes) -> list[tuple[int, list]]:
 class Packet:
     """One over-the-air transmission unit.
 
-    The same logical packet (``packet_id``) is re-instantiated at every
-    hop so per-hop fields (addressee, piggyback) never mutate a frame
-    that is still in flight elsewhere. A frame's sender is its
+    Nothing changes a packet once it is made, so per-hop fields
+    (addressee, piggyback) never mutate a frame that is still in flight
+    elsewhere: a hop that sets them sends a ``rehop`` copy of the same
+    logical packet (``packet_id``), and a relayed flood whose fields are
+    already bare goes out as the same object. A frame's sender is its
     transmission's ``tx_uid``, not a packet field.
 
     ``next_hop`` encodes addressing: ``None`` is an undirected broadcast

@@ -9,10 +9,20 @@ arbitrated for every live peer straight from the sender's hearer row
 (each linked peer in uid order with the power it receives, or None when
 it cannot hear the sender: audibility, then own-transmit exclusion,
 then capture margin over the overlapping frames the peer hears), then
-the sender is billed; frames a mesh node decodes are handed to the
-protocol dispatch, which is where flooding, routing, standby recovery,
-and the battery-triggered switches live. An end device acts on nothing
-it decodes: it is billed for the frame, and nothing more.
+the sender is billed. The frame end picks the frame's handler once,
+from its packet kind: a mesh node that decodes a data frame hands it to
+``_deliver_data`` (flooding, routing, standby recovery and the
+battery-triggered switches), and any other frame to
+``_deliver_control`` (route switches and the learning phase's floods).
+An end device acts on nothing it decodes: it is billed for the frame,
+and nothing more.
+
+A mesh node's MAC wait is a draw from its own "mac" stream. The node
+binds that stream's ``random`` on its first wait and draws
+``wait_min + span * random()``, which is ``random.Random.uniform``'s
+own formula, so every wait is the stream's uniform draw bit for bit.
+The event queue holds ``_ev_sense`` and ``_ev_tx_end`` as bound once,
+with the node or the frame as their argument.
 
 The hearer rows come from the channel's audibility map
 (``LinkModel.hearing``), drawn once per run; the oracle planner plans
@@ -27,18 +37,21 @@ on the mesh channel), so its frames never overlap and begin in order.
 Of its frames that overlap a frame ending at t1, the latest begun
 before t1 is then its last or, when the last began at exactly t1 before
 that end was arbitrated, the one before. Carrier sense asks whether a
-sender in the node's row has its last frame on the mesh channel still
-on air. A sender's rivals, built from the rows on its first frame end,
-are the other nodes on its channel that any peer hearing it hears, each
-with the power it reaches each of those peers with. At a frame end each
-rival's frames are read once; when none overlaps, every peer decodes
-with no rival, and otherwise a peer's strongest rival is the loudest of
-the overlapping ones it hears.
+mesh node the node hears (its ``sensed`` row, built from its hearer
+row on its first sense; a mesh node sends on the mesh channel only)
+has its last frame still on air. A sender's rivals, built from the
+rows on its first frame end, are the other nodes on its channel that
+any peer hearing it hears, each with the power it reaches each of
+those peers with. At a frame end each rival's frames are read once;
+when none overlaps, every peer decodes with no rival, and otherwise a
+peer's strongest rival is the loudest of the overlapping ones it
+hears; ``channel.captures`` judges only a peer with such a rival.
 
-Energy is billed where it is spent: each decoded or collided frame is
-charged to the peer's ledger at its end, and each transmission to the
-sender's just before its ``TX_END``. Events are appended to the trace
-writer's batch in their stored form (see ``trace``), by ``_emit`` or,
+Energy is billed where it is spent, one ``EnergyLedger.charge`` call per
+window: each decoded or collided frame is charged to the peer's ledger
+at its end, and each transmission to the sender's just before its
+``TX_END``. Events are appended to the trace writer's batch in their
+stored form (see ``trace``), by ``_emit`` or,
 on the per-frame path, directly; the run loop checks the batch once per
 dispatched event, and ``_flush`` hands a full batch (and, at the end of
 ``run``, the last one) to the metrics builder's ``account`` and then to
@@ -58,7 +71,9 @@ live node runs with a packet kind: a gateway's beacon and chunk rounds,
 a repeater's neighbor reports. A decoded control flood gets its kind's
 intake (a beacon into the neighbor table, a report into the gateway's
 rows, a chunk into the repeater's learned rows), and then one rule:
-repeaters relay control floods.
+repeaters relay control floods. A relay sends a flood on as the packet
+it decoded, or as a bare ``rehop`` copy when that packet was addressed
+or carried a level.
 
 Determinism: all randomness comes from named per-node streams, every
 iteration over node or link collections is sorted, and simultaneous
@@ -94,6 +109,24 @@ from .model import (
 )
 from .planner import PlannerError, emit_chunks, plan, plan_from_topology
 from .scenario import Scenario
+from .trace import (
+    DELIVERED,
+    DROPPED_BUSY_TX,
+    DUP_SUPPRESSED,
+    GENERATED,
+    NONE_DUR,
+    NONE_INT,
+    QUEUE_DROPPED,
+    ROUTE_SWITCHED,
+    RX_BELOW_SENS,
+    RX_COLLIDED,
+    RX_OK,
+    STANDBY_ARMED,
+    STANDBY_CANCELLED,
+    STANDBY_FIRED,
+    TX_END,
+    TX_START,
+)
 
 # the loudest rival at every peer of a frame that no rival overlaps
 NO_RIVALS = repeat(None)
@@ -126,6 +159,8 @@ class Node:
         "last",
         "prev",
         "rivals",
+        "mac_draw",
+        "sensed",
     )
 
     def __init__(self, uid: int, role_flags: tuple[bool, bool, bool], queue: TxQueue, dedup: DedupCache, ledger: EnergyLedger, ntable: NeighborTable) -> None:
@@ -146,6 +181,11 @@ class Node:
         # (node, power at each peer of this node's hearer row) for every
         # node that could interfere with this one's frames; see _rivals
         self.rivals: tuple | None = None
+        # the ``random`` of this node's "mac" stream, bound on its first wait
+        self.mac_draw = None
+        # the mesh nodes this node hears, whose frames carrier sense
+        # reads; built on its first sense
+        self.sensed: tuple | None = None
 
 
 @dataclass
@@ -208,12 +248,19 @@ class Simulation:
         self._airtimes: dict[int, float] = {}
         self.trace = trace_writer or tr.TraceWriter()
         self._batch = self.trace.batch
+        # a MAC wait is ``wait_min + span * draw()``: random.Random.uniform's
+        # own formula, so every wait is the stream's uniform draw
+        self._wait_min = scenario.mac.wait_min_s
+        self._wait_span = scenario.mac.wait_max_s - scenario.mac.wait_min_s
+        # the per-frame events' handlers, bound once
+        self._ev_sense = self._ev_sense
+        self._ev_tx_end = self._ev_tx_end
 
     # ------------------------------------------------------------------
     # plumbing
 
-    def _emit(self, kind: int, node: int, pkt: int = tr.NONE_INT, peer: int = tr.NONE_INT) -> None:
-        self._batch.append((self.queue.now, kind, node, pkt, peer, tr.NONE_DUR, tr.NONE_INT))
+    def _emit(self, kind: int, node: int, pkt: int = NONE_INT, peer: int = NONE_INT) -> None:
+        self._batch.append((self.queue.now, kind, node, pkt, peer, NONE_DUR, NONE_INT))
 
     def _flush(self) -> None:
         """Account the waiting events, then let the trace writer encode them."""
@@ -224,10 +271,6 @@ class Simulation:
         pid = self._next_pid
         self._next_pid += 1
         return pid
-
-    def _wait(self, uid: int) -> float:
-        mac = self.scenario.mac
-        return self.rng.uniform(uid, "mac", mac.wait_min_s, mac.wait_max_s)
 
     def _originate(self, node: Node, kind: int, payload_bytes: int, next_hop=None, body=None) -> int:
         """Queue a new packet at ``node``; returns its pid."""
@@ -242,7 +285,10 @@ class Simulation:
         """Rebroadcast a flood the first time ``node`` decodes it."""
         if node.dedup.seen(packet.packet_id, self.queue.now):
             return False
-        self._enqueue(node, packet.rehop())
+        # nothing changes a packet once made, so a bare flood goes out as is
+        if packet.next_hop is not None or packet.battery_level is not None:
+            packet = packet.rehop()
+        self._enqueue(node, packet)
         return True
 
     # ------------------------------------------------------------------
@@ -322,7 +368,7 @@ class Simulation:
         if node.ledger.dead:
             return
         pid = self._new_pid()
-        self._emit(tr.GENERATED, ed_uid, pkt=pid)
+        self._emit(GENERATED, ed_uid, pkt=pid)
         self._enqueue(node, Packet(pid, DATA_UP, ed_uid, None, traffic.payload_bytes))
         if periodic and self.budget_left > 0:
             gap = self.rng.uniform(ed_uid, "traffic", 0.0, 2.0 * traffic.mean_interval_s)
@@ -338,7 +384,7 @@ class Simulation:
             return
         evicted = node.queue.push(packet)
         if evicted is not None:
-            self._emit(tr.QUEUE_DROPPED, node.uid, pkt=evicted.packet_id)
+            self._emit(QUEUE_DROPPED, node.uid, pkt=evicted.packet_id)
         if not node.chain_active:
             node.chain_active = True
             self._send_next(node)
@@ -348,19 +394,28 @@ class Simulation:
         begins it at once on its channel; a mesh node senses after a wait."""
         if node.is_ed:
             self._begin_tx(node, node.queue.pop(), ED_CHANNEL)
-        else:
-            self.queue.push(self.queue.now + self._wait(node.uid), self._ev_sense, (node.uid,))
+            return
+        draw = node.mac_draw
+        if draw is None:
+            draw = node.mac_draw = self.rng.stream(node.uid, "mac").random
+        wait = self._wait_min + self._wait_span * draw()
+        self.queue.push(self.queue.now + wait, self._ev_sense, (node,))
 
     def _mesh_busy(self, node: Node) -> bool:
+        sensed = node.sensed
+        if sensed is None:
+            # a mesh node sends on the mesh channel only
+            sensed = node.sensed = tuple(
+                s for s, p in self.linked[node.uid] if p is not None and not s.is_ed
+            )
         now = self.queue.now
-        for sender, p in self.linked[node.uid]:
+        for sender in sensed:
             t = sender.last
-            if p is not None and t is not None and t.channel == MESH_CHANNEL and t.t0 <= now < t.t1:
+            if t is not None and t.t0 <= now < t.t1:
                 return True
         return False
 
-    def _ev_sense(self, uid: int) -> None:
-        node = self.nodes[uid]
+    def _ev_sense(self, node: Node) -> None:
         if node.ledger.dead or not node.queue:
             node.chain_active = False
             return
@@ -380,7 +435,7 @@ class Simulation:
         trans = Transmission(uid, channel, now, t1, packet)
         node.prev = node.last
         node.last = trans
-        self._batch.append((now, tr.TX_START, uid, packet.packet_id, tr.NONE_INT, dur, channel))
+        self._batch.append((now, TX_START, uid, packet.packet_id, NONE_INT, dur, channel))
         self.queue.push(t1, self._ev_tx_end, (trans,))
 
     def _rivals(self, sender: Node) -> tuple:
@@ -408,10 +463,15 @@ class Simulation:
         now = self.queue.now
         dur = t1 - t0
         start = now - dur
-        pid = trans.packet.packet_id
+        packet = trans.packet
+        pid = packet.packet_id
         ch = trans.channel
         append = self._batch.append
         sender = self.nodes[uid]
+        # the frame's handler at a decoding mesh node, by its kind
+        kind = packet.kind
+        deliver = self._deliver_data if kind == DATA_UP or kind == DATA_DOWN else self._deliver_control
+        capture = self.capture
         # The rivals' frames overlapping [t0, t1) on its channel, each read
         # once: a node's frame overlapping [t0, t1) is its last or, when
         # that began at t1, the one before (see the module docstring). The
@@ -443,26 +503,26 @@ class Simulation:
                 continue
             peer = node.uid
             if p is None:
-                append((now, tr.RX_BELOW_SENS, peer, pid, uid, tr.NONE_DUR, ch))
+                append((now, RX_BELOW_SENS, peer, pid, uid, NONE_DUR, ch))
                 continue
             t = node.last
             if t is not None and t.t0 >= t1:
                 t = node.prev
             if t is not None and t.t1 > t0:
-                append((now, tr.DROPPED_BUSY_TX, peer, pid, uid, tr.NONE_DUR, ch))
+                append((now, DROPPED_BUSY_TX, peer, pid, uid, NONE_DUR, ch))
                 continue
-            ok = captures(p, strongest, self.capture)
-            ledger.charge_rx(start, now)
-            append((now, tr.RX_OK if ok else tr.RX_COLLIDED, peer, pid, uid, dur, ch))
+            ok = strongest is None or captures(p, strongest, capture)
+            ledger.charge(start, now, ledger.rx_rate)
+            append((now, RX_OK if ok else RX_COLLIDED, peer, pid, uid, dur, ch))
             if ledger.dead:
                 self._kill(node)
             elif ok and not node.is_ed:
                 # an end device acts on nothing it decodes
-                self._deliver(node, trans.packet, uid, p)
+                deliver(node, packet, uid, p)
         ledger = sender.ledger
         if not ledger.dead:
-            ledger.charge_tx(start, now)
-            append((now, tr.TX_END, uid, pid, tr.NONE_INT, dur, ch))
+            ledger.charge(start, now, ledger.tx_rate)
+            append((now, TX_END, uid, pid, NONE_INT, dur, ch))
         if ledger.dead:
             self._kill(sender)
             return
@@ -480,19 +540,16 @@ class Simulation:
     # ------------------------------------------------------------------
     # protocol dispatch
 
-    def _deliver(self, node: Node, packet: Packet, tx_uid: int, prx_dbm: float) -> None:
+    # A frame a mesh node decodes goes to one of two handlers, picked once
+    # per frame by its kind; both take (node, packet, sender uid, power).
+
+    def _deliver_control(self, node: Node, packet: Packet, tx_uid: int, prx_dbm: float) -> None:
+        """A route switch addressed to this node, or a learning-phase flood."""
         kind = packet.kind
-        if packet.battery_level is not None:
-            node.route.neighbor_levels[tx_uid] = packet.battery_level
-
-        if kind == DATA_UP or kind == DATA_DOWN:
-            self._deliver_data(node, packet, tx_uid)
-            return
-
         if kind == ROUTE_SWITCH:
             if packet.next_hop == node.uid:
                 if rt.apply_route_switch(node.route, tx_uid):
-                    self._emit(tr.ROUTE_SWITCHED, node.uid, pkt=packet.packet_id, peer=tx_uid)
+                    self._emit(ROUTE_SWITCHED, node.uid, pkt=packet.packet_id, peer=tx_uid)
             return
 
         # The learning phase's control floods: each kind's intake, then
@@ -517,21 +574,24 @@ class Simulation:
         if node.is_repeater:
             self._relay(node, packet)
 
-    def _deliver_data(self, node: Node, packet: Packet, tx_uid: int) -> None:
-        """Uplink and downlink alike: a gateway delivers an uplink once; a
-        node without a route relays the flood; an addressed node forwards;
-        an overheard hop feeds standby and, on uplink, route switching."""
+    def _deliver_data(self, node: Node, packet: Packet, tx_uid: int, _prx_dbm: float) -> None:
+        """Uplink and downlink alike: the sender's piggybacked battery level
+        is noted; a gateway delivers an uplink once; a node without a route
+        relays the flood; an addressed node forwards; an overheard hop feeds
+        standby and, on uplink, route switching."""
+        if packet.battery_level is not None:
+            node.route.neighbor_levels[tx_uid] = packet.battery_level
         pid = packet.packet_id
         up = packet.kind == DATA_UP
         if node.is_gateway:
             if up and pid not in self.delivered_pids:
                 self.delivered_pids.add(pid)
-                self._emit(tr.DELIVERED, node.uid, pkt=pid)
+                self._emit(DELIVERED, node.uid, pkt=pid)
             return
         r = node.route
         if self.protocol == "flooding" or not r.installed:
             if not self._relay(node, packet):
-                self._emit(tr.DUP_SUPPRESSED, node.uid, pkt=pid, peer=tx_uid)
+                self._emit(DUP_SUPPRESSED, node.uid, pkt=pid, peer=tx_uid)
             return
         next_hop = packet.next_hop
         if up:
@@ -543,7 +603,7 @@ class Simulation:
             addressed = isinstance(next_hop, tuple) and node.uid in next_hop
         if addressed:
             if pid in r.forwarded_ids:
-                self._emit(tr.DUP_SUPPRESSED, node.uid, pkt=pid, peer=tx_uid)
+                self._emit(DUP_SUPPRESSED, node.uid, pkt=pid, peer=tx_uid)
             else:
                 self._forward(node, packet)
             return
@@ -567,7 +627,7 @@ class Simulation:
                 self._originate(node, ROUTE_SWITCH, ROUTE_SWITCH_PAYLOAD, mon.overheard_from)
                 rt.revert_upstream(r)
             if not mon.fired:
-                self._emit(tr.STANDBY_CANCELLED, node.uid, pkt=pid, peer=tx_uid)
+                self._emit(STANDBY_CANCELLED, node.uid, pkt=pid, peer=tx_uid)
             del r.monitors[pid]
         if up:
             hop = r.recent_hops.get(pid)
@@ -606,8 +666,8 @@ class Simulation:
         )
         evicted = rt.arm_monitor(r, pid, tx_uid, addressee, deadline, packet)
         if evicted is not None:
-            self._emit(tr.STANDBY_CANCELLED, node.uid, pkt=evicted)
-        self._emit(tr.STANDBY_ARMED, node.uid, pkt=pid, peer=tx_uid)
+            self._emit(STANDBY_CANCELLED, node.uid, pkt=evicted)
+        self._emit(STANDBY_ARMED, node.uid, pkt=pid, peer=tx_uid)
         self.queue.push(deadline, self._ev_standby, (node.uid, pid, deadline))
 
     def _ev_standby(self, uid: int, pid: int, deadline: float) -> None:
@@ -620,7 +680,7 @@ class Simulation:
         mon.fired = True
         if pid in node.route.forwarded_ids:
             return
-        self._emit(tr.STANDBY_FIRED, uid, pkt=pid, peer=mon.overheard_from)
+        self._emit(STANDBY_FIRED, uid, pkt=pid, peer=mon.overheard_from)
         self._forward(node, mon.packet)
 
     def _forward(self, node: Node, packet: Packet) -> None:

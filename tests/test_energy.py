@@ -3,6 +3,7 @@ from hypothesis import example, given, strategies as st
 
 from loramesh.energy import EnergyLedger
 from loramesh.model import EnergyModel, quantize_battery
+from reference import EveryChargeLedger
 
 
 def make_ledger(capacity=100.0, i_tx=500.0, i_rx=50.0, i_idle=1.0):
@@ -104,41 +105,6 @@ def test_replay_reproduces_ledger():
     assert a.remaining == b.remaining
     assert a.history == b.history
     assert a.charged_until == b.charged_until
-
-
-class EveryChargeLedger(EnergyLedger):
-    """Reference: the naive form of the billing rule. Every charge bills
-    its idle gap and its window through ``_consume``, which recomputes
-    the level after every call."""
-
-    def _charge(self, t0, t1, rate):
-        until = self.charged_until
-        if self.dead or t1 <= until:
-            return
-        start = max(t0, until)
-        self._consume(self.idle_rate, start - until, start)
-        self._consume(rate, t1 - start, t1)
-        self.charged_until = t1
-
-    def _consume(self, rate, duration, t_end):
-        if self.dead or duration <= 0.0:
-            return
-        used = rate * duration
-        start_remaining = self.remaining
-        t_start = t_end - duration
-        if used >= start_remaining and rate > 0.0:
-            self._record_crossings(start_remaining, 0.0, t_start, rate)
-            self.remaining = 0.0
-            self.dead = True
-            self.death_time = t_start + start_remaining / used * duration
-            self.level = 0
-            self.history.append((self.death_time, 0))
-            return
-        self.remaining = start_remaining - used
-        new_level = quantize_battery(self.remaining, self.capacity)
-        if new_level < self.level:
-            self._record_crossings(start_remaining, self.remaining, t_start, rate)
-            self.level = new_level
 
 
 CHARGES = st.lists(

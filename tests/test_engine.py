@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -34,6 +36,21 @@ def test_event_queue_rejects_past():
     q.pop()
     with pytest.raises(ValueError):
         q.push(0.5, lambda: None)
+
+
+def test_event_queue_rejects_nan():
+    # NaN compares false both ways: let in, it would pop first, set the
+    # clock to NaN, and let every later push through, so time could run
+    # backwards
+    q = EventQueue()
+    q.push(6.0, lambda: None)
+    with pytest.raises(ValueError):
+        q.push(math.nan, lambda: None)
+    assert [when for when, *_rest in q.heap] == [6.0]
+    q.pop()
+    with pytest.raises(ValueError):
+        q.push(math.nan, lambda: None)
+    assert q.now == 6.0
 
 
 def test_event_queue_peek_and_truthiness():

@@ -1,33 +1,10 @@
 import copy
 import pickle
-from collections import OrderedDict
 
 from hypothesis import example, given, strategies as st
 
 from loramesh.mac import DedupCache, TxQueue
-
-
-class OrderedDictDedup:
-    """The reference cache: an OrderedDict of id -> insertion time."""
-
-    def __init__(self, ttl_s: float, capacity: int) -> None:
-        self.ttl_s = ttl_s
-        self.capacity = capacity
-        self.entries: OrderedDict[int, float] = OrderedDict()
-
-    def seen(self, packet_id: int, now: float) -> bool:
-        cutoff = now - self.ttl_s
-        while self.entries:
-            pid, stamp = next(iter(self.entries.items()))
-            if stamp > cutoff:
-                break
-            del self.entries[pid]
-        if packet_id in self.entries:
-            return True
-        self.entries[packet_id] = now
-        if len(self.entries) > self.capacity:
-            self.entries.popitem(last=False)
-        return False
+from reference import OrderedDictDedup
 
 
 def test_dedup_first_sighting_caches():

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from loramesh import trace as tr
-from loramesh.channel import captures, received_power
+from loramesh.channel import received_power
 from loramesh.engine import RngStreams
 from loramesh.model import BEACON, MESH_CHANNEL, Packet, RadioConfig, airtime
 from loramesh.planner import PlannerError, plan_from_topology
 from loramesh.scenario import load_scenario, scenario_from_dict
 from loramesh.simulation import Simulation, run
+from reference import RECEPTION_KINDS, ScanChecked
 
 AIR_20B = airtime(RadioConfig(), 20)
 
@@ -555,6 +556,36 @@ def test_identical_runs_are_identical():
     assert c.metrics["trace_sha256"] != a.metrics["trace_sha256"]
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=1, max_value=2**31 - 1),
+    st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=2, max_size=2).map(sorted),
+)
+@example(1, 1, [0.05, 0.05])
+@example(7, 3, [0.0, 0.1])
+def test_mac_waits_are_the_mac_streams_uniform_draws(seed, uid, waits):
+    # a mesh node draws its waits from its bound "mac" stream as
+    # wait_min + span * random(); each must equal uniform() bit for bit
+    lo, hi = waits
+    sim = Simulation(
+        build(
+            [{"uid": 0, "role": "gateway"}, {"uid": uid, "role": "repeater"}],
+            [{"a": 0, "b": uid, "distance_m": 100.0}],
+            {},
+            seed=seed,
+            mac={"wait_min_s": lo, "wait_max_s": hi},
+        )
+    )
+    node = sim.nodes[uid]
+    for _ in range(1000):
+        sim._send_next(node)
+    # the clock stands at 0.0, so each sense time is the wait itself
+    drawn = [when.hex() for when, _seq, _fn, _args in sorted(sim.queue.heap, key=lambda e: e[1])]
+    ref = RngStreams(seed)
+    assert drawn == [ref.uniform(uid, "mac", lo, hi).hex() for _ in range(1000)]
+
+
 def test_one_shot_instance_hooks_on_pop_and_run():
     # A caller may time the first event dispatch by overriding the queue's
     # ``pop`` on the instance with a hook that deletes itself, and wrap
@@ -588,92 +619,7 @@ def test_one_shot_instance_hooks_on_pop_and_run():
 
 # ----------------------------------------------------------------------
 # the two-frame interference rule against a network-wide scan
-
-RECEPTION_KINDS = (tr.RX_OK, tr.RX_COLLIDED, tr.RX_BELOW_SENS, tr.DROPPED_BUSY_TX)
-
-
-class ScanChecked(Simulation):
-    """Checks every carrier sense and every reception outcome against the
-    network-wide scan: every frame on air so far, filtered by what the
-    receiver hears, with no per-receiver index and nothing pruned."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # every frame begun, in begin order, as (sender, channel, t0, t1)
-        self.frames: list[tuple[int, int, float, float]] = []
-        self.audible: dict[int, dict[int, float]] = {uid: {} for uid in self.nodes}
-        for tx, row in self.linked.items():
-            for node, p in row:
-                if p is not None:
-                    self.audible[node.uid][tx] = p
-        self.seen = Counter()
-
-    def _begin_tx(self, node, packet, channel) -> None:
-        super()._begin_tx(node, packet, channel)
-        trans = node.last
-        # the premise of the two-frame rule: a node's frames never overlap,
-        # begin in order, and all go out on one channel
-        for tx, c, _a, b in reversed(self.frames):
-            if tx == node.uid:
-                assert trans.t0 >= b and c == channel
-                break
-        self.frames.append((node.uid, channel, trans.t0, trans.t1))
-
-    def _mesh_busy(self, node) -> bool:
-        now = self.queue.now
-        heard = self.audible[node.uid]
-        expected = any(
-            ch == MESH_CHANNEL and t0 <= now < t1 and tx in heard
-            for tx, ch, t0, t1 in self.frames
-        )
-        busy = super()._mesh_busy(node)
-        assert busy == expected
-        self.seen["busy" if busy else "idle"] += 1
-        return busy
-
-    def _ev_tx_end(self, trans) -> None:
-        uid, ch, t0, t1 = trans.tx_uid, trans.channel, trans.t0, trans.t1
-        # the premise of the one billing rule: a live sender's frame, as it
-        # is billed, starts at or after everything its ledger has billed
-        ledger = self.nodes[uid].ledger
-        if not ledger.dead:
-            assert self.queue.now - (t1 - t0) >= ledger.charged_until
-        expected = []
-        rival = False
-        for node, p in self.linked[uid]:
-            if node.ledger.dead:
-                continue
-            peer = node.uid
-            if p is None:
-                kind = tr.RX_BELOW_SENS
-            elif any(tx == peer and a < t1 and b > t0 for tx, _c, a, b in self.frames):
-                kind = tr.DROPPED_BUSY_TX
-            else:
-                heard = self.audible[peer]
-                rivals = [
-                    heard[tx]
-                    for tx, c, a, b in self.frames
-                    if c == ch and a < t1 and b > t0 and (tx, a) != (uid, t0) and tx in heard
-                ]
-                strongest = max(rivals) if rivals else None
-                rival = rival or strongest is not None
-                ok = captures(p, strongest, self.capture)
-                kind = tr.RX_OK if ok else tr.RX_COLLIDED
-            expected.append((kind, peer))
-        batch = self.trace.batch
-        start = len(batch)
-        super()._ev_tx_end(trans)
-        pid = trans.packet.packet_id
-        got = [
-            (ev[tr.KIND], ev[tr.NODE])
-            for ev in batch[start:]
-            if ev[tr.KIND] in RECEPTION_KINDS and ev[tr.PKT] == pid and ev[tr.PEER] == uid
-        ]
-        assert got == expected
-        self.seen.update(kind for kind, _peer in got)
-        # whether some decoding peer had an overlapping rival
-        self.seen["rival" if rival else "clear"] += 1
-
+# (``reference.ScanChecked``)
 
 DISTANCES = st.sampled_from([8.0, 30.0, 60.0, 120.0, 400.0, 1500.0, 3500.0, 6000.0])
 
