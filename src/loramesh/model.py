@@ -15,17 +15,15 @@ from dataclasses import dataclass
 MESH_CHANNEL = 0
 ED_CHANNEL = 1
 
-# Packet kinds.
+# Packet kinds. Data flows uplink only, from end devices to the gateways.
 DATA_UP = 0
-DATA_DOWN = 1
-BEACON = 2
-NEIGHBOR_REPORT = 3
-ROUTE_TABLE_CHUNK = 4
-ROUTE_SWITCH = 5
+BEACON = 1
+NEIGHBOR_REPORT = 2
+ROUTE_TABLE_CHUNK = 3
+ROUTE_SWITCH = 4
 
 KIND_NAMES = (
     "DataUp",
-    "DataDown",
     "Beacon",
     "NeighborReport",
     "RouteTableChunk",
@@ -181,8 +179,8 @@ class Packet:
     transmission's ``tx_uid``, not a packet field.
 
     ``next_hop`` encodes addressing: ``None`` is an undirected broadcast
-    (flooding), an ``int`` is a unicast uplink hop, and a ``tuple`` is a
-    downlink forwarding set.
+    (a flood), and an ``int`` is the one addressee of an uplink hop or a
+    route switch.
     """
 
     __slots__ = (

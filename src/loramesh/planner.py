@@ -9,6 +9,11 @@ subgraph with as few rebroadcasts as the shortest-path tree allows.
 ``plan`` then makes, once, each reachable node's row as it goes on the
 wire; table chunks, the exported tables and every installed route read
 those rows.
+
+The simulator carries data uplink only, so no route uses the downlink
+sets. They stay as the paper's table format: each table-chunk row
+carries one, so they size the chunks and the learning phase's airtime,
+and ``plan`` and ``learn`` export them.
 """
 
 from __future__ import annotations
@@ -57,9 +62,6 @@ class GlobalGraph:
     # per reachable node in uid order: (distance value, upstream, downstream,
     # neighbor values), every value quantized as on the wire
     rows: dict[int, tuple[float, int | None, tuple[int, ...], dict[int, float]]]
-
-    def neighbors_of(self, uid: int) -> list[tuple[int, float]]:
-        return self.adjacency.get(uid, [])
 
 
 def aggregate_reports(

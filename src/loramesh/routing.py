@@ -1,7 +1,7 @@
-"""Operational-phase repeater state: forwarding, standby recovery, and
-battery-triggered route switching.
+"""Operational-phase repeater state: uplink forwarding, standby recovery,
+and battery-triggered route switching.
 
-:class:`RouteState` holds what one repeater knows for next-hop
+:class:`RouteState` holds what one repeater knows for uplink next-hop
 decisions. The trigger conditions (``should_arm`` and the two switch
 cases) are pure functions of their arguments; the simulation asks
 ``should_arm`` only about addressees that forward, never a gateway.
@@ -35,13 +35,12 @@ class StandbyMonitor:
 
 @dataclass
 class RouteState:
-    """Everything a repeater knows for next-hop decisions."""
+    """Everything a repeater knows for uplink next-hop decisions."""
 
     uid: int
     distance_value: float = float("inf")
     upstream_original: int | None = None
     upstream_current: int | None = None
-    downstream_current: tuple[int, ...] = ()
     neighbor_values: dict[int, float] = field(default_factory=dict)
     neighbor_levels: dict[int, int] = field(default_factory=dict)
     last_announced_level: int = 100
@@ -56,17 +55,10 @@ class RouteState:
     # fires at most one switch from this observer.
     switch_acted: set[tuple[int, int]] = field(default_factory=set)
 
-    def install(
-        self,
-        distance_value: float,
-        upstream: int | None,
-        downstream: tuple[int, ...],
-        neighbor_values: dict[int, float],
-    ) -> None:
+    def install(self, distance_value: float, upstream: int | None, neighbor_values: dict[int, float]) -> None:
         self.distance_value = distance_value
         self.upstream_original = upstream
         self.upstream_current = upstream
-        self.downstream_current = tuple(downstream)
         self.neighbor_values = dict(neighbor_values)
         self.installed = True
 
@@ -74,14 +66,13 @@ class RouteState:
         return self.neighbor_levels.get(uid, UNKNOWN_LEVEL)
 
 
-def should_arm(state: RouteState, tx_uid: int, addressee_uid: int, up: bool) -> bool:
-    """Decide whether an overheard addressed forward arms a monitor.
+def should_arm(state: RouteState, tx_uid: int, addressee_uid: int) -> bool:
+    """Decide whether an overheard addressed uplink forward arms a monitor.
 
-    Uplink: the transmitter must sit farther from the gateways than both
-    the addressee and this node, all values known from the learning
-    phase. Downlink mirrors the ordering. The caller passes only
-    addressees that forward: gateways never do, so a hop addressed to
-    one is not monitored.
+    The transmitter must sit farther from the gateways than both the
+    addressee and this node, all values known from the learning phase.
+    The caller passes only addressees that forward: gateways never do,
+    so a hop addressed to one is not monitored.
     """
     if not state.installed or tx_uid == state.uid or addressee_uid == state.uid:
         return False
@@ -89,9 +80,7 @@ def should_arm(state: RouteState, tx_uid: int, addressee_uid: int, up: bool) -> 
     addr_value = state.neighbor_values.get(addressee_uid)
     if tx_value is None or addr_value is None:
         return False
-    if up:
-        return tx_value > addr_value and state.distance_value < tx_value
-    return tx_value < addr_value and state.distance_value > tx_value
+    return tx_value > addr_value and state.distance_value < tx_value
 
 
 def arm_monitor(

@@ -134,6 +134,9 @@ class MacParams:
     def __post_init__(self) -> None:
         if not 0 <= self.wait_min_s <= self.wait_max_s:
             raise ScenarioError("carrier-sense wait window is inverted")
+        if self.wait_max_s <= 0:
+            # a node sensing a busy channel would sense again at once, forever
+            raise ScenarioError("wait_max_s must be positive")
         if not 0 < self.standby_min_s <= self.standby_max_s:
             raise ScenarioError("standby timeout window is inverted")
         if self.queue_capacity < 1:

@@ -10,9 +10,9 @@ arbitrated for every live peer straight from the sender's hearer row
 it cannot hear the sender: audibility, then own-transmit exclusion,
 then capture margin over the overlapping frames the peer hears), then
 the sender is billed. The frame end picks the frame's handler once,
-from its packet kind: a mesh node that decodes a data frame hands it to
-``_deliver_data`` (flooding, routing, standby recovery and the
-battery-triggered switches), and any other frame to
+from its packet kind: a mesh node that decodes an uplink data frame
+hands it to ``_deliver_data`` (flooding, routing, standby recovery and
+the battery-triggered switches), and any other frame to
 ``_deliver_control`` (route switches and the learning phase's floods).
 An end device acts on nothing it decodes: it is billed for the frame,
 and nothing more.
@@ -64,7 +64,10 @@ every node installs its row from the oracle plan before the first event;
 with it, each repeater keeps the rows that table chunks bring for itself
 and its beacon-heard neighbors, looking each up in the chunk's rows by
 uid, and installs them at switchover by the same ``RouteState.install``.
-A failed plan leaves its reason in ``plan_error`` and the mesh flooding.
+A row's downstream set rides in the chunks but is not installed, since
+data flows uplink only, from end devices to the gateways: the traffic
+the paper measures. A failed plan leaves its reason in ``plan_error``
+and the mesh flooding.
 
 The learning phase's sends are one event, ``_ev_send_control``, which a
 live node runs with a packet kind: a gateway's beacon and chunk rounds,
@@ -96,7 +99,6 @@ from .metrics import MetricsBuilder
 from .model import (
     BEACON,
     BEACON_PAYLOAD,
-    DATA_DOWN,
     DATA_UP,
     ED_CHANNEL,
     MESH_CHANNEL,
@@ -206,7 +208,6 @@ class Simulation:
         self.protocol = scenario.protocol
         self.standby_enabled = scenario.standby_enabled and self.protocol != "flooding"
         self.energy_aware = self.protocol == "routing"
-        self._bootstrapped = False
 
         # The metrics builder owns the one energy ledger per node; the
         # simulation bills it, and the protocol reads the same ledger that
@@ -299,12 +300,10 @@ class Simulation:
         rows = self.graph.rows
         for uid in uids:
             if uid in rows:
-                self.nodes[uid].route.install(*rows[uid])
+                value, upstream, _downstream, values = rows[uid]
+                self.nodes[uid].route.install(value, upstream, values)
 
     def _bootstrap(self) -> None:
-        if self._bootstrapped:
-            return
-        self._bootstrapped = True
         scenario = self.scenario
         if self.protocol != "flooding" and not scenario.learning_phase:
             self.graph = plan_from_topology(self.topology, self.heard)
@@ -470,7 +469,7 @@ class Simulation:
         sender = self.nodes[uid]
         # the frame's handler at a decoding mesh node, by its kind
         kind = packet.kind
-        deliver = self._deliver_data if kind == DATA_UP or kind == DATA_DOWN else self._deliver_control
+        deliver = self._deliver_data if kind == DATA_UP else self._deliver_control
         capture = self.capture
         # The rivals' frames overlapping [t0, t1) on its channel, each read
         # once: a node's frame overlapping [t0, t1) is its last or, when
@@ -575,16 +574,15 @@ class Simulation:
             self._relay(node, packet)
 
     def _deliver_data(self, node: Node, packet: Packet, tx_uid: int, _prx_dbm: float) -> None:
-        """Uplink and downlink alike: the sender's piggybacked battery level
-        is noted; a gateway delivers an uplink once; a node without a route
-        relays the flood; an addressed node forwards; an overheard hop feeds
-        standby and, on uplink, route switching."""
+        """An uplink: the sender's piggybacked battery level is noted; a
+        gateway delivers it once; a node without a route relays the flood;
+        an addressed node forwards; an overheard hop feeds route switching
+        and standby."""
         if packet.battery_level is not None:
             node.route.neighbor_levels[tx_uid] = packet.battery_level
         pid = packet.packet_id
-        up = packet.kind == DATA_UP
         if node.is_gateway:
-            if up and pid not in self.delivered_pids:
+            if pid not in self.delivered_pids:
                 self.delivered_pids.add(pid)
                 self._emit(DELIVERED, node.uid, pkt=pid)
             return
@@ -594,23 +592,16 @@ class Simulation:
                 self._emit(DUP_SUPPRESSED, node.uid, pkt=pid, peer=tx_uid)
             return
         next_hop = packet.next_hop
-        if up:
-            addressed = next_hop is None or next_hop == node.uid
-        else:
-            # Membership in the set is the instruction to retransmit;
-            # an empty set of one's own still means a coverage
-            # rebroadcast so that leaf neighbors hear the payload.
-            addressed = isinstance(next_hop, tuple) and node.uid in next_hop
-        if addressed:
+        if next_hop is None or next_hop == node.uid:
             if pid in r.forwarded_ids:
                 self._emit(DUP_SUPPRESSED, node.uid, pkt=pid, peer=tx_uid)
             else:
                 self._forward(node, packet)
             return
-        # Overheard someone else's hop. An uplink hop's announced level
-        # that this observer has not acted on brings at most one switch
-        # offer: case 1 to a monitor's sender, else case 2 around a relay.
-        announced = packet.battery_level if up and self.energy_aware else None
+        # Overheard someone else's hop. A hop's announced level that this
+        # observer has not acted on brings at most one switch offer: case 1
+        # to a monitor's sender, else case 2 around a relay.
+        announced = packet.battery_level if self.energy_aware else None
         key = (tx_uid, announced)
         offer = announced is not None and key not in r.switch_acted
         mon = r.monitors.get(pid)
@@ -629,36 +620,26 @@ class Simulation:
             if not mon.fired:
                 self._emit(STANDBY_CANCELLED, node.uid, pkt=pid, peer=tx_uid)
             del r.monitors[pid]
-        if up:
-            hop = r.recent_hops.get(pid)
-            if hop is not None and tx_uid == hop[1]:
-                del r.recent_hops[pid]
-                if offer and rt.case2_should_switch(node.ledger.level, announced):
-                    r.switch_acted.add(key)
-                    self._originate(node, ROUTE_SWITCH, ROUTE_SWITCH_PAYLOAD, hop[0])
-            rt.note_recent_hop(r, pid, tx_uid, next_hop)
-        self._maybe_arm(node, packet, tx_uid, up)
+        hop = r.recent_hops.get(pid)
+        if hop is not None and tx_uid == hop[1]:
+            del r.recent_hops[pid]
+            if offer and rt.case2_should_switch(node.ledger.level, announced):
+                r.switch_acted.add(key)
+                self._originate(node, ROUTE_SWITCH, ROUTE_SWITCH_PAYLOAD, hop[0])
+        rt.note_recent_hop(r, pid, tx_uid, next_hop)
+        self._maybe_arm(node, packet, tx_uid)
 
-    def _maybe_arm(self, node: Node, packet: Packet, tx_uid: int, up: bool) -> None:
+    def _maybe_arm(self, node: Node, packet: Packet, tx_uid: int) -> None:
         if not self.standby_enabled:
             return
         r = node.route
         pid = packet.packet_id
         if pid in r.forwarded_ids:
             return
-        # The addressees that would forward: an overheard uplink hop names
-        # a planned node (one that names none took the addressed path in
-        # _deliver_data), and a gateway never forwards; a downlink hop
-        # names its set, or nothing when it was flooded.
-        next_hop = packet.next_hop
-        if up:
-            candidates = () if self.nodes[next_hop].is_gateway else (next_hop,)
-        else:
-            candidates = next_hop if isinstance(next_hop, tuple) else ()
-        for addressee in candidates:
-            if rt.should_arm(r, tx_uid, addressee, up):
-                break
-        else:
+        # an overheard hop names a planned node (one that names none took
+        # the addressed path in _deliver_data); a gateway never forwards
+        addressee = packet.next_hop
+        if self.nodes[addressee].is_gateway or not rt.should_arm(r, tx_uid, addressee):
             return
         mac = self.scenario.mac
         deadline = self.queue.now + self.rng.uniform(
@@ -691,8 +672,7 @@ class Simulation:
         if level < r.last_announced_level:
             piggy = level
             r.last_announced_level = level
-        next_hop = r.upstream_current if packet.kind == DATA_UP else r.downstream_current
-        self._enqueue(node, packet.rehop(next_hop, piggy))
+        self._enqueue(node, packet.rehop(r.upstream_current, piggy))
 
     # ------------------------------------------------------------------
     # learning phase
@@ -731,28 +711,9 @@ class Simulation:
             own = node.learned.get(uid)
             if own is not None:
                 values = {n: row[1] for n, row in node.learned.items() if n != uid}
-                node.route.install(*own[1:], values)
+                node.route.install(own[1], own[2], values)
         if self.graph is not None:
             self._install_plan(sorted(self.topology.gateways))
-
-    # ------------------------------------------------------------------
-    # downlink injection
-
-    def inject_downlink(self, gw_uid: int, payload_bytes: int = 20) -> int:
-        """Queue one downlink packet at gateway ``gw_uid``; returns its pid.
-
-        Flooding sends it to everyone; the routing protocols address it
-        to the gateway's forwarding set. Raises ``ValueError`` for a node
-        that is not a gateway: only gateways send downlink.
-        """
-        node = self.nodes[gw_uid]
-        if not node.is_gateway:
-            role = self.topology.nodes[gw_uid].role
-            raise ValueError(f"node {gw_uid} ({role}) is not a gateway; downlink enters at a gateway")
-        # route tables must exist before the forwarding set is stamped
-        self._bootstrap()
-        next_hop = None if self.protocol == "flooding" else node.route.downstream_current
-        return self._originate(node, DATA_DOWN, payload_bytes, next_hop)
 
     # ------------------------------------------------------------------
     # run loop

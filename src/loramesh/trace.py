@@ -40,6 +40,7 @@ import json
 import os
 import struct
 from itertools import starmap
+from math import isfinite, isinf
 
 # Every event kind, as (NDJSON name, ``metrics.json`` count key); a
 # kind's number is its index here, the byte a trace record stores.
@@ -198,6 +199,10 @@ def _records(fh, name: str):
             ) from None
         if record[KIND] >= kinds:
             raise TraceFormatError(f"{name}:{lineno}: unknown event kind {record[KIND]}")
+        if not isfinite(record[T]):
+            raise TraceFormatError(f"{name}:{lineno}: time {record[T]!r} is not finite")
+        if isinf(record[DUR]):
+            raise TraceFormatError(f"{name}:{lineno}: duration {record[DUR]!r} is infinite")
         yield record
 
 
@@ -206,9 +211,10 @@ def read_records(source):
     in their stored form: a path, or a text file open for reading.
 
     Raises ``TraceFormatError``, naming the file and the line, at a
-    missing or unknown header (a version 1 NDJSON trace among them) and
-    at a line that is not one record; and, naming the file, at a path
-    that cannot be opened.
+    missing or unknown header (a version 1 NDJSON trace among them), at a
+    line that is not one record and at a record whose time is not finite
+    or whose duration is infinite; and, naming the file, at a path that
+    cannot be opened.
     """
     if isinstance(source, (str, os.PathLike)):
         name = os.fspath(source)

@@ -235,7 +235,7 @@ def _downlink_coverage_ok(graph) -> bool:
         while frontier:
             tx = frontier.pop(0)
             transmitted.add(tx)
-            for n, _w in graph.neighbors_of(tx):
+            for n, _w in graph.adjacency[tx]:
                 if n not in member_set:
                     continue
                 heard.add(n)
@@ -326,7 +326,7 @@ def test_ac05_standby_recovery(capsys):
 
 def test_ac06_switch_condition_table(capsys):
     state = RouteState(uid=4)
-    state.install(170.0, 2, (), {2: 85.0, 5: 218.0, 12: 242.0})
+    state.install(170.0, 2, {2: 85.0, 5: 218.0, 12: 242.0})
     first = apply_route_switch(state, 5)
     switched = state.upstream_current
     duplicate = apply_route_switch(state, 5)

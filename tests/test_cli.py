@@ -153,6 +153,8 @@ VALID_SCENARIO = {
 
 MALFORMED_SCENARIOS = {
     "mac-value": {**VALID_SCENARIO, "mac": {"wait_min_s": "abc"}},
+    # a busy channel would be sensed again at the same instant, forever
+    "mac-wait-zero": {**VALID_SCENARIO, "mac": {"wait_min_s": 0.0, "wait_max_s": 0.0}},
     "phase-value": {**VALID_SCENARIO, "phases": {"beacon_rounds": "x"}},
     "budget-value": {**VALID_SCENARIO, "traffic": {"total_packets": "lots"}},
     "schedule-key": {**VALID_SCENARIO, "traffic": {"schedule": {"abc": [1.0]}}},
@@ -341,6 +343,7 @@ NAMED_KEYS = {
     "spreading-factor-fraction": "spreading_factor",
     "budget-fraction": "total_packets",
     "mac-unknown-key": "mac: unknown key 'wait_max'",
+    "mac-wait-zero": "mac: wait_max_s must be positive",
     "top-level-unknown-key": "scenario: unknown key 'protcol'",
     "role-capacity-at-top-level": "scenario: unknown key 'gateway_capacity_mah'",
     "topology-unknown-key": "topology: unknown key 'sensitivity'",

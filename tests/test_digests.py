@@ -1,7 +1,8 @@
 """Golden digests: the same behaviour, checked the same way every time.
 
-Rebuilds the 18-case matrix (3 bundled scenarios x 3 protocols x
-learning phase on/off) and compares each run's trace digest, event
+Rebuilds the 22-case matrix (the 18 runs of 3 bundled scenarios x 3
+protocols x learning phase on/off, plus two periodic and two drain
+cases) and compares each run's trace digest, event
 total, the sha256 of its NDJSON rendering, and the sha256 of its
 sorted-key metrics JSON and of its ``battery.csv`` to
 ``tests/data/digests.json``. The rendering's digest is the
@@ -9,10 +10,10 @@ sorted-key metrics JSON and of its ``battery.csv`` to
 it pins the events themselves across the trace format change. Energy
 never reaches the trace, so the last two pin billing end to end. Periodic traffic
 budgets are capped at ``CAP`` packets so the whole matrix stays fast;
-scripted schedules run as written. Six downlink cases (3 bundled
-scenarios x flooding/routing) run ``DOWNLINK_PACKETS`` periodic uplinks
-after one ``inject_downlink`` per gateway, so the downlink path is
-pinned too.
+scripted schedules run as written. Two periodic cases run
+``standby_recovery``, whose bundled traffic is a script, under flooding
+and routing with ``PERIODIC_PACKETS`` periodic uplinks instead, so its
+periodic traffic is pinned too.
 Two drain cases run ``two_ed_battery`` under routing and
 routing_no_energy at ``DRAIN_PACKETS``: repeater batteries die (under
 routing every one, after eight energy-aware route switches), so the
@@ -40,7 +41,7 @@ DATA = Path(__file__).parent / "data" / "digests.json"
 SCENARIOS = ("representative", "standby_recovery", "two_ed_battery")
 PROTOCOLS = ("flooding", "routing", "routing_no_energy")
 CAP = 200
-DOWNLINK_PACKETS = 50
+PERIODIC_PACKETS = 50
 DRAIN_PACKETS = 10000
 
 CASES = [
@@ -48,7 +49,7 @@ CASES = [
     for name in SCENARIOS
     for protocol in PROTOCOLS
     for learning in (False, True)
-] + [f"{name}/{protocol}/downlink" for name in SCENARIOS for protocol in ("flooding", "routing")] + [
+] + [f"standby_recovery/{protocol}/periodic" for protocol in ("flooding", "routing")] + [
     f"two_ed_battery/{protocol}/drain" for protocol in ("routing", "routing_no_energy")
 ]
 
@@ -57,8 +58,8 @@ def run_case(case: str) -> dict:
     name, protocol, mode = case.split("/")
     scn = load_scenario(name)
     traffic = scn.traffic
-    if mode == "downlink":
-        traffic = replace(traffic, total_packets=DOWNLINK_PACKETS, schedule={})
+    if mode == "periodic":
+        traffic = replace(traffic, total_packets=PERIODIC_PACKETS, schedule={})
     elif mode == "drain":
         traffic = replace(traffic, total_packets=DRAIN_PACKETS)
     elif not traffic.schedule:
@@ -66,9 +67,6 @@ def run_case(case: str) -> dict:
     scn = replace(scn, protocol=protocol, learning_phase=mode == "learning-on", traffic=traffic)
     trace = io.StringIO()
     sim = Simulation(scn, trace_writer=TraceWriter(trace))
-    if mode == "downlink":
-        for gw in sorted(scn.topology.gateways):
-            sim.inject_downlink(gw)
     metrics = sim.run().metrics
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = Path(tmp) / "battery.csv"

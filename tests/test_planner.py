@@ -81,7 +81,7 @@ def replay_downlink(graph):
         }
         member_set = members | {gw}
         neighborhood = {
-            u: {n for n, _w in graph.neighbors_of(u) if n in member_set}
+            u: {n for n, _w in graph.adjacency[u] if n in member_set}
             for u in member_set
         }
         heard = set()
@@ -122,7 +122,7 @@ def test_upstream_is_lowest_valued_neighbor():
                 assert graph.upstream[uid] is None
                 continue
             best = min(
-                ((graph.distance_value[n], n) for n, _w in graph.neighbors_of(uid)),
+                ((graph.distance_value[n], n) for n, _w in graph.adjacency[uid]),
                 default=None,
             )
             assert graph.upstream[uid] == best[1]
@@ -178,15 +178,15 @@ def test_two_gateways_partition_by_proximity():
 def test_directed_reports_average_into_one_weight():
     reports = {0: [(1, 10.0)], 1: [(0, 20.0)]}
     graph = plan(reports, [0])
-    assert graph.neighbors_of(0) == [(1, 15.0)]
-    assert graph.neighbors_of(1) == [(0, 15.0)]
+    assert graph.adjacency[0] == [(1, 15.0)]
+    assert graph.adjacency[1] == [(0, 15.0)]
     assert graph.warnings == []
 
 
 def test_one_sided_report_kept_with_warning():
     reports = {0: [(1, 10.0)], 1: []}
     graph = plan(reports, [0])
-    assert graph.neighbors_of(0) == [(1, 10.0)]
+    assert graph.adjacency[0] == [(1, 10.0)]
     assert any("one side only" in w for w in graph.warnings)
 
 

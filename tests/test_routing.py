@@ -18,7 +18,6 @@ def observer_state():
     state.install(
         distance_value=150.0,
         upstream=60,  # F
-        downstream=(),
         neighbor_values={40: 120.0, 45: 200.0, 60: 130.0},  # C, D, F
     )
     return state
@@ -96,29 +95,22 @@ def test_revert_restores_planner_upstream():
 def test_should_arm_uplink_ordering():
     state = observer_state()
     # D (200) hands to F (130); we sit at 150, below D: arm
-    assert should_arm(state, 45, 60, up=True) is True
+    assert should_arm(state, 45, 60) is True
     # transmitter closer than addressee: nothing to recover
-    assert should_arm(state, 60, 45, up=True) is False
+    assert should_arm(state, 60, 45) is False
     # we sit farther than the transmitter: not our recovery
     state.distance_value = 250.0
-    assert should_arm(state, 45, 60, up=True) is False
+    assert should_arm(state, 45, 60) is False
 
 
 def test_should_arm_requires_known_values_and_other_parties():
     state = observer_state()
-    assert should_arm(state, 99, 60, up=True) is False
-    assert should_arm(state, 45, 99, up=True) is False
-    assert should_arm(state, state.uid, 60, up=True) is False
-    assert should_arm(state, 45, state.uid, up=True) is False
+    assert should_arm(state, 99, 60) is False
+    assert should_arm(state, 45, 99) is False
+    assert should_arm(state, state.uid, 60) is False
+    assert should_arm(state, 45, state.uid) is False
     uninstalled = RouteState(uid=50)
-    assert should_arm(uninstalled, 45, 60, up=True) is False
-
-
-def test_should_arm_downlink_mirrors():
-    state = observer_state()
-    # downlink: C (120) hands outward to D (200); we sit at 150, beyond C
-    assert should_arm(state, 40, 45, up=False) is True
-    assert should_arm(state, 45, 40, up=False) is False
+    assert should_arm(uninstalled, 45, 60) is False
 
 
 def test_monitor_capacity_evicts_oldest():

@@ -4,6 +4,7 @@ and the NDJSON rendering."""
 import base64
 import hashlib
 import io
+import math
 import struct
 
 import pytest
@@ -148,7 +149,14 @@ def trace_file(tmp_path, text):
 
 # a version 1 trace line, a missing header and an unknown one, a bad record
 V1_LINE = '{"t":0.0,"ev":"Generated","node":101,"pkt":0}\n'
-RECORD = tr.pack_events([stored((0.0, tr.GENERATED, 101, 0, None, None, None))]).decode("ascii")
+
+
+def packed(ev):
+    """One event's trace line."""
+    return tr.pack_events([stored(ev)]).decode("ascii")
+
+
+RECORD = packed((0.0, tr.GENERATED, 101, 0, None, None, None))
 WRONG_FILES = {
     "v1-ndjson": (V1_LINE * 2, 1, "version 1 NDJSON trace"),
     "empty": ("", 1, "no trace header"),
@@ -161,11 +169,11 @@ WRONG_FILES = {
     "padded": (tr.HEADER + RECORD[:36] + "====\n", 2, "base64 record"),
     "no-newline": (tr.HEADER + RECORD[:-1], 2, "base64 record"),
     "non-ascii": (tr.HEADER + "é" * 40 + "\n", 2, "base64 record"),
-    "unknown-kind": (
-        tr.HEADER + tr.pack_events([stored((0.0, 200, 1, 0, None, None, None))]).decode("ascii"),
-        2,
-        "unknown event kind 200",
-    ),
+    "unknown-kind": (tr.HEADER + packed((0.0, 200, 1, 0, None, None, None)), 2, "unknown event kind 200"),
+    # a time must be finite; a duration finite, or NaN for an unset one
+    "time-infinite": (tr.HEADER + packed((math.inf, tr.GENERATED, 1, 0, None, None, None)), 2, "time inf"),
+    "time-nan": (tr.HEADER + packed((math.nan, tr.GENERATED, 1, 0, None, None, None)), 2, "time nan"),
+    "duration-infinite": (tr.HEADER + packed((1.0, tr.TX_END, 1, 0, None, math.inf, 0)), 2, "duration inf"),
 }
 
 
