@@ -25,7 +25,7 @@ from .metrics import write_battery_csv
 from .planner import PlannerError, plan, plan_to_json, reports_from_dict
 from .scenario import PROTOCOLS, Scenario, ScenarioError, _read_json, load_scenario
 from .simulation import Simulation
-from .trace import TraceFormatError, TraceWriter, ndjson_line, read_trace
+from .trace import TraceFormatError, TraceWriter, ndjson_line, read_records
 
 
 def _default_seed() -> int | None:
@@ -270,7 +270,7 @@ def cmd_compare(args) -> int:
 
 def cmd_render(args) -> int:
     try:
-        sys.stdout.writelines(map(ndjson_line, read_trace(args.trace)))
+        sys.stdout.writelines(map(ndjson_line, read_records(args.trace)))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader stopped early, as `| head` does; point stdout at

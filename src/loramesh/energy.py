@@ -4,17 +4,18 @@ A node is in exactly one of three states at any instant: transmitting,
 decoding an audible frame, or idle in low-power channel-activity
 detection. Every charge is billed by one rule, ``charge``: the idle gap
 since ``charged_until``, then the part of the charged window after it
-at the state's rate (``tx_rate`` or ``rx_rate``; ``charge_tx`` and
-``charge_rx`` name the rate for a trace replay). Receive windows that
-overlap thus merge into a union (an overlap is not billed twice). A
-transmission never overlaps a reception its node was billed for,
-because a radio that transmits over an incoming frame drops it
-unbilled, so transmissions follow the same rule. ``finalize`` bills the
-last idle stretch as a zero-length window at the end of the run.
+at the rate the caller passes, ``tx_rate`` or ``rx_rate``, in a live
+run and in a trace replay alike. Receive windows that overlap thus
+merge into a union (an overlap is not billed twice). A transmission
+never overlaps a reception its node was billed for, because a radio
+that transmits over an incoming frame drops it unbilled, so
+transmissions follow the same rule. ``finalize`` bills the last idle
+stretch as a zero-length window at the end of the run.
 
 Charges are applied in event order, so replaying the same windows in
-the same order (for instance from an exported trace) reproduces the
-ledger bit for bit, including the interpolated depletion instant.
+the same order (``metrics.recompute_from_trace`` does, from an exported
+trace) reproduces the ledger bit for bit, including the interpolated
+depletion instant.
 
 The level is floor(100 * remaining / capacity), which never rises as
 charge is spent. ``level_floor`` is a bound just above the current
@@ -122,14 +123,6 @@ class EnergyLedger:
         for k in range(level_start - 1, level_end - 1, -1):
             threshold = (k + 1) * step
             self.history.append((t_start + (r_start - threshold) / rate, k))
-
-    def charge_tx(self, t0: float, t1: float) -> None:
-        """Bill one own transmission [t0, t1)."""
-        self.charge(t0, t1, self.tx_rate)
-
-    def charge_rx(self, t0: float, t1: float) -> None:
-        """Bill one decoded frame window [t0, t1), merged with prior windows."""
-        self.charge(t0, t1, self.rx_rate)
 
     def finalize(self, t_end: float) -> None:
         """Bill trailing idle time up to the end of the run."""

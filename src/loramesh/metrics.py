@@ -9,13 +9,11 @@ at its end, each own transmission just before ``TX_END``), so the
 battery levels the protocol acts on are the ones reported. Everything
 else is derived by ``account``, once per batch of events, just before
 the trace writer packs that batch; nothing in it depends on where the
-batches split. ``feed`` replays one event: it bills the ledger the way
-the live run does, from the charge window the event encodes (``t - dur``
-to ``t``), then accounts the event. Because nothing here peeks at
-simulator internals, the identical metrics can be recomputed later from
-an exported trace file with ``feed``, which is also how the trace format
-is validated: ``recompute_from_trace`` decodes the packed records, feeds
-them and packs them again for the digest.
+batches split, and nothing in it reads a ledger. So the identical
+metrics can be rebuilt from an exported trace alone, which is also how
+the trace format is validated: ``recompute_from_trace`` runs the live
+run's batch path, billing each batch's charge windows (``t - dur`` to
+``t``) in order, then accounting the batch and packing it for the digest.
 """
 
 from __future__ import annotations
@@ -33,15 +31,12 @@ class MetricsBuilder:
         self.seed = seed
         topo = scenario.topology
         self.roles = {uid: spec.role for uid, spec in topo.nodes.items()}
-        self.ledgers: dict[int, EnergyLedger] = {}
-        for uid in sorted(topo.nodes):
-            role = self.roles[uid]
-            capacity = None
-            if role == GATEWAY:
-                capacity = scenario.energy.gateway_capacity_mah
-            elif role == END_DEVICE:
-                capacity = scenario.energy.ed_capacity_mah
-            self.ledgers[uid] = EnergyLedger(scenario.energy, capacity)
+        energy = scenario.energy
+        # None, for a repeater or an unset role, keeps battery_capacity_mah
+        capacity = {GATEWAY: energy.gateway_capacity_mah, END_DEVICE: energy.ed_capacity_mah}
+        self.ledgers = {
+            uid: EnergyLedger(energy, capacity.get(self.roles[uid])) for uid in sorted(topo.nodes)
+        }
         self.generated: dict[int, tuple[float, int]] = {}
         self.delivered: dict[int, float] = {}
         self.ingress_heard: set[int] = set()
@@ -67,15 +62,6 @@ class MetricsBuilder:
                 if pkt not in self.delivered:
                     self.delivered[pkt] = t
 
-    def feed(self, ev: tuple) -> None:
-        """Replay one event: bill its charge window as the live run did, then account it."""
-        t, kind, node, _pkt, _peer, dur, _ch = ev
-        if kind == tr.RX_OK or kind == tr.RX_COLLIDED:
-            self.ledgers[node].charge_rx(t - dur, t)
-        elif kind == tr.TX_END:
-            self.ledgers[node].charge_tx(t - dur, t)
-        self.account((ev,))
-
     def finalize(self, end_time: float, trace_digest: str | None = None) -> dict:
         for uid in sorted(self.ledgers):
             self.ledgers[uid].finalize(end_time)
@@ -91,21 +77,11 @@ class MetricsBuilder:
             mid = n // 2
             median = latencies[mid] if n % 2 else (latencies[mid - 1] + latencies[mid]) / 2.0
             p95 = latencies[max(0, math.ceil(0.95 * n) - 1)]
-            latency = {
-                "mean": sum(latencies) / n,
-                "median": median,
-                "p95": p95,
-            }
+            latency = {"mean": sum(latencies) / n, "median": median, "p95": p95}
 
-        initial_ed = 0
-        intermediate = 0
-        for pid in self.generated:
-            if pid in self.delivered:
-                continue
-            if pid in self.ingress_heard:
-                intermediate += 1
-            else:
-                initial_ed += 1
+        lost = [pid for pid in self.generated if pid not in self.delivered]
+        intermediate = sum(pid in self.ingress_heard for pid in lost)
+        initial_ed = len(lost) - intermediate
 
         span = end_time if end_time > 0 else 1.0
         duty = {str(uid): self.tx_s[uid] / span * 100.0 for uid in sorted(self.tx_s)}
@@ -146,19 +122,40 @@ class MetricsBuilder:
         return metrics
 
 
+def _replay(builder: MetricsBuilder, writer: tr.TraceWriter) -> None:
+    """Bill the charge windows of the writer's batch in order, then account
+    the batch and flush it, as ``Simulation._flush`` does."""
+    ledgers = builder.ledgers
+    for t, kind, node, _pkt, _peer, dur, _ch in writer.batch:
+        if kind in tr.BILLED:
+            ledger = ledgers[node]
+            ledger.charge(t - dur, t, ledger.tx_rate if kind == tr.TX_END else ledger.rx_rate)
+    builder.account(writer.batch)
+    writer.flush()
+
+
 def recompute_from_trace(scenario: Scenario, seed: int, trace_path, end_time: float) -> dict:
-    """Rebuild the metrics dict for a finished run from its trace file.
+    """Rebuild the metrics dict for a finished run from its trace, as
+    ``read_records`` reads it; raises ``TraceFormatError`` where that does
+    and at a node the scenario lacks.
 
     Matches the live run byte for byte when serialized with sorted keys,
-    digest included, because the builder sees the same events in the
-    same order.
+    digest included: the same windows are billed in the same order, and
+    neither accounting nor packing depends on where batches split.
     """
     builder = MetricsBuilder(scenario, seed)
-    digest = tr.TraceWriter()
-    for ev in tr.read_records(trace_path):
-        builder.feed(ev)
-        digest.add(ev)
-    return builder.finalize(end_time, digest.hexdigest())
+    writer = tr.TraceWriter()
+    batch = writer.batch
+    for lineno, ev in enumerate(tr.read_records(trace_path), 2):
+        if ev[tr.NODE] not in builder.roles:
+            raise tr.TraceFormatError(
+                f"{tr.trace_name(trace_path)}:{lineno}: no node {ev[tr.NODE]} in {scenario.name!r}"
+            )
+        batch.append(ev)
+        if len(batch) >= tr.BATCH_EVENTS:
+            _replay(builder, writer)
+    _replay(builder, writer)
+    return builder.finalize(end_time, writer.hexdigest())
 
 
 def write_battery_csv(path, builder: MetricsBuilder) -> None:

@@ -5,26 +5,23 @@ channel); time and duration are floats. A kind is an index into
 ``KINDS``, the one table of event kinds, which gives each its NDJSON
 name and its ``metrics.json`` count key.
 
-An event has two forms. In memory (what the simulator appends to a
-writer's batch, and what ``read_records`` yields) an unused slot holds
-its stored value, ``NONE_INT`` (-1) for pkt, peer and ch and
-``NONE_DUR`` (NaN) for dur, so ``pack_events`` packs each tuple as it
-is, in C. Readers of a trace (``read_trace``, ``ndjson_line``) use None
-in unused slots instead.
+An event has one form, the stored form, from the simulator's batch
+through the file to ``read_records`` and ``ndjson_line``: an unset slot
+holds a value no real event has, ``NONE_INT`` (-1) for pkt, peer and ch
+and ``NONE_DUR`` (NaN) for dur, so ``pack_events`` packs each tuple as
+it is, in C.
 
 Wire form, version 2. A trace is ASCII text. Its first line is the
 constant JSON ``HEADER`` (format name, version, record layout). Every
 later line is one event: the base64 of one little-endian ``RECORD``
 (``<dBiiidb``: t, kind, node, pkt, peer, dur, ch), 30 bytes, so 40
-characters with no padding, then a newline. A None slot is stored as a
-value no real event has: -1 for pkt, peer and ch, NaN for dur. ``struct``
-raises, and never wraps, on a value its slot cannot hold, such as a node
-or packet id beyond 2**31 - 1 or a channel beyond 127; the scenario
-loader keeps node uids in range. The run's fingerprint ``trace_sha256``
-is the sha256 of exactly these bytes, header included, whether or not a
-file is written. Both float slots round-trip exactly, so ``read_records``
-gives back the stored values and packing them again gives the same
-digest.
+characters with no padding, then a newline. ``struct`` raises, and never
+wraps, on a value its slot cannot hold, such as a node or packet id
+beyond 2**31 - 1 or a channel beyond 127; the scenario loader keeps node
+uids in range. The run's fingerprint ``trace_sha256`` is the sha256 of
+exactly these bytes, header included, whether or not a file is written.
+Both float slots round-trip exactly, so ``read_records`` gives back the
+stored values and packing them again gives the same digest.
 
 One event per line keeps the bytes independent of where batches split
 and leaves every emitted event in the file when a run raises. NDJSON is
@@ -37,10 +34,10 @@ from __future__ import annotations
 import binascii
 import hashlib
 import json
+import math
 import os
 import struct
 from itertools import starmap
-from math import isfinite, isinf
 
 # Every event kind, as (NDJSON name, ``metrics.json`` count key); a
 # kind's number is its index here, the byte a trace record stores.
@@ -107,8 +104,8 @@ HEADER = (
 )
 _HEADER_HASH = hashlib.sha256(HEADER.encode("ascii"))
 
-# The stored form of a None slot: an event held in memory (a writer's
-# batch, ``read_records``) carries these, so records pack as they are.
+# An unset slot: every event, in a writer's batch or read back, carries
+# these, so records pack as they are.
 NONE_INT = -1
 NONE_DUR = float("nan")
 
@@ -127,25 +124,18 @@ class TraceWriter:
     digest. Events are held until ``BATCH_EVENTS`` of them are waiting;
     ``flush`` then packs the batch once, feeds it to the hash and writes
     it. ``hexdigest`` flushes first, and ``Simulation.run`` flushes when a
-    run raises, so the file holds every event emitted. A caller may
-    append to ``batch`` itself and call ``flush`` once it holds
-    ``BATCH_EVENTS`` or more; the bytes do not depend on batch sizes.
+    run raises, so the file holds every event emitted. Callers append to
+    ``batch`` themselves and call ``flush`` once it holds ``BATCH_EVENTS``
+    or more; the bytes do not depend on batch sizes.
     """
 
     def __init__(self, fh=None) -> None:
         self._fh = fh
         self._hash = _HEADER_HASH.copy()
-        # the events waiting to be packed, None slots in their stored
-        # form; emptied in place, never replaced
+        # the events waiting to be packed; emptied in place, never replaced
         self.batch: list[tuple] = []
         if fh is not None:
             fh.write(HEADER)
-
-    def add(self, ev: tuple) -> None:
-        batch = self.batch
-        batch.append(ev)
-        if len(batch) >= BATCH_EVENTS:
-            self.flush()
 
     def flush(self) -> None:
         if not self.batch:
@@ -180,44 +170,64 @@ def _header_problem(line: str) -> str:
     return "no trace header"
 
 
+# the kinds that bill the window ``t - dur`` to ``t``, so carry a duration
+BILLED = (TX_END, RX_OK, RX_COLLIDED)
+
+
 def _records(fh, name: str):
     first = fh.readline()
     if first != HEADER:
         raise TraceFormatError(f"{name}:1: {_header_problem(first)}")
     unpack = RECORD.unpack
     decode = binascii.a2b_base64
-    kinds = len(EVENT_NAMES)
+    kinds, none, inf = len(KINDS), NONE_INT, math.inf
     for lineno, line in enumerate(fh, 2):
         try:
             if len(line) != RECORD_CHARS + 1 or line[-1] != "\n":
                 raise ValueError
             # a non-base64 character is skipped, so the record comes out short
-            record = unpack(decode(line[:-1]))
+            record = t, kind, node, pkt, peer, dur, ch = unpack(decode(line[:-1]))
         except (ValueError, struct.error):
             raise TraceFormatError(
                 f"{name}:{lineno}: not one {RECORD_CHARS}-character base64 record"
             ) from None
-        if record[KIND] >= kinds:
-            raise TraceFormatError(f"{name}:{lineno}: unknown event kind {record[KIND]}")
-        if not isfinite(record[T]):
-            raise TraceFormatError(f"{name}:{lineno}: time {record[T]!r} is not finite")
-        if isinf(record[DUR]):
-            raise TraceFormatError(f"{name}:{lineno}: duration {record[DUR]!r} is infinite")
-        yield record
+        if kind >= kinds:
+            problem = f"unknown event kind {kind}"
+        elif not -inf < t < inf:
+            problem = f"time {t!r} is not finite"
+        elif dur < 0 or dur == inf:
+            problem = f"duration {dur!r} is infinite or negative"
+        elif dur != dur and kind in BILLED:
+            problem = f"{EVENT_NAMES[kind]} has no duration"
+        elif node < 0 or pkt < none or peer < none or ch < none:
+            problem = f"id out of range: node {node}, pkt {pkt}, peer {peer}, ch {ch}"
+        else:
+            yield record
+            continue
+        raise TraceFormatError(f"{name}:{lineno}: {problem}")
+
+
+def trace_name(source) -> str:
+    """The name errors give a trace: its path, or an open file's name."""
+    if isinstance(source, (str, os.PathLike)):
+        return os.fspath(source)
+    return getattr(source, "name", "<trace>")
 
 
 def read_records(source):
-    """Yield the events of a trace as they are held in memory, None slots
-    in their stored form: a path, or a text file open for reading.
+    """Yield the events of a trace, unset slots at -1 or NaN: a path, or a
+    text file open for reading.
 
     Raises ``TraceFormatError``, naming the file and the line, at a
     missing or unknown header (a version 1 NDJSON trace among them), at a
-    line that is not one record and at a record whose time is not finite
-    or whose duration is infinite; and, naming the file, at a path that
+    line that is not one record, and at a record no run writes (an
+    unknown kind, a time that is not finite, a duration that is infinite
+    or negative or missing from a ``BILLED`` kind, a negative node, a
+    pkt, peer or ch below -1); and, naming the file, at a path that
     cannot be opened.
     """
+    name = trace_name(source)
     if isinstance(source, (str, os.PathLike)):
-        name = os.fspath(source)
         try:
             # undecodable bytes become a line that is not a record
             fh = open(source, encoding="ascii", errors="replace")
@@ -226,22 +236,7 @@ def read_records(source):
         with fh:
             yield from _records(fh, name)
     else:
-        yield from _records(source, getattr(source, "name", "<trace>"))
-
-
-def read_trace(source):
-    """Yield the event tuples of a trace, None in every unset slot; reads
-    and raises as ``read_records`` does."""
-    for t, kind, node, pkt, peer, dur, ch in read_records(source):
-        yield (
-            t,
-            kind,
-            node,
-            None if pkt == NONE_INT else pkt,
-            None if peer == NONE_INT else peer,
-            None if dur != dur else dur,
-            None if ch == NONE_INT else ch,
-        )
+        yield from _records(source, name)
 
 
 def ndjson_line(ev: tuple) -> str:
@@ -250,12 +245,12 @@ def ndjson_line(ev: tuple) -> str:
     spaces, newline-terminated."""
     t, kind, node, pkt, peer, dur, ch = ev
     line = f'{{"t":{t!r},"ev":"{EVENT_NAMES[kind]}","node":{node}'
-    if pkt is not None:
+    if pkt != NONE_INT:
         line += f',"pkt":{pkt}'
-    if peer is not None:
+    if peer != NONE_INT:
         line += f',"peer":{peer}'
-    if dur is not None:
+    if dur == dur:
         line += f',"dur":{dur!r}'
-    if ch is not None:
+    if ch != NONE_INT:
         line += f',"ch":{ch}'
     return line + "}\n"

@@ -35,7 +35,7 @@ import pytest
 from loramesh.metrics import write_battery_csv
 from loramesh.scenario import load_scenario
 from loramesh.simulation import Simulation
-from loramesh.trace import TraceWriter, ndjson_line, read_trace
+from loramesh.trace import TraceWriter, ndjson_line, read_records
 
 DATA = Path(__file__).parent / "data" / "digests.json"
 SCENARIOS = ("representative", "standby_recovery", "two_ed_battery")
@@ -74,7 +74,7 @@ def run_case(case: str) -> dict:
         battery = hashlib.sha256(csv_path.read_bytes()).hexdigest()
     assert hashlib.sha256(trace.getvalue().encode("ascii")).hexdigest() == metrics["trace_sha256"]
     trace.seek(0)
-    ndjson = "".join(map(ndjson_line, read_trace(trace)))
+    ndjson = "".join(map(ndjson_line, read_records(trace)))
     return {
         "trace_sha256": metrics["trace_sha256"],
         "events": sum(metrics["counts"].values()),

@@ -15,7 +15,7 @@ def make_ledger(capacity=100.0, i_tx=500.0, i_rx=50.0, i_idle=1.0):
 
 def test_single_tx_charge():
     led = make_ledger()
-    led.charge_tx(0.0, 0.014144)
+    led.charge(0.0, 0.014144, led.tx_rate)
     # 14.144 ms at 500 mA
     assert led.consumed_mah == pytest.approx(0.014144 * 500.0 / 3600.0, rel=1e-12)
     assert led.consumed_mah == pytest.approx(0.00196444444, rel=1e-6)
@@ -23,7 +23,7 @@ def test_single_tx_charge():
 
 def test_idle_fills_gaps():
     led = make_ledger()
-    led.charge_tx(10.0, 10.5)
+    led.charge(10.0, 10.5, led.tx_rate)
     led.finalize(20.0)
     expected = (19.5 * 1.0 + 0.5 * 500.0) / 3600.0
     assert led.consumed_mah == pytest.approx(expected, rel=1e-12)
@@ -31,23 +31,23 @@ def test_idle_fills_gaps():
 
 def test_overlapping_rx_windows_union_merge():
     led = make_ledger(i_idle=0.0)
-    led.charge_rx(1.0, 2.0)
-    led.charge_rx(1.5, 2.5)  # overlaps by 0.5
-    led.charge_rx(2.5, 3.0)  # back to back
+    led.charge(1.0, 2.0, led.rx_rate)
+    led.charge(1.5, 2.5, led.rx_rate)  # overlaps by 0.5
+    led.charge(2.5, 3.0, led.rx_rate)  # back to back
     assert led.consumed_mah == pytest.approx(2.0 * 50.0 / 3600.0, rel=1e-12)
 
 
 def test_rx_window_fully_covered_is_free():
     led = make_ledger(i_idle=0.0)
-    led.charge_rx(1.0, 3.0)
-    led.charge_rx(1.2, 2.8)
+    led.charge(1.0, 3.0, led.rx_rate)
+    led.charge(1.2, 2.8, led.rx_rate)
     assert led.consumed_mah == pytest.approx(2.0 * 50.0 / 3600.0, rel=1e-12)
 
 
 def test_transmission_follows_the_same_merge_rule():
     led = make_ledger(i_idle=0.0)
-    led.charge_rx(1.0, 2.0)
-    led.charge_tx(1.5, 2.5)  # only the part after the billed window
+    led.charge(1.0, 2.0, led.rx_rate)
+    led.charge(1.5, 2.5, led.tx_rate)  # only the part after the billed window
     assert led.consumed_mah == pytest.approx((1.0 * 50.0 + 0.5 * 500.0) / 3600.0, rel=1e-12)
 
 
@@ -55,7 +55,7 @@ def test_level_quantization_and_history():
     led = make_ledger(capacity=1.0, i_tx=3600.0, i_idle=0.0)
     # 3600 mA drains 1 mAh in exactly 1 s, so each 10 ms is one level.
     # Level 99 is entered the instant any charge leaves a full battery.
-    led.charge_tx(0.0, 0.015)
+    led.charge(0.0, 0.015, led.tx_rate)
     assert led.level == 98
     times = dict((lvl, t) for t, lvl in led.history)
     assert times[99] == pytest.approx(0.0, abs=1e-12)
@@ -64,9 +64,9 @@ def test_level_quantization_and_history():
 
 def test_death_interpolation():
     led = make_ledger(capacity=1.0, i_tx=3600.0, i_idle=0.0)
-    led.charge_tx(0.0, 0.9)
+    led.charge(0.0, 0.9, led.tx_rate)
     assert not led.dead
-    led.charge_tx(2.0, 3.0)  # needs 1.0 s worth, only 0.1 left
+    led.charge(2.0, 3.0, led.tx_rate)  # needs 1.0 s worth, only 0.1 left
     assert led.dead
     assert led.death_time == pytest.approx(2.1)
     assert led.remaining == 0.0
@@ -76,10 +76,10 @@ def test_death_interpolation():
 
 def test_dead_ledger_ignores_further_charges():
     led = make_ledger(capacity=0.001, i_tx=3600.0, i_idle=0.0)
-    led.charge_tx(0.0, 10.0)
+    led.charge(0.0, 10.0, led.tx_rate)
     assert led.dead
     death = led.death_time
-    led.charge_tx(20.0, 21.0)
+    led.charge(20.0, 21.0, led.tx_rate)
     led.finalize(100.0)
     assert led.death_time == death
     assert led.remaining == 0.0
@@ -98,7 +98,7 @@ def test_replay_reproduces_ledger():
     for _ in range(2):
         led = make_ledger()
         for kind, t0, t1 in calls:
-            (led.charge_tx if kind == "tx" else led.charge_rx)(t0, t1)
+            led.charge(t0, t1, led.tx_rate if kind == "tx" else led.rx_rate)
         led.finalize(2.0)
         ledgers.append(led)
     a, b = ledgers
@@ -144,9 +144,9 @@ def test_level_checked_near_a_boundary_matches_every_charge(charges, capacity, i
         t1 = t0 + length
         for ledger in (led, ref):
             if kind == "tx":
-                ledger.charge_tx(t0, t1)
+                ledger.charge(t0, t1, ledger.tx_rate)
             elif kind == "rx":
-                ledger.charge_rx(t0, t1)
+                ledger.charge(t0, t1, ledger.rx_rate)
             else:
                 ledger.finalize(t1)
         clock = max(clock, t1)

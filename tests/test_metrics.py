@@ -34,11 +34,19 @@ def tiny_scenario():
     )
 
 
-def synthetic_builder(events, end=10.0):
-    builder = MetricsBuilder(tiny_scenario(), seed=1)
-    for ev in events:
-        builder.feed(ev)
-    return builder.finalize(end)
+def replayed(events, end=10.0):
+    """The metrics ``recompute_from_trace`` rebuilds from ``events`` written
+    to a trace."""
+    buf = io.StringIO()
+    writer = tr.TraceWriter(buf)
+    writer.batch.extend(events)
+    writer.flush()
+    buf.seek(0)
+    return recompute_from_trace(tiny_scenario(), 1, buf, end)
+
+
+# unset slots
+NONE, NAN = tr.NONE_INT, tr.NONE_DUR
 
 
 # Events over the tiny scenario's nodes, at non-decreasing times from
@@ -68,15 +76,6 @@ def timed(steps):
     return events
 
 
-def bill(builder, ev):
-    """Charge ``ev``'s window as the live simulation does, where it is spent."""
-    t, kind, node, _pkt, _peer, dur, _ch = ev
-    if kind in (tr.RX_OK, tr.RX_COLLIDED):
-        builder.ledgers[node].charge_rx(t - dur, t)
-    elif kind == tr.TX_END:
-        builder.ledgers[node].charge_tx(t - dur, t)
-
-
 @given(st.lists(EVENT, max_size=40), st.sets(st.integers(1, 39)))
 @example(
     # the ingress RxOk of packet 2 lands in the batch after its Generated,
@@ -88,19 +87,15 @@ def bill(builder, ev):
 @example([(0.0, tr.GENERATED, 101, 2, 0, 0.014), (0.014, tr.RX_OK, 1, 2, 101, 0.014)], set())
 def test_accounting_does_not_depend_on_batch_boundaries(steps, cuts):
     events = timed(steps)
-    fed = MetricsBuilder(tiny_scenario(), seed=1)
-    for ev in events:
-        fed.feed(ev)
-    live = MetricsBuilder(tiny_scenario(), seed=1)
+    whole = MetricsBuilder(tiny_scenario(), seed=1)
+    whole.account(events)
+    split = MetricsBuilder(tiny_scenario(), seed=1)
     bounds = [0] + sorted(c for c in cuts if c < len(events)) + [len(events)]
     for lo, hi in zip(bounds, bounds[1:]):
-        batch = events[lo:hi]
-        for ev in batch:
-            bill(live, ev)
-        live.account(batch)
+        split.account(events[lo:hi])
     end = events[-1][tr.T] if events else 1.0
-    assert json.dumps(live.finalize(end), sort_keys=True) == json.dumps(
-        fed.finalize(end), sort_keys=True
+    assert json.dumps(split.finalize(end), sort_keys=True) == json.dumps(
+        whole.finalize(end), sort_keys=True
     )
 
 
@@ -109,9 +104,9 @@ def test_latency_statistics_against_stdlib():
     lat_s = [0.050, 0.030, 0.120, 0.080, 0.010]
     for k, lat in enumerate(lat_s):
         t0 = 1.0 + k
-        events.append((t0, tr.GENERATED, 101, k, None, None, None))
-        events.append((t0 + lat, tr.DELIVERED, 0, k, None, None, None))
-    m = synthetic_builder(events)
+        events.append((t0, tr.GENERATED, 101, k, NONE, NAN, NONE))
+        events.append((t0 + lat, tr.DELIVERED, 0, k, NONE, NAN, NONE))
+    m = replayed(events)
     values_ms = [lat * 1000.0 for lat in lat_s]
     assert m["latency_ms"]["mean"] == pytest.approx(statistics.fmean(values_ms))
     assert m["latency_ms"]["median"] == pytest.approx(statistics.median(values_ms))
@@ -121,11 +116,11 @@ def test_latency_statistics_against_stdlib():
 
 def test_duplicate_delivery_keeps_first_timestamp():
     events = [
-        (1.0, tr.GENERATED, 101, 7, None, None, None),
-        (1.5, tr.DELIVERED, 0, 7, None, None, None),
-        (2.5, tr.DELIVERED, 0, 7, None, None, None),
+        (1.0, tr.GENERATED, 101, 7, NONE, NAN, NONE),
+        (1.5, tr.DELIVERED, 0, 7, NONE, NAN, NONE),
+        (2.5, tr.DELIVERED, 0, 7, NONE, NAN, NONE),
     ]
-    m = synthetic_builder(events)
+    m = replayed(events)
     assert m["delivered"] == 1
     assert m["latency_ms"]["mean"] == pytest.approx(500.0)
 
@@ -133,16 +128,16 @@ def test_duplicate_delivery_keeps_first_timestamp():
 def test_loss_split_initial_versus_intermediate():
     events = [
         # packet 1: never decoded anywhere past the end device
-        (1.0, tr.GENERATED, 101, 1, None, None, None),
+        (1.0, tr.GENERATED, 101, 1, NONE, NAN, NONE),
         # packet 2: the attach repeater heard it, then it vanished
-        (2.0, tr.GENERATED, 101, 2, None, None, None),
+        (2.0, tr.GENERATED, 101, 2, NONE, NAN, NONE),
         (2.014, tr.RX_OK, 1, 2, 101, 0.014, 1),
         # packet 3: delivered
-        (3.0, tr.GENERATED, 101, 3, None, None, None),
+        (3.0, tr.GENERATED, 101, 3, NONE, NAN, NONE),
         (3.014, tr.RX_OK, 1, 3, 101, 0.014, 1),
-        (3.1, tr.DELIVERED, 0, 3, None, None, None),
+        (3.1, tr.DELIVERED, 0, 3, NONE, NAN, NONE),
     ]
-    m = synthetic_builder(events)
+    m = replayed(events)
     assert m["generated"] == 3
     assert m["delivered"] == 1
     assert m["losses"] == {"initial_ed": 1, "intermediate": 1}
@@ -153,15 +148,15 @@ def test_loss_split_initial_versus_intermediate():
 def test_overheard_rx_does_not_count_as_ingress():
     # RX_OK of packet 1 at node 1, but from a relay, not from the origin
     events = [
-        (1.0, tr.GENERATED, 101, 1, None, None, None),
+        (1.0, tr.GENERATED, 101, 1, NONE, NAN, NONE),
         (1.2, tr.RX_OK, 1, 1, 2, 0.014, 0),
     ]
-    m = synthetic_builder(events)
+    m = replayed(events)
     assert m["losses"] == {"initial_ed": 1, "intermediate": 0}
 
 
 def test_empty_run_yields_null_rates():
-    m = synthetic_builder([])
+    m = replayed([])
     assert m["generated"] == 0
     assert m["pdr"] is None
     assert m["latency_ms"] is None
@@ -171,10 +166,10 @@ def test_empty_run_yields_null_rates():
 
 def test_duty_cycle_from_tx_events():
     events = [
-        (1.0, tr.TX_START, 1, 5, None, 0.014144, 0),
-        (1.014144, tr.TX_END, 1, 5, None, 0.014144, 0),
+        (1.0, tr.TX_START, 1, 5, NONE, 0.014144, 0),
+        (1.014144, tr.TX_END, 1, 5, NONE, 0.014144, 0),
     ]
-    m = synthetic_builder(events, end=10.0)
+    m = replayed(events, end=10.0)
     assert m["duty_cycle_pct"]["1"] == pytest.approx(0.014144 / 10.0 * 100.0)
     assert m["duty_cycle_pct"]["0"] == 0.0
 
@@ -189,6 +184,18 @@ def test_recompute_from_trace_matches_live_run(tmp_path):
     assert again["trace_sha256"] == live["trace_sha256"]
 
 
+@pytest.mark.parametrize("kind", [tr.GENERATED, tr.TX_END, tr.RX_OK])
+def test_recompute_from_trace_refuses_a_node_the_scenario_lacks(tmp_path, kind):
+    scn = load_scenario("standby_recovery")
+    path = tmp_path / "trace.ndjson"
+    with open(path, "w", encoding="ascii") as fh:
+        writer = tr.TraceWriter(fh)
+        writer.batch += [(1.0, tr.GENERATED, 101, 0, NONE, NAN, NONE), (2.0, kind, 999, 0, 1, 0.1, 0)]
+        writer.flush()
+    with pytest.raises(tr.TraceFormatError, match=f"^{path}:3: no node 999 in 'standby_recovery'$"):
+        recompute_from_trace(scn, scn.seed, path, 10.0)
+
+
 def test_recompute_from_trace_matches_a_run_cut_by_its_horizon(tmp_path):
     base = load_scenario("representative")
     traffic = replace(base.traffic, total_packets=200, schedule={})
@@ -201,7 +208,7 @@ def test_recompute_from_trace_matches_a_run_cut_by_its_horizon(tmp_path):
     assert live["end_time_s"] == 10.0
     assert sim.queue
     assert 0 < live["generated"] < 200
-    events = list(tr.read_trace(trace_path))
+    events = list(tr.read_records(trace_path))
     assert max(ev[tr.T] for ev in events) <= 10.0
     again = recompute_from_trace(scn, scn.seed, trace_path, live["end_time_s"])
     assert json.dumps(again, sort_keys=True) == json.dumps(live, sort_keys=True)
@@ -225,7 +232,7 @@ def test_single_ledger_matches_trace_through_battery_deaths(tmp_path):
     assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == live["trace_sha256"]
     # a repeater dies during its own frame; its peers still decode that
     # frame, and they do so before the sender's TxEnd bills it
-    events = list(tr.read_trace(trace_path))
+    events = list(tr.read_records(trace_path))
     deaths = {uid: sim.builder.ledgers[uid].death_time for uid in sim.topology.repeaters}
     dying = [
         (i, ev)
@@ -305,11 +312,12 @@ def test_failed_run_keeps_every_emitted_line(tmp_path, monkeypatch):
             sim.run()
     emitted = sum(sim.builder.counts)
     assert emitted >= stop_after and emitted % tr.BATCH_EVENTS
-    events = list(tr.read_trace(path))
+    events = list(tr.read_records(path))
     assert len(events) == emitted
     # the same records, in order, that the run writes when nothing fails
+    # (compared by repr, since NaN, an unset duration, equals nothing)
     full.seek(0)
-    assert events == list(tr.read_trace(full))[:emitted]
+    assert list(map(repr, events)) == list(map(repr, tr.read_records(full)))[:emitted]
     assert full.getvalue().startswith(path.read_text())
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sim.trace.hexdigest()
 

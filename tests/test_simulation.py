@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from loramesh import trace as tr
 from loramesh.channel import received_power
 from loramesh.engine import RngStreams
+from loramesh.metrics import recompute_from_trace
 from loramesh.model import BEACON, MESH_CHANNEL, Packet, RadioConfig, airtime
 from loramesh.planner import PlannerError, plan_from_topology
 from loramesh.scenario import load_scenario, scenario_from_dict
@@ -39,7 +41,7 @@ def build(nodes, links, schedule, protocol="routing", seed=1, **extra):
 def decoded(buf):
     """The events a trace writer wrote to an in-memory buffer."""
     buf.seek(0)
-    return list(tr.read_trace(buf))
+    return list(tr.read_records(buf))
 
 
 def run_traced(scn):
@@ -635,8 +637,15 @@ LEARNED_HIDDEN_PAIR = {
 @example(HIDDEN_PAIR)
 @example(LEARNED_HIDDEN_PAIR)
 def test_reception_and_sense_match_the_network_wide_scan(data):
-    sim = ScanChecked(scenario_from_dict(data))
+    scn = scenario_from_dict(data)
+    buf = io.StringIO()
+    sim = ScanChecked(scn, trace_writer=tr.TraceWriter(buf))
     m = sim.run().metrics
+    # the trace alone replays the run: the same metrics, digest included
+    assert hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest() == m["trace_sha256"]
+    buf.seek(0)
+    again = recompute_from_trace(scn, scn.seed, buf, m["end_time_s"])
+    assert json.dumps(again, sort_keys=True) == json.dumps(m, sort_keys=True)
     assert sim.seen[tr.RX_OK] + sim.seen[tr.RX_COLLIDED] == (
         m["counts"]["rx_ok"] + m["counts"]["rx_collided"]
     )

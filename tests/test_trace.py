@@ -11,14 +11,21 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from loramesh import trace as tr
+from loramesh.cli import main
 
 # finite floats only: the NDJSON rendering is JSON, and repr(nan) is not
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 1e-07, 1e16, 5e-324, 0.014144, 1.7976931348623157e308]
 )
-# the widest values the record's int slots hold, or None
-SLOT = st.none() | st.integers(min_value=0, max_value=2**31 - 1)
-CHANNEL = st.none() | st.integers(min_value=0, max_value=127)
+# the durations a run writes: finite and not negative, -0.0 among them
+DURATIONS = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 0.014144, 1.7976931348623157e308]
+)
+# unset slots
+NONE, NAN = tr.NONE_INT, tr.NONE_DUR
+# the widest values the record's int slots hold, or unset
+SLOT = st.just(NONE) | st.integers(min_value=0, max_value=2**31 - 1)
+CHANNEL = st.just(NONE) | st.integers(min_value=0, max_value=127)
 
 
 def _reuse(draw, previous, fresh):
@@ -33,19 +40,22 @@ def _reuse(draw, previous, fresh):
 
 @st.composite
 def event_lists(draw):
-    """Events whose times, durations and (pkt, peer, ch) often repeat.
+    """Events that a run may write, whose times, durations and (pkt, peer,
+    ch) often repeat.
 
     Every outcome of one frame end repeats the previous event's pkt, peer
     and ch objects; sometimes only ch changes, or an equal but distinct
-    int stands in.
+    int stands in. A billed kind always carries a duration.
     """
     events = []
     t = dur = None
     pkt = peer = ch = None
     for _ in range(draw(st.integers(min_value=0, max_value=30))):
         t = _reuse(draw, t, FLOATS)
-        dur = _reuse(draw, dur, st.none() | FLOATS)
+        dur = _reuse(draw, dur, st.just(NAN) | DURATIONS)
         kind = draw(st.integers(min_value=0, max_value=len(tr.EVENT_NAMES) - 1))
+        if kind in tr.BILLED and dur != dur:
+            dur = draw(DURATIONS)
         node = draw(st.integers(min_value=0, max_value=2**31 - 1))
         how = draw(st.sampled_from(("frame", "frame", "channel", "equal", "new")))
         if how == "new" or not events:
@@ -53,43 +63,27 @@ def event_lists(draw):
         elif how == "channel":
             ch = draw(CHANNEL)
         elif how == "equal":
-            pkt, peer, ch = (None if x is None else int(str(x)) for x in (pkt, peer, ch))
+            pkt, peer, ch = (int(str(x)) for x in (pkt, peer, ch))
         events.append((t, kind, node, pkt, peer, dur, ch))
     return events
 
 
-# float edges and every None slot
+# float edges and every unset slot
 ROUND_TRIPS = [
-    (-0.0, tr.GENERATED, 0, None, None, None, None),
-    (5e-324, tr.TX_START, 2**31 - 1, 2**31 - 1, None, 1.7976931348623157e308, 127),
+    (-0.0, tr.GENERATED, 0, NONE, NONE, NAN, NONE),
+    (5e-324, tr.TX_START, 2**31 - 1, 2**31 - 1, NONE, 1.7976931348623157e308, 127),
     (1.7976931348623157e308, tr.RX_OK, 1, 0, 0, -0.0, 0),
-    (0.0, tr.DUP_SUPPRESSED, 1, 0, 0, 5e-324, None),
-    (1e16, tr.STANDBY_CANCELLED, 3, None, 2, None, None),
+    (0.0, tr.DUP_SUPPRESSED, 1, 0, 0, 5e-324, NONE),
+    (1e16, tr.STANDBY_CANCELLED, 3, NONE, 2, NAN, NONE),
 ]
 
 
-def stored(ev):
-    """An event as the simulator holds it: each None slot in its stored form."""
-    t, kind, node, pkt, peer, dur, ch = ev
-    none, nan = tr.NONE_INT, tr.NONE_DUR
-    return (
-        t,
-        kind,
-        node,
-        none if pkt is None else pkt,
-        none if peer is None else peer,
-        nan if dur is None else dur,
-        none if ch is None else ch,
-    )
-
-
 def written(events, cuts=()):
-    """The file a writer leaves when it is flushed after each index in
-    ``cuts``; ``events`` have None in unused slots."""
+    """The file a writer leaves when it is flushed after each index in ``cuts``."""
     buf = io.StringIO()
     writer = tr.TraceWriter(buf)
     for i, ev in enumerate(events):
-        writer.batch.append(stored(ev))
+        writer.batch.append(ev)
         if i in cuts:
             writer.flush()
     digest = writer.hexdigest()
@@ -100,19 +94,15 @@ def written(events, cuts=()):
 @example(ROUND_TRIPS, {0, 2})
 def test_writer_output_spans_batches_unchanged(events, cuts):
     text, digest = written(events, cuts)
-    whole = tr.HEADER + tr.pack_events(map(stored, events)).decode("ascii")
+    whole = tr.HEADER + tr.pack_events(events).decode("ascii")
     assert (text, digest) == (whole, hashlib.sha256(whole.encode("ascii")).hexdigest())
     lines = text.splitlines(keepends=True)
     assert lines[0] == tr.HEADER
     assert all(len(line) == tr.RECORD_CHARS + 1 for line in lines[1:])
-    again = list(tr.read_trace(io.StringIO(text)))
-    # repr tells 0.0 from -0.0 and keeps every last bit
-    assert [list(map(repr, ev)) for ev in again] == [list(map(repr, ev)) for ev in events]
+    again = list(tr.read_records(io.StringIO(text)))
+    # repr tells 0.0 from -0.0, keeps every last bit and reads NaN as nan
+    assert list(map(repr, again)) == list(map(repr, events))
     assert written(again)[1] == digest
-    records = list(tr.read_records(io.StringIO(text)))
-    assert [list(map(repr, ev)) for ev in records] == [
-        list(map(repr, stored(ev))) for ev in events
-    ]
 
 
 def test_an_empty_trace_is_its_header():
@@ -120,14 +110,14 @@ def test_an_empty_trace_is_its_header():
     assert text == tr.HEADER
     assert digest == hashlib.sha256(tr.HEADER.encode("ascii")).hexdigest()
     assert tr.TraceWriter().hexdigest() == digest
-    assert list(tr.read_trace(io.StringIO(text))) == []
+    assert list(tr.read_records(io.StringIO(text))) == []
 
 
 def test_record_layout():
     ev = (1.5, tr.RX_OK, 7, 9, 3, 0.25, 1)
     (line,) = tr.pack_events([ev]).splitlines()
     assert struct.unpack("<dBiiidb", base64.b64decode(line)) == ev
-    (line,) = tr.pack_events([stored((1.5, tr.GENERATED, 7, None, None, None, None))]).splitlines()
+    (line,) = tr.pack_events([(1.5, tr.GENERATED, 7, NONE, NONE, NAN, NONE)]).splitlines()
     t, kind, node, pkt, peer, dur, ch = struct.unpack("<dBiiidb", base64.b64decode(line))
     assert (t, kind, node, pkt, peer, ch) == (1.5, tr.GENERATED, 7, -1, -1, -1)
     assert dur != dur
@@ -135,7 +125,7 @@ def test_record_layout():
 
 @pytest.mark.parametrize("slot, value", [(tr.NODE, 2**31), (tr.PKT, 2**31), (tr.CH, 128)])
 def test_a_value_beyond_its_slot_raises_and_never_wraps(slot, value):
-    ev = [1.0, tr.TX_START, 1, 2, tr.NONE_INT, 0.5, 0]
+    ev = [1.0, tr.TX_START, 1, 2, NONE, 0.5, 0]
     ev[slot] = value
     with pytest.raises(struct.error):
         tr.pack_events([tuple(ev)])
@@ -153,10 +143,15 @@ V1_LINE = '{"t":0.0,"ev":"Generated","node":101,"pkt":0}\n'
 
 def packed(ev):
     """One event's trace line."""
-    return tr.pack_events([stored(ev)]).decode("ascii")
+    return tr.pack_events([ev]).decode("ascii")
 
 
-RECORD = packed((0.0, tr.GENERATED, 101, 0, None, None, None))
+def line_2(*ev):
+    """A trace whose one record, on line 2, is ``ev``."""
+    return tr.HEADER + packed(ev)
+
+
+RECORD = packed((0.0, tr.GENERATED, 101, 0, NONE, NAN, NONE))
 WRONG_FILES = {
     "v1-ndjson": (V1_LINE * 2, 1, "version 1 NDJSON trace"),
     "empty": ("", 1, "no trace header"),
@@ -169,29 +164,44 @@ WRONG_FILES = {
     "padded": (tr.HEADER + RECORD[:36] + "====\n", 2, "base64 record"),
     "no-newline": (tr.HEADER + RECORD[:-1], 2, "base64 record"),
     "non-ascii": (tr.HEADER + "é" * 40 + "\n", 2, "base64 record"),
-    "unknown-kind": (tr.HEADER + packed((0.0, 200, 1, 0, None, None, None)), 2, "unknown event kind 200"),
-    # a time must be finite; a duration finite, or NaN for an unset one
-    "time-infinite": (tr.HEADER + packed((math.inf, tr.GENERATED, 1, 0, None, None, None)), 2, "time inf"),
-    "time-nan": (tr.HEADER + packed((math.nan, tr.GENERATED, 1, 0, None, None, None)), 2, "time nan"),
-    "duration-infinite": (tr.HEADER + packed((1.0, tr.TX_END, 1, 0, None, math.inf, 0)), 2, "duration inf"),
+    "unknown-kind": (line_2(0.0, 200, 1, 0, NONE, NAN, NONE), 2, "unknown event kind 200"),
+    # a time must be finite; a duration finite and not negative, or NaN
+    # for an unset one, but never unset on a kind that bills its window
+    "time-infinite": (line_2(math.inf, tr.GENERATED, 1, 0, NONE, NAN, NONE), 2, "time inf"),
+    "time-nan": (line_2(math.nan, tr.GENERATED, 1, 0, NONE, NAN, NONE), 2, "time nan"),
+    "duration-infinite": (line_2(1.0, tr.TX_END, 1, 0, NONE, math.inf, 0), 2, "duration inf"),
+    "duration-negative": (line_2(1.0, tr.TX_END, 1, 0, NONE, -50.0, 0), 2, "duration -50.0"),
+    "tx-end-no-duration": (line_2(1.0, tr.TX_END, 1, 0, NONE, NAN, 0), 2, "TxEnd has no duration"),
+    "rx-ok-no-duration": (line_2(1.0, tr.RX_OK, 1, 0, 2, NAN, 0), 2, "RxOk has no duration"),
+    "rx-collided-no-duration": (
+        line_2(1.0, tr.RX_COLLIDED, 1, 0, 2, NAN, 0), 2, "RxCollided has no duration"
+    ),
+    # a node is never negative; pkt, peer and ch are -1 when unset
+    "node-negative": (line_2(1.0, tr.GENERATED, -7, 0, NONE, NAN, NONE), 2, "node -7,"),
+    "pkt-below-unset": (line_2(1.0, tr.GENERATED, 1, -2, NONE, NAN, NONE), 2, "pkt -2,"),
+    "peer-below-unset": (line_2(1.0, tr.RX_OK, 1, 0, -3, 0.1, 0), 2, "peer -3,"),
+    "ch-below-unset": (line_2(1.0, tr.TX_START, 1, 0, NONE, 0.1, -5), 2, "ch -5"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_FILES))
-def test_a_wrong_file_names_its_file_and_line(tmp_path, case):
+def test_a_wrong_file_names_its_file_and_line(tmp_path, capsys, case):
     text, lineno, why = WRONG_FILES[case]
     path = trace_file(tmp_path, text)
     with pytest.raises(tr.TraceFormatError, match=why) as exc:
-        list(tr.read_trace(path))
+        list(tr.read_records(path))
     assert str(exc.value).startswith(f"{path}:{lineno}: ")
     assert isinstance(exc.value, ValueError)
+    # render says the same on one line and exits 2
+    assert main(["render", "--trace", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 # the NDJSON rendering of version 1, pinned line by line
 EDGES = [
-    ((-0.0, tr.GENERATED, 101, 11, None, None, None), '{"t":-0.0,"ev":"Generated","node":101,"pkt":11}'),
+    ((-0.0, tr.GENERATED, 101, 11, NONE, NAN, NONE), '{"t":-0.0,"ev":"Generated","node":101,"pkt":11}'),
     (
-        (1e-07, tr.TX_END, 1, 9, None, 1e16, 0),
+        (1e-07, tr.TX_END, 1, 9, NONE, 1e16, 0),
         '{"t":1e-07,"ev":"TxEnd","node":1,"pkt":9,"dur":1e+16,"ch":0}',
     ),
     (
@@ -199,11 +209,11 @@ EDGES = [
         '{"t":2.0,"ev":"RxOk","node":2,"pkt":9,"peer":1,"dur":-0.0,"ch":0}',
     ),
     (
-        (1.5, tr.STANDBY_CANCELLED, 3, 7, None, None, None),
+        (1.5, tr.STANDBY_CANCELLED, 3, 7, NONE, NAN, NONE),
         '{"t":1.5,"ev":"StandbyCancelled","node":3,"pkt":7}',
     ),
     (
-        (1.5, tr.STANDBY_CANCELLED, 3, 8, 2, None, None),
+        (1.5, tr.STANDBY_CANCELLED, 3, 8, 2, NAN, NONE),
         '{"t":1.5,"ev":"StandbyCancelled","node":3,"pkt":8,"peer":2}',
     ),
     (
