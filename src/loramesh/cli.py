@@ -279,68 +279,85 @@ def cmd_render(args) -> int:
     return 0
 
 
+def _add_common(p) -> None:
+    p.add_argument("--scenario", required=True, help="bundled name or path to a scenario JSON")
+    p.add_argument("--seed", type=int, help="override the scenario seed")
+    p.add_argument("--out-dir", help="directory for output files")
+    p.add_argument("--protocol", choices=PROTOCOLS)
+    p.add_argument("--packets", type=int, help="override the packet budget")
+    p.add_argument("--mean-interval-ms", type=float, help="override the mean generation interval")
+
+
+def _add_simulate(p) -> None:
+    _add_common(p)
+    p.add_argument("--no-trace", action="store_true", help="skip writing trace.ndjson")
+
+
+def _add_plan(p) -> None:
+    p.add_argument("--reports", required=True, help="neighbor reports JSON")
+    p.add_argument("--out-dir")
+
+
+def _add_loadtest(p) -> None:
+    _add_common(p)
+    p.add_argument("--intervals", default="3.0,2.0,1.5,1.0,0.7,0.5", help="descending seconds")
+    p.add_argument("--budgets", default="2000,5000,10000", help="ascending packet budgets")
+    p.add_argument("--threshold", type=float, default=0.2, help="latency growth marking saturation")
+
+
+def _add_compare(p) -> None:
+    p.add_argument("--scenario", required=True)
+    p.add_argument("--seeds", default="1,2,3", help="comma separated seed list")
+    p.add_argument("--out-dir")
+    p.add_argument("--packets", type=int)
+
+
+def _add_render(p) -> None:
+    p.add_argument("--trace", required=True, help="trace.ndjson written by simulate")
+
+
+# name -> (help text, the function that adds its arguments, its handler)
+COMMANDS = {
+    "simulate": ("run one scenario and write metrics", _add_simulate, cmd_simulate),
+    "plan": ("run the offline planner over a reports file", _add_plan, cmd_plan),
+    "learn": ("run the discovery phase and export the planned tables", _add_common, cmd_learn),
+    "loadtest": ("sweep interval and budget ladders for saturation", _add_loadtest, cmd_loadtest),
+    "compare": ("flooding vs routing across seeds", _add_compare, cmd_compare),
+    "render": ("print a trace file as one JSON line per event", _add_render, cmd_render),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loramesh",
         description="Simulate subterranean LoRa mesh scenarios and plan routes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--scenario", required=True, help="bundled name or path to a scenario JSON")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--out-dir", default=None, help="directory for output files")
-        p.add_argument("--protocol", choices=PROTOCOLS, default=None)
-        p.add_argument("--packets", type=int, default=None, help="override the packet budget")
-        p.add_argument(
-            "--mean-interval-ms",
-            type=float,
-            default=None,
-            help="override the mean generation interval",
-        )
-
-    p = sub.add_parser("simulate", help="run one scenario and write metrics")
-    add_common(p)
-    p.add_argument("--no-trace", action="store_true", help="skip writing trace.ndjson")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("plan", help="run the offline planner over a reports file")
-    p.add_argument("--reports", required=True, help="neighbor reports JSON")
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(fn=cmd_plan)
-
-    p = sub.add_parser("learn", help="run the discovery phase and export the planned tables")
-    add_common(p)
-    p.set_defaults(fn=cmd_learn)
-
-    p = sub.add_parser("loadtest", help="sweep interval and budget ladders for saturation")
-    add_common(p)
-    p.add_argument("--intervals", default="3.0,2.0,1.5,1.0,0.7,0.5", help="descending seconds")
-    p.add_argument("--budgets", default="2000,5000,10000", help="ascending packet budgets")
-    p.add_argument("--threshold", type=float, default=0.2, help="latency growth marking saturation")
-    p.set_defaults(fn=cmd_loadtest)
-
-    p = sub.add_parser("compare", help="flooding vs routing across seeds")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--seeds", default="1,2,3", help="comma separated seed list")
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--packets", type=int, default=None)
-    p.set_defaults(fn=cmd_compare)
-
-    p = sub.add_parser("render", help="print a trace file as one JSON line per event")
-    p.add_argument("--trace", required=True, help="trace.ndjson written by simulate")
-    p.set_defaults(fn=cmd_render)
-
+    for name, (text, add_arguments, _handler) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=text))
     return parser
 
 
+def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """The command ``argv`` names and its arguments, parsed by that
+    command's parser alone; the full tree answers the rest (no command,
+    top-level help, an unknown command, an argument the command lacks)."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"loramesh {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        args, unknown = parser.parse_known_args(argv[1:])
+        if not unknown:
+            return argv[0], args
+    args = build_parser().parse_args(argv)
+    return args.command, args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    command, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
-        return args.fn(args)
+        return COMMANDS[command][2](args)
     except (ScenarioError, PlannerError, TraceFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -137,7 +137,7 @@ def _replay(builder: MetricsBuilder, writer: tr.TraceWriter) -> None:
 def recompute_from_trace(scenario: Scenario, seed: int, trace_path, end_time: float) -> dict:
     """Rebuild the metrics dict for a finished run from its trace, as
     ``read_records`` reads it; raises ``TraceFormatError`` where that does
-    and at a node the scenario lacks.
+    and at a node or a set peer the scenario lacks.
 
     Matches the live run byte for byte when serialized with sorted keys,
     digest included: the same windows are billed in the same order, and
@@ -145,11 +145,13 @@ def recompute_from_trace(scenario: Scenario, seed: int, trace_path, end_time: fl
     """
     builder = MetricsBuilder(scenario, seed)
     writer = tr.TraceWriter()
-    batch = writer.batch
+    batch, roles = writer.batch, builder.roles
     for lineno, ev in enumerate(tr.read_records(trace_path), 2):
-        if ev[tr.NODE] not in builder.roles:
+        node, peer = ev[tr.NODE], ev[tr.PEER]
+        if node not in roles or (peer not in roles and peer != tr.NONE_INT):
             raise tr.TraceFormatError(
-                f"{tr.trace_name(trace_path)}:{lineno}: no node {ev[tr.NODE]} in {scenario.name!r}"
+                f"{tr.trace_name(trace_path)}:{lineno}: no node "
+                f"{peer if node in roles else node} in {scenario.name!r}"
             )
         batch.append(ev)
         if len(batch) >= tr.BATCH_EVENTS:

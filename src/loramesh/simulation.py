@@ -15,7 +15,8 @@ hands it to ``_deliver_data`` (flooding, routing, standby recovery and
 the battery-triggered switches), and any other frame to
 ``_deliver_control`` (route switches and the learning phase's floods).
 An end device acts on nothing it decodes: it is billed for the frame,
-and nothing more.
+and nothing more. So it holds no dedup cache, neighbor table, route or
+learned rows; only mesh nodes get them.
 
 A mesh node's MAC wait is a draw from its own "mac" stream. The node
 binds that stream's ``random`` on its first wait and draws
@@ -147,34 +148,20 @@ class Transmission:
 
 class Node:
     __slots__ = (
-        "uid",
-        "is_gateway",
-        "is_repeater",
-        "is_ed",
-        "queue",
-        "dedup",
-        "ledger",
-        "route",
-        "ntable",
-        "learned",
-        "chain_active",
-        "last",
-        "prev",
-        "rivals",
-        "mac_draw",
-        "sensed",
+        "uid", "is_gateway", "is_repeater", "is_ed", "queue", "ledger", "chain_active",
+        # None on an end device
+        "dedup", "ntable", "route", "learned",
+        "last", "prev", "rivals", "mac_draw", "sensed",
     )
 
-    def __init__(self, uid: int, role_flags: tuple[bool, bool, bool], queue: TxQueue, dedup: DedupCache, ledger: EnergyLedger, ntable: NeighborTable) -> None:
+    def __init__(self, uid: int, role_flags: tuple[bool, bool, bool], queue: TxQueue, ledger: EnergyLedger) -> None:
         self.uid = uid
         self.is_gateway, self.is_repeater, self.is_ed = role_flags
         self.queue = queue
-        self.dedup = dedup
         self.ledger = ledger
-        self.route = rt.RouteState(uid)
-        self.ntable = ntable
-        # uid -> latest chunk row for this node or a beacon-heard neighbor
-        self.learned: dict[int, tuple[int, float, int | None, tuple[int, ...]]] = {}
+        # a mesh node's relay, beacon and route state, which the
+        # simulation sets on mesh nodes only (see the module docstring)
+        self.dedup = self.ntable = self.route = self.learned = None
         self.chain_active = False
         # this node's latest frame and the one before it: all that
         # interference and carrier sense read (see the module docstring)
@@ -214,17 +201,18 @@ class Simulation:
         # the metrics report.
         self.builder = MetricsBuilder(scenario, scenario.seed)
         self.nodes: dict[int, Node] = {}
+        mac = scenario.mac
         for uid in sorted(topo.nodes):
             role = topo.nodes[uid].role
             flags = (role == "gateway", role == "repeater", role == "end_device")
-            self.nodes[uid] = Node(
-                uid,
-                flags,
-                TxQueue(scenario.mac.queue_capacity),
-                DedupCache(scenario.mac.dedup_ttl_s, scenario.mac.dedup_capacity),
-                self.builder.ledgers[uid],
-                NeighborTable(links.path_loss_model, self.radio.tx_power_dbm),
-            )
+            node = Node(uid, flags, TxQueue(mac.queue_capacity), self.builder.ledgers[uid])
+            if not node.is_ed:
+                node.dedup = DedupCache(mac.dedup_ttl_s, mac.dedup_capacity)
+                node.ntable = NeighborTable(links.path_loss_model, self.radio.tx_power_dbm)
+                node.route = rt.RouteState(uid)
+                # uid -> latest chunk row for this node or a beacon-heard neighbor
+                node.learned = {}
+            self.nodes[uid] = node
 
         # The audibility map, and from it each sender's hearer row: every
         # linked peer in uid order as (peer node, the power it receives,
@@ -533,8 +521,9 @@ class Simulation:
     def _kill(self, node: Node) -> None:
         node.chain_active = False
         node.queue.clear()
-        node.route.monitors.clear()
-        node.route.recent_hops.clear()
+        if node.route is not None:
+            node.route.monitors.clear()
+            node.route.recent_hops.clear()
 
     # ------------------------------------------------------------------
     # protocol dispatch

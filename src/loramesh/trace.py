@@ -1,9 +1,11 @@
 """Run trace: the complete, replayable record of what happened on air.
 
 Events are fixed-arity tuples (time, kind, node, packet, peer, duration,
-channel); time and duration are floats. A kind is an index into
-``KINDS``, the one table of event kinds, which gives each its NDJSON
-name and its ``metrics.json`` count key.
+channel); time and duration are floats, and times never decrease. In
+every kind, peer is either unset or a node uid: the sender of the frame
+the event is about. A kind is an index into ``KINDS``, the one table of
+event kinds, which gives each its NDJSON name and its ``metrics.json``
+count key.
 
 An event has one form, the stored form, from the simulator's batch
 through the file to ``read_records`` and ``ndjson_line``: an unset slot
@@ -180,7 +182,7 @@ def _records(fh, name: str):
         raise TraceFormatError(f"{name}:1: {_header_problem(first)}")
     unpack = RECORD.unpack
     decode = binascii.a2b_base64
-    kinds, none, inf = len(KINDS), NONE_INT, math.inf
+    kinds, none, inf, last = len(KINDS), NONE_INT, math.inf, -math.inf
     for lineno, line in enumerate(fh, 2):
         try:
             if len(line) != RECORD_CHARS + 1 or line[-1] != "\n":
@@ -195,6 +197,8 @@ def _records(fh, name: str):
             problem = f"unknown event kind {kind}"
         elif not -inf < t < inf:
             problem = f"time {t!r} is not finite"
+        elif t < last:
+            problem = f"time {t!r} is before the previous record's {last!r}"
         elif dur < 0 or dur == inf:
             problem = f"duration {dur!r} is infinite or negative"
         elif dur != dur and kind in BILLED:
@@ -202,6 +206,7 @@ def _records(fh, name: str):
         elif node < 0 or pkt < none or peer < none or ch < none:
             problem = f"id out of range: node {node}, pkt {pkt}, peer {peer}, ch {ch}"
         else:
+            last = t
             yield record
             continue
         raise TraceFormatError(f"{name}:{lineno}: {problem}")
@@ -221,10 +226,10 @@ def read_records(source):
     Raises ``TraceFormatError``, naming the file and the line, at a
     missing or unknown header (a version 1 NDJSON trace among them), at a
     line that is not one record, and at a record no run writes (an
-    unknown kind, a time that is not finite, a duration that is infinite
-    or negative or missing from a ``BILLED`` kind, a negative node, a
-    pkt, peer or ch below -1); and, naming the file, at a path that
-    cannot be opened.
+    unknown kind, a time that is not finite or is before the previous
+    record's, a duration that is infinite or negative or missing from a
+    ``BILLED`` kind, a negative node, a pkt, peer or ch below -1); and,
+    naming the file, at a path that cannot be opened.
     """
     name = trace_name(source)
     if isinstance(source, (str, os.PathLike)):

@@ -167,7 +167,8 @@ class OrderedDictDedup:
 class NaiveSimulation(ScanChecked):
     """Every naive path at once: the scan checks reception and carrier
     sense, and each node bills an ``EveryChargeLedger`` (the one the
-    metrics report) and dedups with an ``OrderedDictDedup``."""
+    metrics report) and each mesh node dedups with an ``OrderedDictDedup``
+    (an end device holds no dedup cache)."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -176,4 +177,5 @@ class NaiveSimulation(ScanChecked):
         for uid, node in self.nodes.items():
             ledger = EveryChargeLedger(energy, node.ledger.capacity)
             node.ledger = self.builder.ledgers[uid] = ledger
-            node.dedup = OrderedDictDedup(mac.dedup_ttl_s, mac.dedup_capacity)
+            if not node.is_ed:
+                node.dedup = OrderedDictDedup(mac.dedup_ttl_s, mac.dedup_capacity)

@@ -5,6 +5,7 @@ files it writes, so these double as smoke tests for the packaged
 scenario data.
 """
 
+import argparse
 import json
 import math
 import os
@@ -924,6 +925,212 @@ class TestOutDir:
         err = capsys.readouterr().err
         assert err.startswith(f"error: --out-dir {out}: ")
         assert err.count("\n") == 1
+
+
+# Help and argparse errors as argparse prints them, recorded with COLUMNS=80
+# so that help wraps the same way on every terminal.
+TOP_USAGE = "usage: loramesh [-h] {simulate,plan,learn,loadtest,compare,render} ...\n"
+SIMULATE_USAGE = """\
+usage: loramesh simulate [-h] --scenario SCENARIO [--seed SEED]
+                         [--out-dir OUT_DIR]
+                         [--protocol {flooding,routing,routing_no_energy}]
+                         [--packets PACKETS]
+                         [--mean-interval-ms MEAN_INTERVAL_MS] [--no-trace]
+"""
+COMMON_OPTIONS = """\
+  -h, --help            show this help message and exit
+  --scenario SCENARIO   bundled name or path to a scenario JSON
+  --seed SEED           override the scenario seed
+  --out-dir OUT_DIR     directory for output files
+  --protocol {flooding,routing,routing_no_energy}
+  --packets PACKETS     override the packet budget
+  --mean-interval-ms MEAN_INTERVAL_MS
+                        override the mean generation interval
+"""
+# name -> (argv, stdout, stderr, exit code)
+HELP_AND_ERRORS = {
+    "no-argument": (
+        [],
+        "",
+        TOP_USAGE + "loramesh: error: the following arguments are required: command\n",
+        2,
+    ),
+    "help": (
+        ["--help"],
+        TOP_USAGE
+        + """
+Simulate subterranean LoRa mesh scenarios and plan routes.
+
+positional arguments:
+  {simulate,plan,learn,loadtest,compare,render}
+    simulate            run one scenario and write metrics
+    plan                run the offline planner over a reports file
+    learn               run the discovery phase and export the planned tables
+    loadtest            sweep interval and budget ladders for saturation
+    compare             flooding vs routing across seeds
+    render              print a trace file as one JSON line per event
+
+options:
+  -h, --help            show this help message and exit
+""",
+        "",
+        0,
+    ),
+    "simulate-help": (
+        ["simulate", "--help"],
+        SIMULATE_USAGE
+        + "\noptions:\n"
+        + COMMON_OPTIONS
+        + "  --no-trace            skip writing trace.ndjson\n",
+        "",
+        0,
+    ),
+    "plan-help": (
+        ["plan", "--help"],
+        """\
+usage: loramesh plan [-h] --reports REPORTS [--out-dir OUT_DIR]
+
+options:
+  -h, --help         show this help message and exit
+  --reports REPORTS  neighbor reports JSON
+  --out-dir OUT_DIR
+""",
+        "",
+        0,
+    ),
+    "learn-help": (
+        ["learn", "--help"],
+        """\
+usage: loramesh learn [-h] --scenario SCENARIO [--seed SEED]
+                      [--out-dir OUT_DIR]
+                      [--protocol {flooding,routing,routing_no_energy}]
+                      [--packets PACKETS]
+                      [--mean-interval-ms MEAN_INTERVAL_MS]
+
+options:
+"""
+        + COMMON_OPTIONS,
+        "",
+        0,
+    ),
+    "loadtest-help": (
+        ["loadtest", "--help"],
+        """\
+usage: loramesh loadtest [-h] --scenario SCENARIO [--seed SEED]
+                         [--out-dir OUT_DIR]
+                         [--protocol {flooding,routing,routing_no_energy}]
+                         [--packets PACKETS]
+                         [--mean-interval-ms MEAN_INTERVAL_MS]
+                         [--intervals INTERVALS] [--budgets BUDGETS]
+                         [--threshold THRESHOLD]
+
+options:
+"""
+        + COMMON_OPTIONS
+        + """\
+  --intervals INTERVALS
+                        descending seconds
+  --budgets BUDGETS     ascending packet budgets
+  --threshold THRESHOLD
+                        latency growth marking saturation
+""",
+        "",
+        0,
+    ),
+    "compare-help": (
+        ["compare", "--help"],
+        """\
+usage: loramesh compare [-h] --scenario SCENARIO [--seeds SEEDS]
+                        [--out-dir OUT_DIR] [--packets PACKETS]
+
+options:
+  -h, --help           show this help message and exit
+  --scenario SCENARIO
+  --seeds SEEDS        comma separated seed list
+  --out-dir OUT_DIR
+  --packets PACKETS
+""",
+        "",
+        0,
+    ),
+    "render-help": (
+        ["render", "--help"],
+        """\
+usage: loramesh render [-h] --trace TRACE
+
+options:
+  -h, --help     show this help message and exit
+  --trace TRACE  trace.ndjson written by simulate
+""",
+        "",
+        0,
+    ),
+    "unknown-command": (
+        ["bogus"],
+        "",
+        TOP_USAGE
+        + "loramesh: error: argument command: invalid choice: 'bogus' (choose from "
+        "'simulate', 'plan', 'learn', 'loadtest', 'compare', 'render')\n",
+        2,
+    ),
+    "missing-required": (
+        ["simulate"],
+        "",
+        SIMULATE_USAGE
+        + "loramesh simulate: error: the following arguments are required: --scenario\n",
+        2,
+    ),
+    "invalid-protocol": (
+        ["simulate", "--scenario", "standby_recovery", "--protocol", "carrier-pigeon"],
+        "",
+        SIMULATE_USAGE
+        + "loramesh simulate: error: argument --protocol: invalid choice: 'carrier-pigeon' "
+        "(choose from 'flooding', 'routing', 'routing_no_energy')\n",
+        2,
+    ),
+    "unrecognized-argument": (
+        ["simulate", "--scenario", "standby_recovery", "--bogus"],
+        "",
+        TOP_USAGE + "loramesh: error: unrecognized arguments: --bogus\n",
+        2,
+    ),
+}
+
+
+class TestHelpAndErrors:
+    @pytest.mark.parametrize("case", HELP_AND_ERRORS)
+    def test_prints_what_argparse_printed(self, monkeypatch, capsys, case):
+        argv, stdout, stderr, code = HELP_AND_ERRORS[case]
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert capsys.readouterr() == (stdout, stderr)
+        assert exc.value.code == code
+
+    def test_a_well_formed_call_builds_its_command_parser_alone(self, tmp_path, monkeypatch):
+        def no_tree():
+            raise AssertionError("built the full parser tree")
+
+        monkeypatch.setattr(cli, "build_parser", no_tree)
+        argv = ["simulate", "--scenario", "standby_recovery", "--no-trace"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--scenario", "s", "--seed", "3", "--no-trace"],
+            ["plan", "--reports", "r.json"],
+            ["learn", "--scenario", "s", "--protocol", "routing", "--mean-interval-ms", "5"],
+            ["loadtest", "--scenario", "s", "--threshold", "0.5", "--budgets", "1,2"],
+            ["compare", "--scenario", "s", "--packets", "9"],
+            ["render", "--trace", "t"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_command_parses_as_the_full_tree_does(self, argv):
+        tree = vars(cli.build_parser().parse_args(argv))
+        assert tree.pop("command") == argv[0]
+        assert cli._parse(argv) == (argv[0], argparse.Namespace(**tree))
 
 
 class TestConsoleScript:

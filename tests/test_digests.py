@@ -1,9 +1,9 @@
 """Golden digests: the same behaviour, checked the same way every time.
 
-Rebuilds the 22-case matrix (the 18 runs of 3 bundled scenarios x 3
-protocols x learning phase on/off, plus two periodic and two drain
-cases) and compares each run's trace digest, event
-total, the sha256 of its NDJSON rendering, and the sha256 of its
+Rebuilds the 23-case matrix (the 18 runs of 3 bundled scenarios x 3
+protocols x learning phase on/off, plus two periodic cases, two drain
+cases and one end-device death case) and compares each run's trace
+digest, event total, the sha256 of its NDJSON rendering, and the sha256 of its
 sorted-key metrics JSON and of its ``battery.csv`` to
 ``tests/data/digests.json``. The rendering's digest is the
 ``trace_sha256`` that version 1 traces, which were NDJSON, carried, so
@@ -17,7 +17,11 @@ periodic traffic is pinned too.
 Two drain cases run ``two_ed_battery`` under routing and
 routing_no_energy at ``DRAIN_PACKETS``: repeater batteries die (under
 routing every one, after eight energy-aware route switches), so the
-ledger's level-crossing and death paths are pinned end to end. A
+ledger's level-crossing and death paths are pinned end to end. The
+end-device death case runs ``representative`` under routing with
+``ED_DEATH_PACKETS`` uplinks and end-device batteries of
+``ED_CAPACITY_MAH``: every end device dies mid-run, so the death of a
+node that holds no route is pinned too. A
 deliberate trace-format or behaviour change regenerates the file with
 
     PYTHONPATH=src python tests/test_digests.py
@@ -43,6 +47,8 @@ PROTOCOLS = ("flooding", "routing", "routing_no_energy")
 CAP = 200
 PERIODIC_PACKETS = 50
 DRAIN_PACKETS = 10000
+ED_DEATH_PACKETS = 400
+ED_CAPACITY_MAH = 0.05
 
 CASES = [
     f"{name}/{protocol}/learning-{'on' if learning else 'off'}"
@@ -51,10 +57,10 @@ CASES = [
     for learning in (False, True)
 ] + [f"standby_recovery/{protocol}/periodic" for protocol in ("flooding", "routing")] + [
     f"two_ed_battery/{protocol}/drain" for protocol in ("routing", "routing_no_energy")
-]
+] + ["representative/routing/ed_death"]
 
 
-def run_case(case: str) -> dict:
+def case_scenario(case: str):
     name, protocol, mode = case.split("/")
     scn = load_scenario(name)
     traffic = scn.traffic
@@ -62,9 +68,16 @@ def run_case(case: str) -> dict:
         traffic = replace(traffic, total_packets=PERIODIC_PACKETS, schedule={})
     elif mode == "drain":
         traffic = replace(traffic, total_packets=DRAIN_PACKETS)
+    elif mode == "ed_death":
+        traffic = replace(traffic, total_packets=ED_DEATH_PACKETS)
+        scn = replace(scn, energy=replace(scn.energy, ed_capacity_mah=ED_CAPACITY_MAH))
     elif not traffic.schedule:
         traffic = replace(traffic, total_packets=min(traffic.total_packets, CAP))
-    scn = replace(scn, protocol=protocol, learning_phase=mode == "learning-on", traffic=traffic)
+    return replace(scn, protocol=protocol, learning_phase=mode == "learning-on", traffic=traffic)
+
+
+def run_case(case: str) -> dict:
+    scn = case_scenario(case)
     trace = io.StringIO()
     sim = Simulation(scn, trace_writer=TraceWriter(trace))
     metrics = sim.run().metrics
@@ -96,6 +109,13 @@ def test_golden_file_covers_the_matrix(golden):
 @pytest.mark.parametrize("case", CASES)
 def test_digest_matches_golden(golden, case):
     assert run_case(case) == golden[case]
+
+
+def test_every_end_device_dies_in_the_ed_death_case():
+    sim = Simulation(case_scenario("representative/routing/ed_death"))
+    sim.run()
+    eds = sim.topology.end_devices
+    assert eds and all(sim.builder.ledgers[uid].dead for uid in eds)
 
 
 if __name__ == "__main__":

@@ -146,10 +146,10 @@ def test_loss_split_initial_versus_intermediate():
 
 
 def test_overheard_rx_does_not_count_as_ingress():
-    # RX_OK of packet 1 at node 1, but from a relay, not from the origin
+    # RX_OK of packet 1 at node 1, but from another node, not from the origin
     events = [
         (1.0, tr.GENERATED, 101, 1, NONE, NAN, NONE),
-        (1.2, tr.RX_OK, 1, 1, 2, 0.014, 0),
+        (1.2, tr.RX_OK, 1, 1, 0, 0.014, 0),
     ]
     m = replayed(events)
     assert m["losses"] == {"initial_ed": 1, "intermediate": 0}
@@ -193,6 +193,36 @@ def test_recompute_from_trace_refuses_a_node_the_scenario_lacks(tmp_path, kind):
         writer.batch += [(1.0, tr.GENERATED, 101, 0, NONE, NAN, NONE), (2.0, kind, 999, 0, 1, 0.1, 0)]
         writer.flush()
     with pytest.raises(tr.TraceFormatError, match=f"^{path}:3: no node 999 in 'standby_recovery'$"):
+        recompute_from_trace(scn, scn.seed, path, 10.0)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [tr.RX_OK, tr.RX_COLLIDED, tr.DUP_SUPPRESSED, tr.STANDBY_FIRED],
+    ids=tr.EVENT_NAMES.__getitem__,
+)
+def test_recompute_from_trace_refuses_a_peer_the_scenario_lacks(tmp_path, kind):
+    # a set peer is a node uid in every kind, as a set node is
+    scn = load_scenario("standby_recovery")
+    path = tmp_path / "trace.ndjson"
+    with open(path, "w", encoding="ascii") as fh:
+        writer = tr.TraceWriter(fh)
+        writer.batch += [(1.0, tr.GENERATED, 101, 0, NONE, NAN, NONE), (2.0, kind, 1, 0, 999, 0.1, 0)]
+        writer.flush()
+    with pytest.raises(tr.TraceFormatError, match=f"^{path}:3: no node 999 in 'standby_recovery'$"):
+        recompute_from_trace(scn, scn.seed, path, 10.0)
+
+
+def test_recompute_from_trace_refuses_a_time_that_goes_back(tmp_path):
+    # a second TxEnd that ends before the first would be accounted, but
+    # the ledger, charged up to the first, could not bill it
+    scn = load_scenario("standby_recovery")
+    path = tmp_path / "trace.ndjson"
+    with open(path, "w", encoding="ascii") as fh:
+        writer = tr.TraceWriter(fh)
+        writer.batch += [(5.0, tr.TX_END, 1, 0, NONE, 1.0, 0), (2.0, tr.TX_END, 1, 1, NONE, 1.0, 0)]
+        writer.flush()
+    with pytest.raises(tr.TraceFormatError, match=f"^{path}:3: time 2.0 is before"):
         recompute_from_trace(scn, scn.seed, path, 10.0)
 
 

@@ -51,7 +51,8 @@ def test_naive_reference_runs_the_same(case):
     fast = Simulation(scn)
     naive = NaiveSimulation(scn)
     assert all(
-        isinstance(node.ledger, EveryChargeLedger) and isinstance(node.dedup, OrderedDictDedup)
+        isinstance(node.ledger, EveryChargeLedger)
+        and (node.dedup is None if node.is_ed else isinstance(node.dedup, OrderedDictDedup))
         for node in naive.nodes.values()
     )
     got, want = fast.run().metrics, naive.run().metrics

@@ -40,12 +40,14 @@ def _reuse(draw, previous, fresh):
 
 @st.composite
 def event_lists(draw):
-    """Events that a run may write, whose times, durations and (pkt, peer,
-    ch) often repeat.
+    """Events that a run may write, whose times never decrease and whose
+    times, durations and (pkt, peer, ch) often repeat.
 
     Every outcome of one frame end repeats the previous event's pkt, peer
     and ch objects; sometimes only ch changes, or an equal but distinct
-    int stands in. A billed kind always carries a duration.
+    int stands in. A billed kind always carries a duration. The times are
+    drawn in any order and then sorted, which keeps a repeated time's
+    objects side by side.
     """
     events = []
     t = dur = None
@@ -65,16 +67,17 @@ def event_lists(draw):
         elif how == "equal":
             pkt, peer, ch = (int(str(x)) for x in (pkt, peer, ch))
         events.append((t, kind, node, pkt, peer, dur, ch))
-    return events
+    times = sorted(ev[tr.T] for ev in events)
+    return [(t,) + ev[1:] for t, ev in zip(times, events)]
 
 
-# float edges and every unset slot
+# float edges and every unset slot, at times that never decrease
 ROUND_TRIPS = [
     (-0.0, tr.GENERATED, 0, NONE, NONE, NAN, NONE),
-    (5e-324, tr.TX_START, 2**31 - 1, 2**31 - 1, NONE, 1.7976931348623157e308, 127),
-    (1.7976931348623157e308, tr.RX_OK, 1, 0, 0, -0.0, 0),
     (0.0, tr.DUP_SUPPRESSED, 1, 0, 0, 5e-324, NONE),
+    (5e-324, tr.TX_START, 2**31 - 1, 2**31 - 1, NONE, 1.7976931348623157e308, 127),
     (1e16, tr.STANDBY_CANCELLED, 3, NONE, 2, NAN, NONE),
+    (1.7976931348623157e308, tr.RX_OK, 1, 0, 0, -0.0, 0),
 ]
 
 
@@ -169,6 +172,12 @@ WRONG_FILES = {
     # for an unset one, but never unset on a kind that bills its window
     "time-infinite": (line_2(math.inf, tr.GENERATED, 1, 0, NONE, NAN, NONE), 2, "time inf"),
     "time-nan": (line_2(math.nan, tr.GENERATED, 1, 0, NONE, NAN, NONE), 2, "time nan"),
+    # times never decrease: a repeated time is kept, a smaller one is not
+    "time-goes-back": (
+        line_2(5.0, tr.TX_END, 1, 0, NONE, 1.0, 0) + packed((2.0, tr.TX_END, 1, 1, NONE, 1.0, 0)),
+        3,
+        r"time 2\.0 is before the previous record's 5\.0",
+    ),
     "duration-infinite": (line_2(1.0, tr.TX_END, 1, 0, NONE, math.inf, 0), 2, "duration inf"),
     "duration-negative": (line_2(1.0, tr.TX_END, 1, 0, NONE, -50.0, 0), 2, "duration -50.0"),
     "tx-end-no-duration": (line_2(1.0, tr.TX_END, 1, 0, NONE, NAN, 0), 2, "TxEnd has no duration"),
@@ -182,6 +191,14 @@ WRONG_FILES = {
     "peer-below-unset": (line_2(1.0, tr.RX_OK, 1, 0, -3, 0.1, 0), 2, "peer -3,"),
     "ch-below-unset": (line_2(1.0, tr.TX_START, 1, 0, NONE, 0.1, -5), 2, "ch -5"),
 }
+
+
+def test_a_repeated_time_is_kept(tmp_path):
+    # -0.0 and 0.0 are the same time
+    times = (0.0, -0.0, 0.0, 1.0, 1.0)
+    events = [(t, tr.GENERATED, 1, k, NONE, NAN, NONE) for k, t in enumerate(times)]
+    path = trace_file(tmp_path, tr.HEADER + "".join(map(packed, events)))
+    assert list(map(repr, tr.read_records(path))) == list(map(repr, events))
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_FILES))
