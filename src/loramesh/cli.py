@@ -53,6 +53,12 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if getattr(args, "packets", None) is not None:
         traffic_changes["total_packets"] = args.packets
     if getattr(args, "mean_interval_ms", None) is not None:
+        if not traffic_changes and scenario.traffic.total_packets <= 0:
+            # a rate alone would clear the schedule and send nothing
+            raise ScenarioError(
+                f"--mean-interval-ms needs a packet budget: {scenario.name!r} has none, "
+                "so give --packets too"
+            )
         traffic_changes["mean_interval_s"] = args.mean_interval_ms / 1000.0
     if traffic_changes:
         scenario = _periodic(scenario, **traffic_changes)
@@ -122,7 +128,6 @@ def cmd_plan(args) -> int:
 
 def cmd_learn(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    # the learning phase's control traffic never reads the protocol
     scenario = replace(
         _periodic(scenario, total_packets=0),
         learning_phase=True,
@@ -283,13 +288,13 @@ def _add_common(p) -> None:
     p.add_argument("--scenario", required=True, help="bundled name or path to a scenario JSON")
     p.add_argument("--seed", type=int, help="override the scenario seed")
     p.add_argument("--out-dir", help="directory for output files")
-    p.add_argument("--protocol", choices=PROTOCOLS)
-    p.add_argument("--packets", type=int, help="override the packet budget")
-    p.add_argument("--mean-interval-ms", type=float, help="override the mean generation interval")
 
 
 def _add_simulate(p) -> None:
     _add_common(p)
+    p.add_argument("--protocol", choices=PROTOCOLS)
+    p.add_argument("--packets", type=int, help="override the packet budget")
+    p.add_argument("--mean-interval-ms", type=float, help="override the mean generation interval")
     p.add_argument("--no-trace", action="store_true", help="skip writing trace.ndjson")
 
 
@@ -299,7 +304,9 @@ def _add_plan(p) -> None:
 
 
 def _add_loadtest(p) -> None:
+    # no --packets or --mean-interval-ms: each rung sets its own budget and interval
     _add_common(p)
+    p.add_argument("--protocol", choices=PROTOCOLS)
     p.add_argument("--intervals", default="3.0,2.0,1.5,1.0,0.7,0.5", help="descending seconds")
     p.add_argument("--budgets", default="2000,5000,10000", help="ascending packet budgets")
     p.add_argument("--threshold", type=float, default=0.2, help="latency growth marking saturation")

@@ -1,9 +1,11 @@
-"""Per-node MAC state: duplicate suppression and the transmit queue.
+"""Per-node MAC state: duplicate suppression.
 
-Both structures are deliberately dumb containers; the simulation loop
-owns all timing decisions. The dedup cache applies to flooded traffic
-only (a repeater must still accept a unicast copy addressed to it even
-after overhearing the same packet id).
+The dedup cache is a deliberately dumb container; the simulation loop
+owns all timing decisions. It applies to flooded traffic only (a
+repeater must still accept a unicast copy addressed to it even after
+overhearing the same packet id). A node's transmit queue is a plain
+``deque`` on its ``Node``, which ``Simulation._enqueue`` bounds: past
+``MacParams.queue_capacity`` the oldest entry is dropped, on record.
 """
 
 from __future__ import annotations
@@ -43,34 +45,3 @@ class DedupCache:
         if len(order) > self.capacity:
             del stamps[order.popleft()]
         return False
-
-
-class TxQueue(deque):
-    """FIFO transmit queue that drops the oldest entry when full; a
-    ``deque``, so its length and truthiness are the deque's own."""
-
-    __slots__ = ("capacity",)
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__()
-        self.capacity = capacity
-
-    def push(self, item) -> object | None:
-        """Append; returns the evicted entry when capacity was exceeded."""
-        self.append(item)
-        if len(self) > self.capacity:
-            return self.popleft()
-        return None
-
-    # the oldest entry leaves first
-    pop = deque.popleft
-
-    # deque's own copy and reduce hand the items to __init__, which takes
-    # the capacity
-    def __reduce__(self):
-        return type(self), (self.capacity,), None, iter(self)
-
-    def __copy__(self):
-        copied = type(self)(self.capacity)
-        copied.extend(self)
-        return copied

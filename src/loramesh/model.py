@@ -176,7 +176,7 @@ class Packet:
     elsewhere: a hop that sets them sends a ``rehop`` copy of the same
     logical packet (``packet_id``), and a relayed flood whose fields are
     already bare goes out as the same object. A frame's sender is its
-    transmission's ``tx_uid``, not a packet field.
+    transmission's ``sender`` node, not a packet field.
 
     ``next_hop`` encodes addressing: ``None`` is an undirected broadcast
     (a flood), and an ``int`` is the one addressee of an uplink hop or a

@@ -6,26 +6,32 @@ sender's MAC chain (``_send_next``) begins the frame at once on an end
 device, or draws a wait and senses the mesh channel first on a mesh
 node; the frame schedules one end-of-air event, at which reception is
 arbitrated for every live peer straight from the sender's hearer row
-(each linked peer in uid order with the power it receives, or None when
-it cannot hear the sender: audibility, then own-transmit exclusion,
-then capture margin over the overlapping frames the peer hears), then
-the sender is billed. The frame end picks the frame's handler once,
-from its packet kind: a mesh node that decodes an uplink data frame
-hands it to ``_deliver_data`` (flooding, routing, standby recovery and
-the battery-triggered switches), and any other frame to
-``_deliver_control`` (route switches and the learning phase's floods).
+(``Node.row``: each linked peer in uid order with the power it
+receives, or None when it cannot hear the sender: audibility, then
+own-transmit exclusion, then capture margin over the overlapping frames
+the peer hears), then the sender is billed. The frame end picks the
+frame's handler once, from its packet kind: a mesh node that decodes an
+uplink data frame hands it to ``_deliver_data`` (flooding, routing,
+standby recovery and the battery-triggered switches), and any other
+frame to ``_deliver_control`` (route switches and the learning phase's
+floods).
 An end device acts on nothing it decodes: it is billed for the frame,
 and nothing more. So it holds no dedup cache, neighbor table, route or
 learned rows; only mesh nodes get them.
 
-A mesh node's MAC wait is a draw from its own "mac" stream. The node
-binds that stream's ``random`` on its first wait and draws
+A node's transmit queue is a plain ``deque`` that ``_enqueue`` bounds:
+past the scenario's queue capacity it drops the oldest frame, on
+record. A mesh node's MAC wait is a draw from its own "mac" stream. The
+node binds that stream's ``random`` on its first wait and draws
 ``wait_min + span * random()``, which is ``random.Random.uniform``'s
 own formula, so every wait is the stream's uniform draw bit for bit.
-The event queue holds ``_ev_sense`` and ``_ev_tx_end`` as bound once,
-with the node or the frame as their argument.
+The event queue holds ``_ev_sense`` and ``_ev_tx_end`` as bound once.
+Every event that acts on one node carries that ``Node`` (a frame, its
+sender), so the frame path and the generate, standby and control-send
+handlers look no node up by uid.
 
-The hearer rows come from the channel's audibility map
+The hearer rows live on the nodes, beside their ``rivals`` and
+``sensed`` rows, and come from the channel's audibility map
 (``LinkModel.hearing``), drawn once per run; the oracle planner plans
 over the same map, so a routed hop is always a link the run hears.
 Links are symmetric, so a receiver's own row also names every sender it
@@ -86,6 +92,7 @@ events pop in insertion order.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -95,7 +102,7 @@ from .channel import captures
 from .energy import EnergyLedger
 from .engine import EventQueue, RngStreams
 from .learning import NeighborTable, build_report_chunks
-from .mac import DedupCache, TxQueue
+from .mac import DedupCache
 from .metrics import MetricsBuilder
 from .model import (
     BEACON,
@@ -136,10 +143,10 @@ NO_RIVALS = repeat(None)
 
 
 class Transmission:
-    __slots__ = ("tx_uid", "channel", "t0", "t1", "packet")
+    __slots__ = ("sender", "channel", "t0", "t1", "packet")
 
-    def __init__(self, tx_uid: int, channel: int, t0: float, t1: float, packet: Packet) -> None:
-        self.tx_uid = tx_uid
+    def __init__(self, sender: Node, channel: int, t0: float, t1: float, packet: Packet) -> None:
+        self.sender = sender
         self.channel = channel
         self.t0 = t0
         self.t1 = t1
@@ -151,24 +158,30 @@ class Node:
         "uid", "is_gateway", "is_repeater", "is_ed", "queue", "ledger", "chain_active",
         # None on an end device
         "dedup", "ntable", "route", "learned",
-        "last", "prev", "rivals", "mac_draw", "sensed",
+        "row", "last", "prev", "rivals", "mac_draw", "sensed",
     )
 
-    def __init__(self, uid: int, role_flags: tuple[bool, bool, bool], queue: TxQueue, ledger: EnergyLedger) -> None:
+    def __init__(self, uid: int, role_flags: tuple[bool, bool, bool], ledger: EnergyLedger) -> None:
         self.uid = uid
         self.is_gateway, self.is_repeater, self.is_ed = role_flags
-        self.queue = queue
+        # the frames waiting to go, oldest first; _enqueue bounds it
+        self.queue: deque[Packet] = deque()
         self.ledger = ledger
         # a mesh node's relay, beacon and route state, which the
         # simulation sets on mesh nodes only (see the module docstring)
         self.dedup = self.ntable = self.route = self.learned = None
         self.chain_active = False
+        # this node's hearer row: every linked peer in uid order as (peer
+        # node, the power it receives, or None when it cannot hear this
+        # node); links are symmetric, so it also names every sender this
+        # node hears
+        self.row: list[tuple[Node, float | None]] = []
         # this node's latest frame and the one before it: all that
         # interference and carrier sense read (see the module docstring)
         self.last: Transmission | None = None
         self.prev: Transmission | None = None
-        # (node, power at each peer of this node's hearer row) for every
-        # node that could interfere with this one's frames; see _rivals
+        # (node, power at each peer of ``row``) for every node that could
+        # interfere with this one's frames; see _rivals
         self.rivals: tuple | None = None
         # the ``random`` of this node's "mac" stream, bound on its first wait
         self.mac_draw = None
@@ -202,10 +215,11 @@ class Simulation:
         self.builder = MetricsBuilder(scenario, scenario.seed)
         self.nodes: dict[int, Node] = {}
         mac = scenario.mac
+        self.queue_capacity = mac.queue_capacity
         for uid in sorted(topo.nodes):
             role = topo.nodes[uid].role
             flags = (role == "gateway", role == "repeater", role == "end_device")
-            node = Node(uid, flags, TxQueue(mac.queue_capacity), self.builder.ledgers[uid])
+            node = Node(uid, flags, self.builder.ledgers[uid])
             if not node.is_ed:
                 node.dedup = DedupCache(mac.dedup_ttl_s, mac.dedup_capacity)
                 node.ntable = NeighborTable(links.path_loss_model, self.radio.tx_power_dbm)
@@ -214,18 +228,14 @@ class Simulation:
                 node.learned = {}
             self.nodes[uid] = node
 
-        # The audibility map, and from it each sender's hearer row: every
-        # linked peer in uid order as (peer node, the power it receives,
-        # or None when it cannot hear the sender). Links come sorted with
-        # a < b, so a row gets its lower peers in order, then its higher
-        # ones: it is built in uid order.
+        # The audibility map, and from it each node's hearer row. Links
+        # come sorted with a < b, so a row gets its lower peers in order,
+        # then its higher ones: it is built in uid order.
         self.heard = links.hearing(self.radio.tx_power_dbm, scenario.seed)
         nodes = self.nodes
-        linked: dict[int, list[tuple[Node, float | None]]] = {uid: [] for uid in topo.nodes}
         for a, b, prx in self.heard:
-            linked[a].append((nodes[b], prx))
-            linked[b].append((nodes[a], prx))
-        self.linked = linked
+            nodes[a].row.append((nodes[b], prx))
+            nodes[b].row.append((nodes[a], prx))
 
         self._next_pid = 0
         self.budget_left = scenario.traffic.total_packets
@@ -306,7 +316,7 @@ class Simulation:
         window = 0.6 * (ph.report_end_s - ph.beacon_end_s)
         for rp in sorted(self.topology.repeaters):
             t = ph.beacon_end_s + self.rng.uniform(rp, "report", 0.0, window)
-            self.queue.push(t, self._ev_send_control, (rp, NEIGHBOR_REPORT))
+            self.queue.push(t, self._ev_send_control, (self.nodes[rp], NEIGHBOR_REPORT))
         self.queue.push(ph.report_end_s, self._ev_server_plan, ())
         self._schedule_rounds(
             ph.report_end_s, ph.dissemination_end_s, ph.chunk_rounds, ROUTE_TABLE_CHUNK
@@ -319,16 +329,17 @@ class Simulation:
         U(0, min(1, spacing / 2)) from the gateway's traffic stream."""
         spacing = (end - start) / rounds
         for gw in sorted(self.topology.gateways):
+            args = (self.nodes[gw], kind)
             for r in range(rounds):
                 jitter = self.rng.uniform(gw, "traffic", 0.0, min(1.0, spacing / 2.0))
-                self.queue.push(start + r * spacing + jitter, self._ev_send_control, (gw, kind))
+                self.queue.push(start + r * spacing + jitter, self._ev_send_control, args)
 
     def _schedule_traffic(self) -> None:
         traffic = self.scenario.traffic
         if traffic.schedule:
             for ed in sorted(traffic.schedule):
                 for t in traffic.schedule[ed]:
-                    self.queue.push(t, self._ev_generate, (ed,))
+                    self.queue.push(t, self._ev_generate, (self.nodes[ed],))
             return
         if traffic.total_packets <= 0:
             return
@@ -337,41 +348,43 @@ class Simulation:
             start += self.scenario.phases.dissemination_end_s
         for ed in sorted(self.topology.end_devices):
             gap = self.rng.uniform(ed, "traffic", 0.0, 2.0 * traffic.mean_interval_s)
-            self.queue.push(start + gap, self._ev_generate, (ed,))
+            self.queue.push(start + gap, self._ev_generate, (self.nodes[ed],))
 
     # ------------------------------------------------------------------
     # traffic
 
-    def _ev_generate(self, ed_uid: int) -> None:
-        """One uplink packet; periodic traffic (no schedule) spends the
-        budget and draws the device's next generation time."""
+    def _ev_generate(self, node: Node) -> None:
+        """One uplink packet from end device ``node``; periodic traffic (no
+        schedule) spends the budget and draws the device's next generation
+        time."""
         traffic = self.scenario.traffic
         periodic = not traffic.schedule
         if periodic:
             if self.budget_left <= 0:
                 return
             self.budget_left -= 1
-        node = self.nodes[ed_uid]
         if node.ledger.dead:
             return
+        uid = node.uid
         pid = self._new_pid()
-        self._emit(GENERATED, ed_uid, pkt=pid)
-        self._enqueue(node, Packet(pid, DATA_UP, ed_uid, None, traffic.payload_bytes))
+        self._emit(GENERATED, uid, pkt=pid)
+        self._enqueue(node, Packet(pid, DATA_UP, uid, None, traffic.payload_bytes))
         if periodic and self.budget_left > 0:
-            gap = self.rng.uniform(ed_uid, "traffic", 0.0, 2.0 * traffic.mean_interval_s)
-            self.queue.push(self.queue.now + gap, self._ev_generate, (ed_uid,))
+            gap = self.rng.uniform(uid, "traffic", 0.0, 2.0 * traffic.mean_interval_s)
+            self.queue.push(self.queue.now + gap, self._ev_generate, (node,))
 
     # ------------------------------------------------------------------
     # MAC
 
     def _enqueue(self, node: Node, packet: Packet) -> None:
         """Queue ``packet`` at a live ``node``, whose MAC chain starts if it
-        is idle; a full queue drops its oldest, on record."""
+        is idle; past the queue capacity the oldest is dropped, on record."""
         if node.ledger.dead:
             return
-        evicted = node.queue.push(packet)
-        if evicted is not None:
-            self._emit(QUEUE_DROPPED, node.uid, pkt=evicted.packet_id)
+        queue = node.queue
+        queue.append(packet)
+        if len(queue) > self.queue_capacity:
+            self._emit(QUEUE_DROPPED, node.uid, pkt=queue.popleft().packet_id)
         if not node.chain_active:
             node.chain_active = True
             self._send_next(node)
@@ -380,7 +393,7 @@ class Simulation:
         """The next step of a chain with a frame queued: an end device
         begins it at once on its channel; a mesh node senses after a wait."""
         if node.is_ed:
-            self._begin_tx(node, node.queue.pop(), ED_CHANNEL)
+            self._begin_tx(node, node.queue.popleft(), ED_CHANNEL)
             return
         draw = node.mac_draw
         if draw is None:
@@ -392,9 +405,7 @@ class Simulation:
         sensed = node.sensed
         if sensed is None:
             # a mesh node sends on the mesh channel only
-            sensed = node.sensed = tuple(
-                s for s, p in self.linked[node.uid] if p is not None and not s.is_ed
-            )
+            sensed = node.sensed = tuple(s for s, p in node.row if p is not None and not s.is_ed)
         now = self.queue.now
         for sender in sensed:
             t = sender.last
@@ -409,7 +420,7 @@ class Simulation:
         if self._mesh_busy(node):
             self._send_next(node)
             return
-        self._begin_tx(node, node.queue.pop(), MESH_CHANNEL)
+        self._begin_tx(node, node.queue.popleft(), MESH_CHANNEL)
 
     def _begin_tx(self, node: Node, packet: Packet, channel: int) -> None:
         now = self.queue.now
@@ -418,11 +429,10 @@ class Simulation:
         if dur is None:
             dur = self._airtimes[size] = airtime(self.radio, size)
         t1 = now + dur
-        uid = node.uid
-        trans = Transmission(uid, channel, now, t1, packet)
+        trans = Transmission(node, channel, now, t1, packet)
         node.prev = node.last
         node.last = trans
-        self._batch.append((now, TX_START, uid, packet.packet_id, NONE_INT, dur, channel))
+        self._batch.append((now, TX_START, node.uid, packet.packet_id, NONE_INT, dur, channel))
         self.queue.push(t1, self._ev_tx_end, (trans,))
 
     def _rivals(self, sender: Node) -> tuple:
@@ -431,12 +441,12 @@ class Simulation:
         uid order, each with the power it reaches each peer of ``sender``'s
         hearer row with (None where that peer does not hear it). Built on
         first use; the rows never change."""
-        row = self.linked[sender.uid]
+        row = sender.row
         powers: dict[int, list] = {}
         for i, (node, p) in enumerate(row):
             if p is None:
                 continue
-            for other, ip in self.linked[node.uid]:
+            for other, ip in node.row:
                 if ip is not None and other is not sender and other.is_ed == sender.is_ed:
                     powers.setdefault(other.uid, [None] * len(row))[i] = ip
         nodes = self.nodes
@@ -444,7 +454,8 @@ class Simulation:
         return sender.rivals
 
     def _ev_tx_end(self, trans: Transmission) -> None:
-        uid = trans.tx_uid
+        sender = trans.sender
+        uid = sender.uid
         t0 = trans.t0
         t1 = trans.t1
         now = self.queue.now
@@ -454,7 +465,6 @@ class Simulation:
         pid = packet.packet_id
         ch = trans.channel
         append = self._batch.append
-        sender = self.nodes[uid]
         # the frame's handler at a decoding mesh node, by its kind
         kind = packet.kind
         deliver = self._deliver_data if kind == DATA_UP else self._deliver_control
@@ -484,7 +494,7 @@ class Simulation:
         # rival. Peers decode, and are billed, before the sender is
         # billed: a sender that dies during its last frame is still heard.
         # Reception only queues work, so no frame begins inside the loop.
-        for (node, p), strongest in zip(self.linked[uid], loudest or NO_RIVALS):
+        for (node, p), strongest in zip(sender.row, loudest or NO_RIVALS):
             ledger = node.ledger
             if ledger.dead:
                 continue
@@ -638,10 +648,9 @@ class Simulation:
         if evicted is not None:
             self._emit(STANDBY_CANCELLED, node.uid, pkt=evicted)
         self._emit(STANDBY_ARMED, node.uid, pkt=pid, peer=tx_uid)
-        self.queue.push(deadline, self._ev_standby, (node.uid, pid, deadline))
+        self.queue.push(deadline, self._ev_standby, (node, pid, deadline))
 
-    def _ev_standby(self, uid: int, pid: int, deadline: float) -> None:
-        node = self.nodes[uid]
+    def _ev_standby(self, node: Node, pid: int, deadline: float) -> None:
         if node.ledger.dead:
             return
         mon = node.route.monitors.get(pid)
@@ -650,7 +659,7 @@ class Simulation:
         mon.fired = True
         if pid in node.route.forwarded_ids:
             return
-        self._emit(STANDBY_FIRED, uid, pkt=pid, peer=mon.overheard_from)
+        self._emit(STANDBY_FIRED, node.uid, pkt=pid, peer=mon.overheard_from)
         self._forward(node, mon.packet)
 
     def _forward(self, node: Node, packet: Packet) -> None:
@@ -666,10 +675,9 @@ class Simulation:
     # ------------------------------------------------------------------
     # learning phase
 
-    def _ev_send_control(self, uid: int, kind: int) -> None:
+    def _ev_send_control(self, node: Node, kind: int) -> None:
         """A live node originates its control flood of ``kind``: a beacon,
         its neighbor reports, or the planned table chunks."""
-        node = self.nodes[uid]
         if node.ledger.dead:
             return
         if kind == BEACON:

@@ -33,8 +33,8 @@ class ScanChecked(Simulation):
         # every frame begun, in begin order, as (sender, channel, t0, t1)
         self.frames: list[tuple[int, int, float, float]] = []
         self.audible: dict[int, dict[int, float]] = {uid: {} for uid in self.nodes}
-        for tx, row in self.linked.items():
-            for node, p in row:
+        for tx, sender in self.nodes.items():
+            for node, p in sender.row:
                 if p is not None:
                     self.audible[node.uid][tx] = p
         self.seen = Counter()
@@ -63,15 +63,16 @@ class ScanChecked(Simulation):
         return busy
 
     def _ev_tx_end(self, trans) -> None:
-        uid, ch, t0, t1 = trans.tx_uid, trans.channel, trans.t0, trans.t1
+        sender, ch, t0, t1 = trans.sender, trans.channel, trans.t0, trans.t1
+        uid = sender.uid
         # the premise of the one billing rule: a live sender's frame, as it
         # is billed, starts at or after everything its ledger has billed
-        ledger = self.nodes[uid].ledger
+        ledger = sender.ledger
         if not ledger.dead:
             assert self.queue.now - (t1 - t0) >= ledger.charged_until
         expected = []
         rival = False
-        for node, p in self.linked[uid]:
+        for node, p in sender.row:
             if node.ledger.dead:
                 continue
             peer = node.uid

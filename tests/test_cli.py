@@ -104,6 +104,17 @@ class TestSimulate:
         assert main(argv + ["--no-trace", "--out-dir", str(tmp_path / "run")]) == 0
         assert read_json(tmp_path / "run" / "metrics.json")["generated"] == 5
 
+    def test_a_rate_without_a_budget_exits_2_naming_packets(self, tmp_path, capsys):
+        # standby_recovery is scripted with no budget: the rate alone would
+        # clear the schedule and send nothing
+        argv = ["simulate", "--scenario", "standby_recovery", "--mean-interval-ms", "500"]
+        assert main(argv + ["--out-dir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            "error: --mean-interval-ms needs a packet budget: 'standby_recovery' has none, "
+            "so give --packets too\n"
+        )
+        assert not (tmp_path / "run").exists()
+
     def test_missing_scenario_exits_2(self, tmp_path, capsys):
         rc = main(
             [
@@ -676,15 +687,19 @@ class TestLearn:
         assert parsed["gateways"] == [0, 18]
         assert len(parsed["tables"]) == 19
 
-    def test_the_protocol_does_not_change_the_learned_tables(self, tmp_path):
-        # the learning phase's control traffic never reads the protocol
-        tables = []
-        for protocol in ("flooding", "routing"):
-            out = tmp_path / protocol
-            argv = ["learn", "--scenario", "representative", "--protocol", protocol]
-            assert main(argv + ["--out-dir", str(out)]) == 0
-            tables.append(read_bytes(out / "routing_tables.json"))
-        assert tables[0] == tables[1]
+    @pytest.mark.parametrize(
+        "option", [["--protocol", "routing"], ["--packets", "5"], ["--mean-interval-ms", "500"]],
+        ids=lambda option: option[0],
+    )
+    def test_an_option_learn_does_not_read_is_refused(self, tmp_path, capsys, option):
+        # learn zeroes the traffic, and its control floods never read the protocol
+        argv = ["learn", "--scenario", "representative", "--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + option)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"loramesh: error: unrecognized arguments: {' '.join(option)}\n")
+        assert not (tmp_path / "routing_tables.json").exists()
 
     def test_a_neighbor_beyond_the_distance_field_is_left_out_of_the_report(
         self, tmp_path, capsys
@@ -716,8 +731,8 @@ class TestLearn:
         path = tmp_path / "short.json"
         path.write_text(json.dumps(SHORT_LINK))
         out = tmp_path / "out"
-        argv = [command, "--scenario", str(path), "--protocol", "routing", "--out-dir", str(out)]
-        assert main(argv) == 0
+        argv = [command, "--scenario", str(path), "--out-dir", str(out)]
+        assert main(argv + (["--protocol", "routing"] if command == "simulate" else [])) == 0
         if command == "learn":
             tables = read_json(out / "routing_tables.json")["tables"]
             assert tables["1"]["distance_value"] == 0.25
@@ -805,6 +820,19 @@ class TestLoadtest:
         )
         assert rc == 2
         assert "descending" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option", [["--packets", "5"], ["--mean-interval-ms", "500"]], ids=lambda option: option[0]
+    )
+    def test_an_option_loadtest_does_not_read_is_refused(self, tmp_path, capsys, option):
+        # every rung sets its own budget and interval
+        argv = ["loadtest", "--scenario", "standby_recovery", "--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + option)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"loramesh: error: unrecognized arguments: {' '.join(option)}\n")
+        assert not (tmp_path / "loadtest.json").exists()
 
 
 class TestCompare:
@@ -937,15 +965,13 @@ usage: loramesh simulate [-h] --scenario SCENARIO [--seed SEED]
                          [--packets PACKETS]
                          [--mean-interval-ms MEAN_INTERVAL_MS] [--no-trace]
 """
-COMMON_OPTIONS = """\
+# simulate's and loadtest's first options
+SCENARIO_OPTIONS = """\
   -h, --help            show this help message and exit
   --scenario SCENARIO   bundled name or path to a scenario JSON
   --seed SEED           override the scenario seed
   --out-dir OUT_DIR     directory for output files
   --protocol {flooding,routing,routing_no_energy}
-  --packets PACKETS     override the packet budget
-  --mean-interval-ms MEAN_INTERVAL_MS
-                        override the mean generation interval
 """
 # name -> (argv, stdout, stderr, exit code)
 HELP_AND_ERRORS = {
@@ -980,8 +1006,13 @@ options:
         ["simulate", "--help"],
         SIMULATE_USAGE
         + "\noptions:\n"
-        + COMMON_OPTIONS
-        + "  --no-trace            skip writing trace.ndjson\n",
+        + SCENARIO_OPTIONS
+        + """\
+  --packets PACKETS     override the packet budget
+  --mean-interval-ms MEAN_INTERVAL_MS
+                        override the mean generation interval
+  --no-trace            skip writing trace.ndjson
+""",
         "",
         0,
     ),
@@ -1003,13 +1034,13 @@ options:
         """\
 usage: loramesh learn [-h] --scenario SCENARIO [--seed SEED]
                       [--out-dir OUT_DIR]
-                      [--protocol {flooding,routing,routing_no_energy}]
-                      [--packets PACKETS]
-                      [--mean-interval-ms MEAN_INTERVAL_MS]
 
 options:
-"""
-        + COMMON_OPTIONS,
+  -h, --help           show this help message and exit
+  --scenario SCENARIO  bundled name or path to a scenario JSON
+  --seed SEED          override the scenario seed
+  --out-dir OUT_DIR    directory for output files
+""",
         "",
         0,
     ),
@@ -1019,14 +1050,12 @@ options:
 usage: loramesh loadtest [-h] --scenario SCENARIO [--seed SEED]
                          [--out-dir OUT_DIR]
                          [--protocol {flooding,routing,routing_no_energy}]
-                         [--packets PACKETS]
-                         [--mean-interval-ms MEAN_INTERVAL_MS]
                          [--intervals INTERVALS] [--budgets BUDGETS]
                          [--threshold THRESHOLD]
 
 options:
 """
-        + COMMON_OPTIONS
+        + SCENARIO_OPTIONS
         + """\
   --intervals INTERVALS
                         descending seconds
@@ -1120,7 +1149,7 @@ class TestHelpAndErrors:
         [
             ["simulate", "--scenario", "s", "--seed", "3", "--no-trace"],
             ["plan", "--reports", "r.json"],
-            ["learn", "--scenario", "s", "--protocol", "routing", "--mean-interval-ms", "5"],
+            ["learn", "--scenario", "s", "--seed", "5", "--out-dir", "o"],
             ["loadtest", "--scenario", "s", "--threshold", "0.5", "--budgets", "1,2"],
             ["compare", "--scenario", "s", "--packets", "9"],
             ["render", "--trace", "t"],

@@ -1,9 +1,6 @@
-import copy
-import pickle
-
 from hypothesis import example, given, strategies as st
 
-from loramesh.mac import DedupCache, TxQueue
+from loramesh.mac import DedupCache
 from reference import OrderedDictDedup
 
 
@@ -30,35 +27,6 @@ def test_dedup_capacity_evicts_oldest():
     cache.seen(4, 0.0)
     assert all(cache.seen(pid, 0.0) for pid in (2, 3, 4))
     assert cache.seen(1, 0.0) is False  # forgotten, treated as new
-
-
-def test_txqueue_fifo():
-    q = TxQueue(capacity=8)
-    q.push("a")
-    q.push("b")
-    assert q
-    assert q.pop() == "a"
-    assert q.pop() == "b"
-    assert not q
-
-
-def test_txqueue_copies_keep_capacity_and_entries():
-    q = TxQueue(capacity=2)
-    q.push("a")
-    for copied in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
-        assert type(copied) is TxQueue and copied.capacity == 2 and list(copied) == ["a"]
-        copied.push("b")
-        assert copied.push("c") == "a" and list(q) == ["a"]
-
-
-def test_txqueue_drops_oldest_when_full():
-    q = TxQueue(capacity=2)
-    assert q.push("a") is None
-    assert q.push("b") is None
-    evicted = q.push("c")
-    assert evicted == "a"
-    assert q.pop() == "b"
-    assert q.pop() == "c"
 
 
 # Lookups as (time step, packet id). Steps on a 0.5 s grid against a

@@ -4,17 +4,20 @@ Each case runs one network twice: as is, and with every naive path of
 ``reference`` swapped in at once (the network-wide scan, the
 every-charge ledger and the OrderedDict dedup). Both runs must give the
 same trace digest, the same sorted-key metrics and the same battery
-history at every node.
+history at every node. The fixed cases are three bundled networks; the
+property test draws small random ones (``networks.small_networks``).
 """
 
 import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loramesh import trace as tr
-from loramesh.scenario import load_scenario
+from loramesh.scenario import load_scenario, scenario_from_dict
 from loramesh.simulation import Simulation
+from networks import small_networks
 from reference import EveryChargeLedger, NaiveSimulation, OrderedDictDedup
 
 # name -> (scenario, protocol, learning phase, packets, repeater battery
@@ -45,6 +48,16 @@ def batteries(sim):
     return {uid: (led.history, led.death_time) for uid, led in sim.builder.ledgers.items()}
 
 
+def assert_same_runs(fast, naive):
+    """Run the fast and the naive simulation of one scenario and check that
+    they agree; returns the naive run's metrics."""
+    got, want = fast.run().metrics, naive.run().metrics
+    assert got["trace_sha256"] == want["trace_sha256"]
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert batteries(fast) == batteries(naive)
+    return want
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_naive_reference_runs_the_same(case):
     scn = scenario(case)
@@ -55,10 +68,7 @@ def test_naive_reference_runs_the_same(case):
         and (node.dedup is None if node.is_ed else isinstance(node.dedup, OrderedDictDedup))
         for node in naive.nodes.values()
     )
-    got, want = fast.run().metrics, naive.run().metrics
-    assert got["trace_sha256"] == want["trace_sha256"]
-    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-    assert batteries(fast) == batteries(naive)
+    want = assert_same_runs(fast, naive)
     # each case reaches the paths it is here for
     assert naive.seen["rival"] > 0 and naive.seen["busy"] > 0 and naive.seen[tr.RX_OK] > 0
     if case == "representative/flooding":
@@ -69,3 +79,17 @@ def test_naive_reference_runs_the_same(case):
         repeaters = scn.topology.repeaters
         assert all(fast.nodes[uid].ledger.dead for uid in repeaters)
         assert want["counts"]["route_switched"] > 0
+
+
+# None keeps the scenario's 100 mAh; the small ones run repeaters dry
+# during the learning phase's idle wait or after a few frames
+REPEATER_BATTERY_MAH = st.sampled_from([None, 0.01, 0.1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_networks(), REPEATER_BATTERY_MAH)
+def test_naive_reference_runs_the_same_on_random_networks(data, battery):
+    if battery is not None:
+        data = {**data, "energy": {"battery_capacity_mah": battery}}
+    scn = scenario_from_dict(data)
+    assert_same_runs(Simulation(scn), NaiveSimulation(scn))

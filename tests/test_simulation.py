@@ -16,6 +16,7 @@ from loramesh.model import BEACON, MESH_CHANNEL, Packet, RadioConfig, airtime
 from loramesh.planner import PlannerError, plan_from_topology
 from loramesh.scenario import load_scenario, scenario_from_dict
 from loramesh.simulation import Simulation, run
+from networks import SWITCHOVER_S, small_networks
 from reference import RECEPTION_KINDS, ScanChecked
 
 AIR_20B = airtime(RadioConfig(), 20)
@@ -540,66 +541,6 @@ def test_one_shot_instance_hooks_on_pop_and_run():
 # the two-frame interference rule against a network-wide scan
 # (``reference.ScanChecked``)
 
-DISTANCES = st.sampled_from([8.0, 30.0, 60.0, 120.0, 400.0, 1500.0, 3500.0, 6000.0])
-
-
-# the default learning phase hands over to the learned routes here
-SWITCHOVER_S = 180.0
-
-
-@st.composite
-def small_networks(draw):
-    """A gateway, one to four repeaters and one to three end devices, with
-    random links (some below sensitivity), shadowing on or off, the
-    learning phase's control floods on or off, and bursts of scripted
-    uplinks close enough to collide (after switchover when learning)."""
-    repeaters = list(range(1, draw(st.integers(min_value=1, max_value=4)) + 1))
-    devices = list(range(101, 101 + draw(st.integers(min_value=1, max_value=3))))
-    nodes = [{"uid": 0, "role": "gateway"}] + [{"uid": r, "role": "repeater"} for r in repeaters]
-    links = {}
-    for a in [0] + repeaters:
-        for b in repeaters:
-            if a < b and draw(st.booleans()):
-                links[a, b] = draw(DISTANCES)
-    schedule = {}
-    for ed in devices:
-        attach = draw(st.sampled_from(repeaters))
-        nodes.append({"uid": ed, "role": "end_device", "attach": attach})
-        links[min(ed, attach), max(ed, attach)] = draw(DISTANCES)
-        # end devices and other nodes may overhear each other
-        for other in draw(st.sets(st.sampled_from([0] + repeaters + devices), max_size=2)):
-            if other != ed:
-                links.setdefault((min(ed, other), max(ed, other)), draw(DISTANCES))
-        schedule[ed] = sorted(
-            draw(
-                st.lists(
-                    st.sampled_from([1.0, 1.005, 1.02, 1.05, 1.1, 1.3]), min_size=1, max_size=4
-                )
-            )
-        )
-    sigma = draw(st.sampled_from([0.0, 6.0]))
-    learning = draw(st.booleans())
-    if learning:
-        schedule = {ed: [SWITCHOVER_S + t for t in ts] for ed, ts in schedule.items()}
-    topology = {
-        "nodes": nodes,
-        "links": [{"a": a, "b": b, "distance_m": d} for (a, b), d in sorted(links.items())],
-        "path_loss": {"shadowing_sigma_db": sigma},
-    }
-    return {
-        "name": "hearing",
-        "topology": topology,
-        "traffic": {
-            "schedule": {str(ed): ts for ed, ts in schedule.items()},
-            "payload_bytes": draw(st.sampled_from([10, 20, 200])),
-        },
-        "mac": {"wait_min_s": 0.0, "wait_max_s": draw(st.sampled_from([0.005, 0.05]))},
-        "protocol": draw(st.sampled_from(["flooding", "routing", "routing_no_energy"])),
-        "learning_phase": learning,
-        "seed": draw(st.integers(min_value=0, max_value=50)),
-    }
-
-
 HIDDEN_PAIR = {
     "name": "hidden",
     "topology": {
@@ -659,7 +600,9 @@ def test_reception_and_sense_match_the_network_wide_scan(data):
 
 def hears(sim):
     """The (sender, receiver) pairs the run's hearer rows call audible."""
-    return {(tx, node.uid) for tx, row in sim.linked.items() for node, p in row if p is not None}
+    return {
+        (tx, node.uid) for tx, sender in sim.nodes.items() for node, p in sender.row if p is not None
+    }
 
 
 @settings(max_examples=60, deadline=None)
@@ -722,9 +665,9 @@ def test_shadowed_hearing_is_the_simulators_map(seed):
     assert heard == expected
     sim = Simulation(replace(scn, seed=seed))
     rows = {
-        (min(tx_uid, node.uid), max(tx_uid, node.uid)): p
-        for tx_uid, row in sim.linked.items()
-        for node, p in row
+        (min(tx, node.uid), max(tx, node.uid)): p
+        for tx, sender in sim.nodes.items()
+        for node, p in sender.row
     }
     assert rows == {(a, b): p for a, b, p in heard}
 
