@@ -15,8 +15,8 @@ from .engine import EventQueue, RngStreams
 from .learning import NeighborTable, estimate_distance
 from .model import EnergyModel, Packet, RadioConfig, airtime
 from .planner import GlobalGraph, PlannerError, plan, plan_from_topology
-from .scenario import Scenario, ScenarioError, Topology, bundled_scenario_names, load_scenario
-from .simulation import RunResult, Simulation, run
+from .scenario import Scenario, ScenarioError, Topology, load_scenario
+from .simulation import RunResult, Simulation
 
 __version__ = "0.1.0"
 
@@ -38,12 +38,10 @@ __all__ = [
     "Simulation",
     "Topology",
     "airtime",
-    "bundled_scenario_names",
     "captures",
     "estimate_distance",
     "load_scenario",
     "plan",
     "plan_from_topology",
-    "run",
     "__version__",
 ]

@@ -28,17 +28,6 @@ from .simulation import Simulation
 from .trace import TraceFormatError, TraceWriter, ndjson_line, read_records
 
 
-def _default_seed() -> int | None:
-    """Seed from LORAMESH_SEED, or None to keep the scenario's own seed."""
-    env = os.environ.get("LORAMESH_SEED")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ScenarioError(f"LORAMESH_SEED is not an integer: {env!r}")
-
-
 def _periodic(scenario: Scenario, **traffic_changes) -> Scenario:
     """``scenario`` with its traffic changed as given and made periodic: a
     budget or rate given asks for periodic traffic, so a scripted schedule
@@ -122,7 +111,7 @@ def cmd_plan(args) -> int:
     path = os.path.join(out, "routing_tables.json")
     with open(path, "w") as fh:
         fh.write(plan_to_json(graph))
-    print(f"wrote {path} ({len(graph.distance_value)} nodes)")
+    print(f"wrote {path} ({len(graph.vertices)} nodes)")
     return 0
 
 
@@ -362,8 +351,6 @@ def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
 def main(argv=None) -> int:
     command, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-            args.seed = _default_seed()
         return COMMANDS[command][2](args)
     except (ScenarioError, PlannerError, TraceFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,9 +36,6 @@ class EventQueue:
     def peek_time(self) -> float | None:
         return self.heap[0][0] if self.heap else None
 
-    def __bool__(self) -> bool:
-        return bool(self.heap)
-
 
 class RngStreams:
     """Named, node-scoped random substreams derived from one run seed.

@@ -22,14 +22,6 @@ NEIGHBOR_REPORT = 2
 ROUTE_TABLE_CHUNK = 3
 ROUTE_SWITCH = 4
 
-KIND_NAMES = (
-    "DataUp",
-    "Beacon",
-    "NeighborReport",
-    "RouteTableChunk",
-    "RouteSwitch",
-)
-
 MAX_PAYLOAD_BYTES = 255
 
 # Fixed control-plane payload sizes in bytes. Beacons and switch
@@ -221,10 +213,4 @@ class Packet:
             self.payload_bytes,
             battery_level,
             self.body,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Packet(id={self.packet_id}, kind={KIND_NAMES[self.kind]}, "
-            f"origin={self.origin}, next={self.next_hop})"
         )

@@ -7,8 +7,10 @@ nearest gateway), its upstream next hop (the audible neighbor with the
 lowest distance value), and a downlink forwarding set that covers its
 subgraph with as few rebroadcasts as the shortest-path tree allows.
 ``plan`` then makes, once, each reachable node's row as it goes on the
-wire; table chunks, the exported tables and every installed route read
-those rows.
+wire, and those rows are the plan: table chunks, the exported tables
+and every installed route read them. Every reachable node, gateways
+included, gets a row, but only repeaters install theirs: repeaters
+route, and gateways only collect.
 
 The simulator carries data uplink only, so no route uses the downlink
 sets. They stay as the paper's table format: each table-chunk row
@@ -48,17 +50,13 @@ def _on_wire(distance_m: float, what: str) -> float:
 
 @dataclass
 class GlobalGraph:
-    """Aggregated link graph plus everything the planner derives from it."""
+    """One plan: every reported node and the rows the planner derives."""
 
     gateways: tuple[int, ...]
+    # every node the reports name, reachable or not, in uid order
     vertices: tuple[int, ...]
-    adjacency: Adjacency
     warnings: list[str]
-    distance_value: dict[int, float]
-    predecessor: dict[int, int | None]
     nearest_gateway: dict[int, int | None]
-    upstream: dict[int, int | None]
-    downstream: dict[int, tuple[int, ...]]
     # per reachable node in uid order: (distance value, upstream, downstream,
     # neighbor values), every value quantized as on the wire
     rows: dict[int, tuple[float, int | None, tuple[int, ...], dict[int, float]]]
@@ -302,18 +300,7 @@ def plan(reports: dict[int, list[tuple[int, float]]], gateways: list[int]) -> Gl
         )
         for uid, value in wire.items()
     }
-    return GlobalGraph(
-        gateways=gateways,
-        vertices=tuple(adjacency),
-        adjacency=adjacency,
-        warnings=warnings,
-        distance_value=dist,
-        predecessor=pred,
-        nearest_gateway=root,
-        upstream=upstream,
-        downstream=downstream,
-        rows=rows,
-    )
+    return GlobalGraph(gateways, tuple(adjacency), warnings, root, rows)
 
 
 def emit_chunks(graph: GlobalGraph) -> list[tuple[int, dict[int, tuple]]]:

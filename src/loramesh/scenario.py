@@ -409,11 +409,3 @@ def load_scenario(source: str | Path) -> Scenario:
         return scenario_from_dict(json.loads(text))
     path = Path(source)
     return scenario_from_dict(_read_json(path, "scenario"), path.parent)
-
-
-def bundled_scenario_names() -> list[str]:
-    names = []
-    for entry in resources.files("loramesh").joinpath("data").iterdir():
-        if entry.name.endswith(".json"):
-            names.append(entry.name[: -len(".json")])
-    return sorted(names)

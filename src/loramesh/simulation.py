@@ -16,8 +16,10 @@ standby recovery and the battery-triggered switches), and any other
 frame to ``_deliver_control`` (route switches and the learning phase's
 floods).
 An end device acts on nothing it decodes: it is billed for the frame,
-and nothing more. So it holds no dedup cache, neighbor table, route or
-learned rows; only mesh nodes get them.
+and nothing more, so it holds no protocol state. Only repeaters route
+and relay, so only they hold a dedup cache, a route and learned rows;
+a gateway holds just the neighbor table its beacons fill, which the
+server's plan reads.
 
 A node's transmit queue is a plain ``deque`` that ``_enqueue`` bounds:
 past the scenario's queue capacity it drops the oldest frame, on
@@ -39,8 +41,10 @@ hears, with the power it receives.
 
 Interference is read from each node's two latest frames and a rival
 list per sender; no scan covers the whole network. A node runs one MAC
-chain on one channel (end devices on the end-device channel, the others
-on the mesh channel), so its frames never overlap and begin in order.
+chain on its one channel (``Node.channel``: end devices on the
+end-device channel, the others on the mesh channel), so its frames
+never overlap and begin in order, and a frame's channel is its
+sender's.
 Of its frames that overlap a frame ending at t1, the latest begun
 before t1 is then its last or, when the last began at exactly t1 before
 that end was arbitrated, the one before. Carrier sense asks whether a
@@ -66,11 +70,12 @@ the writer, which packs each event into one fixed-size trace record and
 hashes it.
 Neither the accounting nor the trace bytes depend on where a batch ends.
 
-Routes are the rows ``planner.plan`` makes. Without the learning phase
-every node installs its row from the oracle plan before the first event;
-with it, each repeater keeps the rows that table chunks bring for itself
-and its beacon-heard neighbors, looking each up in the chunk's rows by
-uid, and installs them at switchover by the same ``RouteState.install``.
+Routes are the rows ``planner.plan`` makes, and only repeaters install
+them. Without the learning phase each repeater installs its row from
+the oracle plan before the first event; with it, each repeater keeps
+the rows that table chunks bring for itself and its beacon-heard
+neighbors, looking each up in the chunk's rows by uid, and installs
+them at switchover by the same ``RouteState.install``.
 A row's downstream set rides in the chunks but is not installed, since
 data flows uplink only, from end devices to the gateways: the traffic
 the paper measures. A failed plan leaves its reason in ``plan_error``
@@ -143,11 +148,10 @@ NO_RIVALS = repeat(None)
 
 
 class Transmission:
-    __slots__ = ("sender", "channel", "t0", "t1", "packet")
+    __slots__ = ("sender", "t0", "t1", "packet")
 
-    def __init__(self, sender: Node, channel: int, t0: float, t1: float, packet: Packet) -> None:
+    def __init__(self, sender: Node, t0: float, t1: float, packet: Packet) -> None:
         self.sender = sender
-        self.channel = channel
         self.t0 = t0
         self.t1 = t1
         self.packet = packet
@@ -155,20 +159,24 @@ class Transmission:
 
 class Node:
     __slots__ = (
-        "uid", "is_gateway", "is_repeater", "is_ed", "queue", "ledger", "chain_active",
+        "uid", "is_gateway", "is_repeater", "is_ed", "channel", "queue", "ledger",
+        "chain_active",
         # None on an end device
-        "dedup", "ntable", "route", "learned",
+        "ntable",
+        # None but on a repeater
+        "dedup", "route", "learned",
         "row", "last", "prev", "rivals", "mac_draw", "sensed",
     )
 
     def __init__(self, uid: int, role_flags: tuple[bool, bool, bool], ledger: EnergyLedger) -> None:
         self.uid = uid
         self.is_gateway, self.is_repeater, self.is_ed = role_flags
+        self.channel = ED_CHANNEL if self.is_ed else MESH_CHANNEL
         # the frames waiting to go, oldest first; _enqueue bounds it
         self.queue: deque[Packet] = deque()
         self.ledger = ledger
-        # a mesh node's relay, beacon and route state, which the
-        # simulation sets on mesh nodes only (see the module docstring)
+        # a repeater's relay and route state and a mesh node's beacon
+        # table, which the simulation sets (see the module docstring)
         self.dedup = self.ntable = self.route = self.learned = None
         self.chain_active = False
         # this node's hearer row: every linked peer in uid order as (peer
@@ -221,8 +229,9 @@ class Simulation:
             flags = (role == "gateway", role == "repeater", role == "end_device")
             node = Node(uid, flags, self.builder.ledgers[uid])
             if not node.is_ed:
-                node.dedup = DedupCache(mac.dedup_ttl_s, mac.dedup_capacity)
                 node.ntable = NeighborTable(links.path_loss_model, self.radio.tx_power_dbm)
+            if node.is_repeater:
+                node.dedup = DedupCache(mac.dedup_ttl_s, mac.dedup_capacity)
                 node.route = rt.RouteState(uid)
                 # uid -> latest chunk row for this node or a beacon-heard neighbor
                 node.learned = {}
@@ -274,7 +283,7 @@ class Simulation:
     def _originate(self, node: Node, kind: int, payload_bytes: int, next_hop=None, body=None) -> int:
         """Queue a new packet at ``node``; returns its pid."""
         pid = self._new_pid()
-        if next_hop is None:
+        if next_hop is None and node.is_repeater:
             # a flood: its origin must not relay its own packet back
             node.dedup.seen(pid, self.queue.now)
         self._enqueue(node, Packet(pid, kind, node.uid, next_hop, payload_bytes, None, body))
@@ -293,19 +302,15 @@ class Simulation:
     # ------------------------------------------------------------------
     # bootstrap
 
-    def _install_plan(self, uids) -> None:
-        """Install the planned row of every node in ``uids`` the plan reaches."""
-        rows = self.graph.rows
-        for uid in uids:
-            if uid in rows:
-                value, upstream, _downstream, values = rows[uid]
-                self.nodes[uid].route.install(value, upstream, values)
-
     def _bootstrap(self) -> None:
         scenario = self.scenario
         if self.protocol != "flooding" and not scenario.learning_phase:
             self.graph = plan_from_topology(self.topology, self.heard)
-            self._install_plan(self.graph.vertices)
+            rows = self.graph.rows
+            for uid in sorted(self.topology.repeaters):
+                if uid in rows:
+                    value, upstream, _downstream, values = rows[uid]
+                    self.nodes[uid].route.install(value, upstream, values)
         if scenario.learning_phase:
             self._schedule_learning()
         self._schedule_traffic()
@@ -393,7 +398,7 @@ class Simulation:
         """The next step of a chain with a frame queued: an end device
         begins it at once on its channel; a mesh node senses after a wait."""
         if node.is_ed:
-            self._begin_tx(node, node.queue.popleft(), ED_CHANNEL)
+            self._begin_tx(node, node.queue.popleft())
             return
         draw = node.mac_draw
         if draw is None:
@@ -420,19 +425,19 @@ class Simulation:
         if self._mesh_busy(node):
             self._send_next(node)
             return
-        self._begin_tx(node, node.queue.popleft(), MESH_CHANNEL)
+        self._begin_tx(node, node.queue.popleft())
 
-    def _begin_tx(self, node: Node, packet: Packet, channel: int) -> None:
+    def _begin_tx(self, node: Node, packet: Packet) -> None:
         now = self.queue.now
         size = packet.payload_bytes
         dur = self._airtimes.get(size)
         if dur is None:
             dur = self._airtimes[size] = airtime(self.radio, size)
         t1 = now + dur
-        trans = Transmission(node, channel, now, t1, packet)
+        trans = Transmission(node, now, t1, packet)
         node.prev = node.last
         node.last = trans
-        self._batch.append((now, TX_START, node.uid, packet.packet_id, NONE_INT, dur, channel))
+        self._batch.append((now, TX_START, node.uid, packet.packet_id, NONE_INT, dur, node.channel))
         self.queue.push(t1, self._ev_tx_end, (trans,))
 
     def _rivals(self, sender: Node) -> tuple:
@@ -463,16 +468,17 @@ class Simulation:
         start = now - dur
         packet = trans.packet
         pid = packet.packet_id
-        ch = trans.channel
+        ch = sender.channel
         append = self._batch.append
         # the frame's handler at a decoding mesh node, by its kind
         kind = packet.kind
         deliver = self._deliver_data if kind == DATA_UP else self._deliver_control
         capture = self.capture
-        # The rivals' frames overlapping [t0, t1) on its channel, each read
-        # once: a node's frame overlapping [t0, t1) is its last or, when
-        # that began at t1, the one before (see the module docstring). The
-        # loudest per peer is kept; with none, no peer has a rival.
+        # The rivals' frames overlapping [t0, t1), each read once (a rival
+        # sends on the sender's channel): a node's frame overlapping
+        # [t0, t1) is its last or, when that began at t1, the one before
+        # (see the module docstring). The loudest per peer is kept; with
+        # none, no peer has a rival.
         rivals = sender.rivals
         if rivals is None:
             rivals = self._rivals(sender)
@@ -481,7 +487,7 @@ class Simulation:
             t = other.last
             if t is not None and t.t0 >= t1:
                 t = other.prev
-            if t is not None and t.t1 > t0 and t.channel == ch:
+            if t is not None and t.t1 > t0:
                 if loudest is None:
                     loudest = powers
                 else:
@@ -545,6 +551,8 @@ class Simulation:
         """A route switch addressed to this node, or a learning-phase flood."""
         kind = packet.kind
         if kind == ROUTE_SWITCH:
+            # addressed to the sender of an overheard addressed uplink hop:
+            # a repeater, the only node that forwards one
             if packet.next_hop == node.uid:
                 if rt.apply_route_switch(node.route, tx_uid):
                     self._emit(ROUTE_SWITCHED, node.uid, pkt=packet.packet_id, peer=tx_uid)
@@ -555,7 +563,8 @@ class Simulation:
         if kind == BEACON:
             node.ntable.record_beacon(tx_uid, prx_dbm)
         elif kind == NEIGHBOR_REPORT:
-            if node.is_gateway and not node.dedup.seen(packet.packet_id, self.queue.now):
+            if node.is_gateway:
+                # a repeated report rewrites the same rows
                 rows = self.report_rows.setdefault(packet.origin, {})
                 for heard, dist in packet.body:
                     rows[heard] = dist
@@ -573,12 +582,10 @@ class Simulation:
             self._relay(node, packet)
 
     def _deliver_data(self, node: Node, packet: Packet, tx_uid: int, _prx_dbm: float) -> None:
-        """An uplink: the sender's piggybacked battery level is noted; a
-        gateway delivers it once; a node without a route relays the flood;
-        an addressed node forwards; an overheard hop feeds route switching
-        and standby."""
-        if packet.battery_level is not None:
-            node.route.neighbor_levels[tx_uid] = packet.battery_level
+        """An uplink: a gateway delivers it once; at a repeater the sender's
+        piggybacked battery level is noted, then a repeater without a route
+        relays the flood, an addressed one forwards, and an overheard hop
+        feeds route switching and standby."""
         pid = packet.packet_id
         if node.is_gateway:
             if pid not in self.delivered_pids:
@@ -586,6 +593,8 @@ class Simulation:
                 self._emit(DELIVERED, node.uid, pkt=pid)
             return
         r = node.route
+        if packet.battery_level is not None:
+            r.neighbor_levels[tx_uid] = packet.battery_level
         if self.protocol == "flooding" or not r.installed:
             if not self._relay(node, packet):
                 self._emit(DUP_SUPPRESSED, node.uid, pkt=pid, peer=tx_uid)
@@ -709,8 +718,6 @@ class Simulation:
             if own is not None:
                 values = {n: row[1] for n, row in node.learned.items() if n != uid}
                 node.route.install(own[1], own[2], values)
-        if self.graph is not None:
-            self._install_plan(sorted(self.topology.gateways))
 
     # ------------------------------------------------------------------
     # run loop
@@ -738,9 +745,3 @@ class Simulation:
             self._flush()
         end = horizon if hit_horizon else queue.now
         return RunResult(self.builder.finalize(end, self.trace.hexdigest()))
-
-
-def run(scenario: Scenario, trace_writer: tr.TraceWriter | None = None) -> RunResult:
-    """Build and execute one simulation of ``scenario``; a ``trace_writer``
-    keeps the trace."""
-    return Simulation(scenario, trace_writer).run()

@@ -39,16 +39,16 @@ class ScanChecked(Simulation):
                     self.audible[node.uid][tx] = p
         self.seen = Counter()
 
-    def _begin_tx(self, node, packet, channel) -> None:
-        super()._begin_tx(node, packet, channel)
+    def _begin_tx(self, node, packet) -> None:
+        super()._begin_tx(node, packet)
         trans = node.last
         # the premise of the two-frame rule: a node's frames never overlap,
         # begin in order, and all go out on one channel
         for tx, c, _a, b in reversed(self.frames):
             if tx == node.uid:
-                assert trans.t0 >= b and c == channel
+                assert trans.t0 >= b and c == node.channel
                 break
-        self.frames.append((node.uid, channel, trans.t0, trans.t1))
+        self.frames.append((node.uid, node.channel, trans.t0, trans.t1))
 
     def _mesh_busy(self, node) -> bool:
         now = self.queue.now
@@ -63,7 +63,8 @@ class ScanChecked(Simulation):
         return busy
 
     def _ev_tx_end(self, trans) -> None:
-        sender, ch, t0, t1 = trans.sender, trans.channel, trans.t0, trans.t1
+        sender, t0, t1 = trans.sender, trans.t0, trans.t1
+        ch = sender.channel
         uid = sender.uid
         # the premise of the one billing rule: a live sender's frame, as it
         # is billed, starts at or after everything its ledger has billed
@@ -168,8 +169,8 @@ class OrderedDictDedup:
 class NaiveSimulation(ScanChecked):
     """Every naive path at once: the scan checks reception and carrier
     sense, and each node bills an ``EveryChargeLedger`` (the one the
-    metrics report) and each mesh node dedups with an ``OrderedDictDedup``
-    (an end device holds no dedup cache)."""
+    metrics report) and each repeater dedups with an ``OrderedDictDedup``
+    (no other node holds a dedup cache)."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -178,5 +179,5 @@ class NaiveSimulation(ScanChecked):
         for uid, node in self.nodes.items():
             ledger = EveryChargeLedger(energy, node.ledger.capacity)
             node.ledger = self.builder.ledgers[uid] = ledger
-            if not node.is_ed:
+            if node.is_repeater:
                 node.dedup = OrderedDictDedup(mac.dedup_ttl_s, mac.dedup_capacity)

@@ -28,6 +28,12 @@ from loramesh.routing import (
 )
 from loramesh.scenario import load_scenario
 from loramesh.simulation import Simulation
+from planner_oracles import (
+    all_pairs_values,
+    random_connected_graph,
+    replay_downlink,
+    reports_for,
+)
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -124,68 +130,24 @@ def test_ac01_distance_estimate_round_trip(capsys):
     assert wall < 1.0
 
 
-def _all_pairs_values(vertices, edges, gateways):
-    dist = {u: {v: math.inf for v in vertices} for u in vertices}
-    for u in vertices:
-        dist[u][u] = 0.0
-    for (a, b), w in edges.items():
-        if w < dist[a][b]:
-            dist[a][b] = w
-            dist[b][a] = w
-    for k in vertices:
-        for i in vertices:
-            dik = dist[i][k]
-            if dik == math.inf:
-                continue
-            for j in vertices:
-                alt = dik + dist[k][j]
-                if alt < dist[i][j]:
-                    dist[i][j] = alt
-    return {u: min(dist[g][u] for g in gateways) for u in vertices}
-
-
-def _random_connected_graph(rng):
-    # quarter-meter weights keep every path sum float exact
-    n = rng.randint(2, 12)
-    vertices = list(range(n))
-    edges = {}
-    order = vertices[1:]
-    rng.shuffle(order)
-    connected = [0]
-    for v in order:
-        u = rng.choice(connected)
-        edges[(min(u, v), max(u, v))] = rng.randint(4, 400) / 4.0
-        connected.append(v)
-    for _ in range(rng.randint(0, n)):
-        a, b = rng.sample(vertices, 2)
-        key = (min(a, b), max(a, b))
-        if key not in edges:
-            edges[key] = rng.randint(4, 400) / 4.0
-    gateways = sorted(rng.sample(vertices, rng.randint(1, min(3, n))))
-    return vertices, edges, gateways
-
-
 def test_ac02_planner_matches_shortest_path_oracle(capsys):
     rng = random.Random(20260821)
     t0 = time.perf_counter()
     failures = []
     for i in range(500):
-        vertices, edges, gateways = _random_connected_graph(rng)
-        reports = {u: [] for u in vertices}
-        for (a, b), w in edges.items():
-            reports[a].append((b, w))
-            reports[b].append((a, w))
-        graph = plan(reports, gateways)
-        expected = _all_pairs_values(vertices, edges, gateways)
+        vertices, edges, gateways = random_connected_graph(rng, max_vertices=12)
+        graph = plan(reports_for(edges, vertices), gateways)
+        expected = all_pairs_values(vertices, edges, gateways)
         for uid in vertices:
-            if graph.distance_value[uid] != expected[uid]:
+            value, upstream, _downstream, _values = graph.rows[uid]
+            if value != expected[uid]:
                 failures.append(f"graph {i} value {uid}")
             neighbors = [b if a == uid else a for (a, b) in edges if uid in (a, b)]
             if uid in gateways:
                 want = None
             else:
                 want = min((expected[n], n) for n in neighbors)[1]
-            if graph.upstream[uid] != want:
+            if upstream != want:
                 failures.append(f"graph {i} upstream {uid}")
     wall = time.perf_counter() - t0
     ok = not failures and wall < 30.0
@@ -223,48 +185,32 @@ REFERENCE_TABLES = {
 FORWARDER_LIMIT = 14
 
 
-def _downlink_coverage_ok(graph) -> bool:
-    for gw in graph.gateways:
-        members = {
-            u for u in graph.vertices if graph.nearest_gateway.get(u) == gw and u != gw
-        }
-        member_set = members | {gw}
-        heard = set()
-        transmitted = set()
-        frontier = [gw]
-        while frontier:
-            tx = frontier.pop(0)
-            transmitted.add(tx)
-            for n, _w in graph.adjacency[tx]:
-                if n not in member_set:
-                    continue
-                heard.add(n)
-                if n in graph.downstream.get(tx, ()) and n not in transmitted and n not in frontier:
-                    frontier.append(n)
-        if not members <= heard:
-            return False
-    return True
-
-
 def test_ac03_reference_deployment_tables(capsys):
     scenario = load_scenario("representative")
     heard = scenario.topology.links.hearing(scenario.radio.tx_power_dbm, scenario.seed)
     graph = plan_from_topology(scenario.topology, heard)
     failures = []
     for uid, (value, upstream) in REFERENCE_TABLES.items():
-        got_value = graph.distance_value[uid]
+        got_value, got_upstream, _downstream, _values = graph.rows[uid]
         if value == 0.0:
             if got_value != 0.0:
                 failures.append(f"gateway {uid} value {got_value}")
         elif abs(got_value - value) > 0.05 * value:
             failures.append(f"value {uid}: {got_value} vs {value}")
-        if graph.upstream[uid] != upstream:
-            failures.append(f"upstream {uid}: {graph.upstream[uid]} vs {upstream}")
-    if not _downlink_coverage_ok(graph):
+        if got_upstream != upstream:
+            failures.append(f"upstream {uid}: {got_upstream} vs {upstream}")
+    # every audible mesh link, as plan_from_topology reports it
+    mesh = scenario.topology.gateways | scenario.topology.repeaters
+    adjacency = {uid: [] for uid in mesh}
+    for a, b, prx in heard:
+        if prx is not None and a in mesh and b in mesh:
+            adjacency[a].append((b, prx))
+            adjacency[b].append((a, prx))
+    if not all(members <= got for _gw, members, got, _tx in replay_downlink(graph, adjacency)):
         failures.append("downlink coverage")
     selected = set()
-    for uid in graph.vertices:
-        selected.update(graph.downstream.get(uid, ()))
+    for row in graph.rows.values():
+        selected.update(row[2])
     if len(selected) > FORWARDER_LIMIT:
         failures.append(f"{len(selected)} forwarders")
     ok = not failures

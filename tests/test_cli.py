@@ -502,24 +502,7 @@ class TestInaudibleLink:
 
 
 class TestSeedHandling:
-    def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LORAMESH_SEED", "7")
-        out = tmp_path / "run"
-        rc = main(
-            [
-                "simulate",
-                "--scenario",
-                "standby_recovery",
-                "--out-dir",
-                str(out),
-                "--no-trace",
-            ]
-        )
-        assert rc == 0
-        assert read_json(out / "metrics.json")["seed"] == 7
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LORAMESH_SEED", "7")
+    def test_seed_flag_overrides_the_scenario_seed(self, tmp_path):
         out = tmp_path / "run"
         rc = main(
             [
@@ -535,20 +518,6 @@ class TestSeedHandling:
         )
         assert rc == 0
         assert read_json(out / "metrics.json")["seed"] == 3
-
-    def test_garbage_env_seed_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("LORAMESH_SEED", "lots")
-        rc = main(
-            [
-                "simulate",
-                "--scenario",
-                "standby_recovery",
-                "--out-dir",
-                str(tmp_path),
-            ]
-        )
-        assert rc == 2
-        assert "LORAMESH_SEED" in capsys.readouterr().err
 
 
 class TestPlan:

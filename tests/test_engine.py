@@ -12,7 +12,7 @@ def test_event_queue_orders_by_time():
     q.push(3.0, seen.append, ("c",))
     q.push(1.0, seen.append, ("a",))
     q.push(2.0, seen.append, ("b",))
-    while q:
+    while q.heap:
         fn, args = q.pop()
         fn(*args)
     assert seen == ["a", "b", "c"]
@@ -24,7 +24,7 @@ def test_event_queue_ties_pop_in_push_order():
     seen = []
     for tag in range(20):
         q.push(5.0, seen.append, (tag,))
-    while q:
+    while q.heap:
         fn, args = q.pop()
         fn(*args)
     assert seen == list(range(20))
@@ -56,15 +56,15 @@ def test_event_queue_rejects_nan():
 def test_event_queue_peek_and_truthiness():
     q = EventQueue()
     assert q.peek_time() is None
-    assert not q
+    assert not q.heap
     q.push(2.0, lambda: None)
     q.push(1.0, lambda: None)
     assert q.peek_time() == 1.0
     q.pop()
-    assert q
+    assert q.heap
     assert q.peek_time() == 2.0
     q.pop()
-    assert not q
+    assert not q.heap
 
 
 def test_rng_streams_reproducible():

@@ -1,10 +1,11 @@
-import math
 import random
 
 import pytest
 
 from loramesh.planner import (
     PlannerError,
+    aggregate_reports,
+    compute_distance_values,
     emit_chunks,
     plan,
     plan_from_topology,
@@ -12,94 +13,17 @@ from loramesh.planner import (
     reports_from_dict,
 )
 from loramesh.scenario import scenario_from_dict
+from planner_oracles import (
+    all_pairs_values,
+    random_connected_graph,
+    replay_downlink,
+    reports_for,
+)
 
 
-def floyd_warshall_values(vertices, edges, gateways):
-    """Independent all-pairs oracle for the multi-source distance values."""
-    dist = {u: {v: math.inf for v in vertices} for u in vertices}
-    for u in vertices:
-        dist[u][u] = 0.0
-    for (a, b), w in edges.items():
-        if w < dist[a][b]:
-            dist[a][b] = w
-            dist[b][a] = w
-    for k in vertices:
-        row_k = dist[k]
-        for i in vertices:
-            dik = dist[i][k]
-            if dik == math.inf:
-                continue
-            row_i = dist[i]
-            for j in vertices:
-                alt = dik + row_k[j]
-                if alt < row_i[j]:
-                    row_i[j] = alt
-    return {u: min(dist[g][u] for g in gateways) for u in vertices}
-
-
-def random_connected_graph(rng, max_vertices=10):
-    """Spanning tree plus extras; quarter-meter weights stay float exact."""
-    n = rng.randint(2, max_vertices)
-    vertices = list(range(n))
-    edges = {}
-    order = vertices[1:]
-    rng.shuffle(order)
-    connected = [0]
-    for v in order:
-        u = rng.choice(connected)
-        edges[(min(u, v), max(u, v))] = rng.randint(4, 400) / 4.0
-        connected.append(v)
-    for _ in range(rng.randint(0, n)):
-        a, b = rng.sample(vertices, 2)
-        key = (min(a, b), max(a, b))
-        if key not in edges:
-            edges[key] = rng.randint(4, 400) / 4.0
-    gateways = sorted(rng.sample(vertices, rng.randint(1, min(3, n))))
-    return vertices, edges, gateways
-
-
-def reports_for(edges, vertices):
-    reports = {u: [] for u in vertices}
-    for (a, b), w in edges.items():
-        reports[a].append((b, w))
-        reports[b].append((a, w))
-    return reports
-
-
-def replay_downlink(graph):
-    """Walk a gateway broadcast: addressed nodes retransmit once.
-
-    Returns (members, heard) per gateway subgraph so tests can assert
-    full coverage under the exact operational forwarding rule.
-    """
-    out = []
-    for gw in graph.gateways:
-        members = {
-            u
-            for u in graph.vertices
-            if graph.nearest_gateway.get(u) == gw and u != gw
-        }
-        member_set = members | {gw}
-        neighborhood = {
-            u: {n for n, _w in graph.adjacency[u] if n in member_set}
-            for u in member_set
-        }
-        heard = set()
-        transmitted = set()
-        frontier = [gw]
-        while frontier:
-            tx = frontier.pop(0)
-            transmitted.add(tx)
-            for n in neighborhood[tx]:
-                heard.add(n)
-                if (
-                    n in graph.downstream.get(tx, ())
-                    and n not in transmitted
-                    and n not in frontier
-                ):
-                    frontier.append(n)
-        out.append((gw, members, heard, transmitted))
-    return out
+def aggregated(edges, vertices, gateways):
+    """The adjacency the planner merges from ``edges``' reports."""
+    return aggregate_reports(reports_for(edges, vertices), gateways)[0]
 
 
 def test_distance_values_match_all_pairs_oracle():
@@ -107,9 +31,9 @@ def test_distance_values_match_all_pairs_oracle():
     for _ in range(120):
         vertices, edges, gateways = random_connected_graph(rng)
         graph = plan(reports_for(edges, vertices), gateways)
-        expected = floyd_warshall_values(vertices, edges, gateways)
+        expected = all_pairs_values(vertices, edges, gateways)
         for uid in vertices:
-            assert graph.distance_value[uid] == expected[uid], (uid, edges, gateways)
+            assert graph.rows[uid][0] == expected[uid], (uid, edges, gateways)
 
 
 def test_upstream_is_lowest_valued_neighbor():
@@ -117,17 +41,16 @@ def test_upstream_is_lowest_valued_neighbor():
     for _ in range(60):
         vertices, edges, gateways = random_connected_graph(rng)
         graph = plan(reports_for(edges, vertices), gateways)
+        adjacency = aggregated(edges, vertices, gateways)
         for uid in vertices:
+            value, upstream, _downstream, _values = graph.rows[uid]
             if uid in graph.gateways:
-                assert graph.upstream[uid] is None
+                assert upstream is None
                 continue
-            best = min(
-                ((graph.distance_value[n], n) for n, _w in graph.adjacency[uid]),
-                default=None,
-            )
-            assert graph.upstream[uid] == best[1]
+            best = min((graph.rows[n][0], n) for n, _w in adjacency[uid])
+            assert upstream == best[1]
             # strictly decreasing toward the gateway: loop free
-            assert graph.distance_value[best[1]] < graph.distance_value[uid]
+            assert best[0] < value
 
 
 def test_downlink_sets_cover_every_member():
@@ -136,7 +59,8 @@ def test_downlink_sets_cover_every_member():
         vertices, edges, gateways = random_connected_graph(rng)
         graph = plan(reports_for(edges, vertices), gateways)
         assert not any("coverage failed" in w for w in graph.warnings)
-        for _gw, members, heard, _tx in replay_downlink(graph):
+        adjacency = aggregated(edges, vertices, gateways)
+        for _gw, members, heard, _tx in replay_downlink(graph, adjacency):
             assert members <= heard
 
 
@@ -145,15 +69,12 @@ def test_downlink_forwarder_economy():
     for _ in range(60):
         vertices, edges, gateways = random_connected_graph(rng)
         graph = plan(reports_for(edges, vertices), gateways)
-        children: dict[int, int] = {}
-        for uid in vertices:
-            parent = graph.predecessor.get(uid)
-            if parent is not None:
-                children[parent] = children.get(parent, 0) + 1
-        internal = {uid for uid, count in children.items() if count}
+        adjacency = aggregated(edges, vertices, gateways)
+        _dist, predecessor, _root = compute_distance_values(adjacency, graph.gateways, [])
+        internal = {parent for parent in predecessor.values() if parent is not None}
         selected = set()
-        for uid in vertices:
-            selected.update(graph.downstream.get(uid, ()))
+        for row in graph.rows.values():
+            selected.update(row[2])
         assert len(selected) <= len(internal)
 
 
@@ -168,7 +89,9 @@ def test_plan_is_deterministic():
 def test_two_gateways_partition_by_proximity():
     edges = {(0, 1): 10.0, (1, 2): 10.0, (2, 3): 10.0, (3, 4): 10.0}
     graph = plan(reports_for(edges, [0, 1, 2, 3, 4]), [0, 4])
-    assert graph.distance_value == {0: 0.0, 1: 10.0, 2: 20.0, 3: 10.0, 4: 0.0}
+    assert {uid: row[0] for uid, row in graph.rows.items()} == {
+        0: 0.0, 1: 10.0, 2: 20.0, 3: 10.0, 4: 0.0
+    }
     assert graph.nearest_gateway[1] == 0
     assert graph.nearest_gateway[3] == 4
     # the middle node ties at 20 and settles toward the lower gateway uid
@@ -177,23 +100,21 @@ def test_two_gateways_partition_by_proximity():
 
 def test_directed_reports_average_into_one_weight():
     reports = {0: [(1, 10.0)], 1: [(0, 20.0)]}
-    graph = plan(reports, [0])
-    assert graph.adjacency[0] == [(1, 15.0)]
-    assert graph.adjacency[1] == [(0, 15.0)]
-    assert graph.warnings == []
+    assert aggregate_reports(reports, [0]) == ({0: [(1, 15.0)], 1: [(0, 15.0)]}, [])
+    assert plan(reports, [0]).warnings == []
 
 
 def test_one_sided_report_kept_with_warning():
     reports = {0: [(1, 10.0)], 1: []}
-    graph = plan(reports, [0])
-    assert graph.adjacency[0] == [(1, 10.0)]
-    assert any("one side only" in w for w in graph.warnings)
+    adjacency, _warnings = aggregate_reports(reports, [0])
+    assert adjacency[0] == [(1, 10.0)]
+    assert any("one side only" in w for w in plan(reports, [0]).warnings)
 
 
 def test_unreachable_node_flagged_and_left_out_of_tables():
     reports = {0: [(1, 10.0)], 1: [(0, 10.0)], 5: []}
     graph = plan(reports, [0])
-    assert graph.distance_value[5] == math.inf
+    assert 5 in graph.vertices
     assert any("unreachable" in w for w in graph.warnings)
     assert 5 not in graph.rows
 
@@ -270,6 +191,6 @@ def test_reports_round_trip_from_disk_format():
     assert gateways == [0]
     assert reports == {0: [(1, 40.0)], 1: [(0, 40.0)]}
     graph = plan(reports, gateways)
-    assert graph.distance_value[1] == 40.0
+    assert graph.rows[1][0] == 40.0
     with pytest.raises(PlannerError):
         reports_from_dict({"gateways": [0]})

@@ -65,7 +65,7 @@ def test_naive_reference_runs_the_same(case):
     naive = NaiveSimulation(scn)
     assert all(
         isinstance(node.ledger, EveryChargeLedger)
-        and (node.dedup is None if node.is_ed else isinstance(node.dedup, OrderedDictDedup))
+        and (isinstance(node.dedup, OrderedDictDedup) if node.is_repeater else node.dedup is None)
         for node in naive.nodes.values()
     )
     want = assert_same_runs(fast, naive)

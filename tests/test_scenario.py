@@ -15,7 +15,6 @@ from loramesh.scenario import (
     ScenarioError,
     Topology,
     TrafficSpec,
-    bundled_scenario_names,
     load_scenario,
     scenario_from_dict,
     topology_from_dict,
@@ -172,10 +171,9 @@ def test_load_scenario_rejects_garbage(tmp_path):
 
 
 def test_bundled_scenarios_present_and_loadable():
-    names = bundled_scenario_names()
-    for expected in ("representative", "standby_recovery", "two_ed_battery"):
-        assert expected in names
-        scn = load_scenario(expected)
+    for name in ("representative", "standby_recovery", "two_ed_battery"):
+        scn = load_scenario(name)
+        assert scn.name == name
         assert scn.topology.gateways
 
 

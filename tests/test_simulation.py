@@ -12,10 +12,10 @@ from loramesh import trace as tr
 from loramesh.channel import received_power
 from loramesh.engine import RngStreams
 from loramesh.metrics import recompute_from_trace
-from loramesh.model import BEACON, MESH_CHANNEL, Packet, RadioConfig, airtime
+from loramesh.model import BEACON, Packet, RadioConfig, airtime
 from loramesh.planner import PlannerError, plan_from_topology
 from loramesh.scenario import load_scenario, scenario_from_dict
-from loramesh.simulation import Simulation, run
+from loramesh.simulation import Simulation
 from networks import SWITCHOVER_S, small_networks
 from reference import RECEPTION_KINDS, ScanChecked
 
@@ -101,7 +101,7 @@ def test_mutually_audible_forwarders_never_collide():
     ]
     times = [1.0 + 0.2 * k for k in range(20)]
     scn = build(nodes, links, {101: times, 102: times})
-    m = run(scn).metrics
+    m = Simulation(scn).run().metrics
     # identical schedules and backoffs, but carrier sense serializes the
     # linked forwarders, so every packet arrives
     assert m["counts"]["rx_collided"] == 0
@@ -129,7 +129,7 @@ def hidden_pair(d1, d2, t2=1.005):
 def test_hidden_forwarders_collide_at_gateway():
     # repeaters 1 and 2 share no link: their staggered forwards overlap
     # at the gateway and neither has the capture margin
-    m = run(hidden_pair(100.0, 100.0)).metrics
+    m = Simulation(hidden_pair(100.0, 100.0)).run().metrics
     assert m["delivered"] == 0
     assert m["counts"]["rx_collided"] == 2
     assert m["losses"]["intermediate"] == 2
@@ -158,7 +158,7 @@ def test_subsensitivity_link_never_decodes():
         ],
         {101: [1.0]},
     )
-    m = run(scn).metrics
+    m = Simulation(scn).run().metrics
     assert m["delivered"] == 0
     assert m["counts"]["rx_below_sensitivity"] == 1
     assert m["losses"]["intermediate"] == 1
@@ -178,7 +178,7 @@ def test_transmitting_receiver_drops_the_frame():
         # second uplink lands while the repeater forwards the first
         {101: [1.0, 1.06]},
     )
-    m = run(scn).metrics
+    m = Simulation(scn).run().metrics
     # two drops: the repeater misses the second uplink, and the end
     # device (still on air) misses the repeater's forward of the first
     assert m["counts"]["dropped_busy_tx"] == 2
@@ -272,7 +272,7 @@ def test_standby_recovery_scripted_scenario():
 
     from dataclasses import replace
 
-    without = run(replace(scn, standby_enabled=False)).metrics
+    without = Simulation(replace(scn, standby_enabled=False)).run().metrics
     assert without["generated"] == 2
     assert without["delivered"] == 1
     assert without["losses"]["intermediate"] == 1
@@ -366,6 +366,23 @@ def test_every_repeater_learns_the_oracles_row(name):
     assert installed_rows_are_the_oracles(sim) == sorted(sim.topology.repeaters)
 
 
+@pytest.mark.parametrize("learning", [False, True])
+def test_only_repeaters_hold_route_state(learning):
+    # repeaters route and relay; a gateway keeps only its beacon table,
+    # which the server's plan reads, and an end device keeps nothing
+    scn = learning_only("representative") if learning else load_scenario("representative")
+    sim = Simulation(replace(scn, protocol="routing", horizon_s=scn.phases.dissemination_end_s))
+    sim.run()
+    for node in sim.nodes.values():
+        state = (node.route, node.learned, node.dedup)
+        if node.is_repeater:
+            assert None not in state and node.route.installed
+            assert node.learned or not learning
+        else:
+            assert state == (None, None, None)
+        assert (node.ntable is None) == node.is_ed
+
+
 def deep_chain(**extra):
     """Gateway 0 and repeaters 1-5 on audible 3 500 m links, so node 5's
     17 500 m path is longer than the wire's distance field; five packets
@@ -380,7 +397,7 @@ def deep_chain(**extra):
 
 def test_a_plan_beyond_the_distance_field_is_a_configuration_error():
     with pytest.raises(PlannerError, match=r"^node 5's path to its nearest gateway is 17500\.0 m"):
-        run(deep_chain())
+        Simulation(deep_chain()).run()
 
 
 def test_a_learned_plan_beyond_the_distance_field_leaves_the_mesh_flooding():
@@ -458,19 +475,19 @@ def test_route_switching_requires_energy_awareness():
         traffic=replace(base.traffic, total_packets=1200),
         horizon_s=2400.0,
     )
-    with_energy = run(short).metrics
-    without = run(replace(short, protocol="routing_no_energy")).metrics
+    with_energy = Simulation(short).run().metrics
+    without = Simulation(replace(short, protocol="routing_no_energy")).run().metrics
     assert with_energy["counts"]["route_switched"] > 0
     assert without["counts"]["route_switched"] == 0
 
 
 def test_identical_runs_are_identical():
     scn = load_scenario("standby_recovery")
-    a = run(scn)
-    b = run(scn)
+    a = Simulation(scn).run()
+    b = Simulation(scn).run()
     assert a.metrics["trace_sha256"] == b.metrics["trace_sha256"]
     assert json.dumps(a.metrics, sort_keys=True) == json.dumps(b.metrics, sort_keys=True)
-    c = run(replace(scn, seed=99))
+    c = Simulation(replace(scn, seed=99)).run()
     assert c.metrics["trace_sha256"] != a.metrics["trace_sha256"]
 
 
@@ -611,10 +628,10 @@ def test_oracle_plan_uses_only_links_the_run_hears(data, protocol):
     sim = Simulation(scenario_from_dict({**data, "protocol": protocol, "learning_phase": False}))
     sim.run()
     audible = hears(sim)
-    for uid, upstream in sim.graph.upstream.items():
+    for uid, (_value, upstream, downstream, values) in sim.graph.rows.items():
         assert upstream is None or (uid, upstream) in audible
-    for uid, members in sim.graph.downstream.items():
-        assert all((uid, member) in audible for member in members)
+        assert all((uid, member) in audible for member in downstream)
+        assert all((uid, neighbor) in audible for neighbor in values)
 
 
 SHADOWED_TRIANGLE = {
@@ -646,7 +663,7 @@ def test_oracle_plan_routes_around_a_shadowed_link(seed):
     sim = Simulation(scenario_from_dict({**SHADOWED_TRIANGLE, "seed": seed}))
     metrics = sim.run().metrics
     assert (0, 1) not in hears(sim)
-    assert sim.graph.upstream[1] == 2
+    assert sim.graph.rows[1][1] == 2
     assert metrics["pdr"] == 1.0
 
 
@@ -726,7 +743,7 @@ def begin_at(sim, uid, when, pid, payload_bytes=20):
     """Put a beacon from ``uid`` on air at ``when``; returns its (t0, t1)."""
     sim.queue.now = when
     packet = Packet(pid, BEACON, uid, None, payload_bytes)
-    sim._begin_tx(sim.nodes[uid], packet, MESH_CHANNEL)
+    sim._begin_tx(sim.nodes[uid], packet)
     trans = sim.nodes[uid].last
     return trans.t0, trans.t1
 
@@ -740,7 +757,7 @@ def end_next(sim):
 def outcomes_at_gateway(sim, uid=0):
     """The gateway's (or ``uid``'s) outcome for each frame; ends every frame
     still on air."""
-    while sim.queue:
+    while sim.queue.heap:
         end_next(sim)
     return {
         ev[tr.PKT]: ev[tr.KIND]
